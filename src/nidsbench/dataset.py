@@ -15,6 +15,7 @@ import math
 import os
 import urllib.parse
 import urllib.request
+import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -124,10 +125,6 @@ class Dataset:
             values[pos] = self.schema.attributes[pos].domain[self.nominal[i, j]]
         return Instance(tuple(values), self.schema.class_labels[self.labels[i]])
 
-    def iter_instances(self) -> Iterator[Instance]:
-        for i in range(len(self)):
-            yield self.instance(i)
-
     def subset(self, indices: np.ndarray | Sequence[int], note: str = "") -> "Dataset":
         idx = np.asarray(indices)
         prov = self.provenance + (f"; {note}" if note else "")
@@ -230,14 +227,9 @@ def parse_kdd_line(line: str, schema: AttributeSchema,
     return _parse_fields(line.rstrip("\r\n").split(","), schema, line_no)
 
 
-def dataset_from_instances(schema: AttributeSchema,
-                           instances: Iterable[Instance],
-                           provenance: str = "") -> Dataset:
-    """Assemble a Dataset, accumulating nominal domains and class labels.
-
-    Domains and class labels not already present in `schema` are added in
-    first-seen order, then frozen into the returned dataset's schema.
-    """
+def _code_instances(schema: AttributeSchema, instances: Iterable[Instance],
+                    n: int, provenance: str) -> Dataset:
+    """`dataset_from_instances` for `n` instances, coded into preallocated arrays."""
     num_pos = schema.numeric_positions
     nom_pos = schema.nominal_positions
     domain_codes: list[dict[str, int]] = [
@@ -245,69 +237,10 @@ def dataset_from_instances(schema: AttributeSchema,
     ]
     label_codes: dict[str, int] = {lab: i for i, lab in enumerate(schema.class_labels)}
 
-    numeric_rows, nominal_rows, labels = [], [], []
-    for inst in instances:
-        numeric_rows.append([inst.values[p] for p in num_pos])
-        row = []
-        for j, p in enumerate(nom_pos):
-            codes = domain_codes[j]
-            row.append(codes.setdefault(inst.values[p], len(codes)))
-        nominal_rows.append(row)
-        labels.append(label_codes.setdefault(inst.label, len(label_codes)))
-
-    attrs = list(schema.attributes)
-    for j, p in enumerate(nom_pos):
-        attrs[p] = replace(attrs[p], domain=tuple(domain_codes[j]))
-    frozen = AttributeSchema(tuple(attrs), tuple(label_codes))
-    n = len(labels)
-    return Dataset(
-        frozen,
-        np.asarray(numeric_rows, dtype=np.float64).reshape(n, len(num_pos)),
-        np.asarray(nominal_rows, dtype=np.int32).reshape(n, len(nom_pos)),
-        np.asarray(labels, dtype=np.int32),
-        provenance,
-    )
-
-
-def _read_text(path: Path) -> str:
-    data = path.read_bytes()
-    if data[:2] == b"\x1f\x8b":
-        data = gzip.decompress(data)
-    return data.decode("utf-8")
-
-
-def load_dataset(path: str | Path, schema: AttributeSchema | None = None) -> Dataset:
-    """Load a KDD-format file (optionally gzipped) into a Dataset.
-
-    One instance per non-empty line, file order preserved. NSL-KDD's optional
-    trailing "difficulty" column (an extra 43rd integer field) is dropped.
-    Any line-level parse error aborts the load with line/field context.
-    """
-    path = Path(path)
-    schema = schema if schema is not None else kdd99_schema()
-    text = _read_text(path)
-
-    expected = schema.n_attributes + 1
-    num_pos = schema.numeric_positions
-    nom_pos = schema.nominal_positions
-    domain_codes: list[dict[str, int]] = [
-        {sym: i for i, sym in enumerate(schema.attributes[p].domain)} for p in nom_pos
-    ]
-    label_codes: dict[str, int] = {lab: i for i, lab in enumerate(schema.class_labels)}
-
-    rows = [(i + 1, ln) for i, ln in enumerate(text.splitlines()) if ln.strip()]
-    if not rows:
-        raise DataError(f"{path}: no instances")
-
-    numeric = np.empty((len(rows), len(num_pos)), dtype=np.float64)
-    nominal = np.empty((len(rows), len(nom_pos)), dtype=np.int32)
-    labels = np.empty(len(rows), dtype=np.int32)
-
-    for i, (line_no, line) in enumerate(rows):
-        fields = line.rstrip("\r\n").split(",")
-        if len(fields) == expected + 1 and fields[-1].isdigit():
-            fields = fields[:-1]  # NSL-KDD difficulty column
-        inst = _parse_fields(fields, schema, line_no)
+    numeric = np.empty((n, len(num_pos)), dtype=np.float64)
+    nominal = np.empty((n, len(nom_pos)), dtype=np.int32)
+    labels = np.empty(n, dtype=np.int32)
+    for i, inst in enumerate(instances):
         numeric[i] = [inst.values[p] for p in num_pos]
         for j, p in enumerate(nom_pos):
             codes = domain_codes[j]
@@ -318,7 +251,76 @@ def load_dataset(path: str | Path, schema: AttributeSchema | None = None) -> Dat
     for j, p in enumerate(nom_pos):
         attrs[p] = replace(attrs[p], domain=tuple(domain_codes[j]))
     frozen = AttributeSchema(tuple(attrs), tuple(label_codes))
-    return Dataset(frozen, numeric, nominal, labels, provenance=f"loaded {path}")
+    return Dataset(frozen, numeric, nominal, labels, provenance)
+
+
+def dataset_from_instances(schema: AttributeSchema,
+                           instances: Iterable[Instance],
+                           provenance: str = "") -> Dataset:
+    """Assemble a Dataset, accumulating nominal domains and class labels.
+
+    Domains and class labels not already present in `schema` are added in
+    first-seen order, then frozen into the returned dataset's schema.
+    """
+    instances = list(instances)
+    return _code_instances(schema, instances, len(instances), provenance)
+
+
+def _read_text(path: Path) -> str:
+    data = path.read_bytes()
+    if data[:2] == b"\x1f\x8b":
+        try:
+            data = gzip.decompress(data)
+        except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+            raise DataError(f"{path}: corrupt or truncated gzip data: {exc}") from None
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bad byte's line as str.splitlines numbers it ("x" stands in for it)
+        line_no = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(f"{path}: line {line_no}: invalid UTF-8 byte "
+                         f"{data[exc.start:exc.start + 1]!r}") from None
+
+
+def load_dataset(path: str | Path, schema: AttributeSchema | None = None) -> Dataset:
+    """Load a KDD-format file (optionally gzipped) into a Dataset.
+
+    One instance per non-empty line, file order preserved. NSL-KDD's optional
+    trailing "difficulty" column (an extra 43rd integer field) is dropped.
+    Any line-level parse error aborts the load with line/field context.
+
+    KDD files are mostly exact duplicate records, so each distinct line is
+    parsed and coded once, in first-seen order, and the rows are expanded
+    from it by index. Equal lines parse equally, and the first malformed
+    distinct line is the first malformed line, reported at its line number.
+    """
+    path = Path(path)
+    schema = schema if schema is not None else kdd99_schema()
+    lines = _read_text(path).splitlines()
+
+    first_line_no: dict[str, int] = {}  # distinct line -> where it first appears
+    rows = [first_line_no.setdefault(ln, no)
+            for no, ln in enumerate(lines, 1) if ln.strip()]
+    del lines
+    if not rows:
+        raise DataError(f"{path}: no instances")
+    # first line numbers rise in first-seen order, so a row's rank among them
+    # is the id of its distinct line
+    idx = np.searchsorted(np.fromiter(first_line_no.values(), np.intp), rows)
+
+    expected = schema.n_attributes + 1
+
+    def parse(line: str, line_no: int) -> Instance:
+        fields = line.split(",")
+        if len(fields) == expected + 1 and fields[-1].isdigit():
+            fields = fields[:-1]  # NSL-KDD difficulty column
+        return _parse_fields(fields, schema, line_no)
+
+    distinct = _code_instances(
+        schema, (parse(ln, no) for ln, no in first_line_no.items()),
+        len(first_line_no), f"loaded {path}")
+    del first_line_no  # free the line text before the expanded rows are allocated
+    return distinct.subset(idx)
 
 
 def write_dataset(ds: Dataset, path: str | Path) -> None:

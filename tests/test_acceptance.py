@@ -59,7 +59,7 @@ from nidsbench.stream_learners import (
 from conftest import build_dataset
 
 TABLE1_COUNTS = {"dos": 391_458, "probe": 4_107, "u2r": 52, "r2l": 1_126,
-                 "normal": 97_277}
+                 "normal": 97_278}
 TABLE1_TOTAL = 494_021
 DRIFT_POINTS = (50_788, 58_628, 73_274, 150_925)
 DRIFT_TOLERANCE = 2_000

@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, artifact emission and determinism."""
 
+import gzip
 import hashlib
 import http.server
 import json
@@ -21,7 +22,7 @@ from nidsbench.dataset import DataError, load_dataset
 from nidsbench.evaluation import gen_drift_stream, prequential_run
 from nidsbench.stream_learners import WindowKNN, WindowKnnConfig
 
-from conftest import kdd_file
+from conftest import kdd_file, kdd_line
 
 
 @pytest.fixture
@@ -63,6 +64,46 @@ def test_unparsable_file_is_data_error(tmp_path, capsys):
     code = run_command(["batch", "--algo", "nb", "--data", str(bad),
                         "--out", str(tmp_path)])
     assert code == EXIT_DATA
+
+
+def _fault_file(path, fault):
+    rng = np.random.default_rng(4)
+    good_a, good_b = kdd_line("normal", rng), kdd_line("smurf", rng)
+    if fault == "truncated gzip":
+        data = gzip.compress(f"{good_a}\n{good_b}\n".encode())
+        path.write_bytes(data[:len(data) // 2])
+    elif fault == "UTF-8 BOM":
+        path.write_bytes(b"\xef\xbb\xbf" + f"{good_a}\n{good_b}\n".encode())
+    elif fault == "non-UTF-8 byte":
+        path.write_bytes(f"{good_a}\n{good_b}\n".encode()
+                         + good_b.replace("smurf", "smurf\xff").encode("latin-1"))
+    elif fault == "43 fields, last not a digit":
+        path.write_text(f"{good_a}\n{good_b},x\n")
+    elif fault == "empty label":
+        path.write_text(f"{good_a}\n{good_b.rsplit(',', 1)[0]},\n")
+    elif fault == "malformed line repeated":
+        bad = good_b.replace("smurf.", "")
+        path.write_text("\n".join([good_a, good_b, good_a, bad, good_b, bad]))
+    return path
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("truncated gzip", "fault.dat: corrupt or truncated gzip"),
+    ("UTF-8 BOM", "line 1: field 1 (duration)"),
+    ("non-UTF-8 byte", "line 3: invalid UTF-8 byte b'\\xff'"),
+    ("43 fields, last not a digit", "line 2: expected 42 fields, got 43"),
+    ("empty label", "line 2: empty class label"),
+    ("malformed line repeated", "line 4: empty class label"),
+])
+def test_malformed_input_exits_2_with_context(tmp_path, capsys, fault,
+                                              message):
+    path = _fault_file(tmp_path / "fault.dat", fault)
+    code = run_command(["batch", "--algo", "nb", "--data", str(path),
+                        "--out", str(tmp_path / "out")])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ")
+    assert message in err
 
 
 def test_resolve_data_prefers_existing_path(tmp_path):

@@ -134,6 +134,82 @@ def test_load_dataset_accepts_gzip(tmp_path):
     assert len(load_dataset(path)) == 3
 
 
+def test_load_dataset_crlf_loads_like_lf(tmp_path):
+    path = kdd_file(tmp_path / "lf.csv", ["normal", "smurf", "normal"] * 3)
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    a, b = load_dataset(path), load_dataset(crlf)
+    assert a.equals(b)
+    assert a.numeric.tobytes() == b.numeric.tobytes()
+
+
+@pytest.mark.parametrize("damage", ["truncated", "corrupt body", "bad header"])
+def test_load_dataset_damaged_gzip_is_data_error(tmp_path, damage):
+    rng = np.random.default_rng(1)
+    data = bytearray(gzip.compress(
+        "\n".join(kdd_line("normal", rng) for _ in range(3)).encode()))
+    if damage == "truncated":
+        data = data[:len(data) // 2]
+    elif damage == "corrupt body":
+        data[12:20] = b"\xff" * 8
+    else:
+        data[2] = 0  # compression method other than deflate
+    path = tmp_path / "cut.gz"
+    path.write_bytes(bytes(data))
+    with pytest.raises(DataError, match="cut.gz: corrupt or truncated gzip"):
+        load_dataset(path)
+
+
+def test_load_dataset_bad_utf8_numbers_lines_like_the_parser(tmp_path):
+    # "\r" alone ends a line for str.splitlines, so the bad byte is on line 3
+    rng = np.random.default_rng(1)
+    good = kdd_line("normal", rng).encode()
+    path = tmp_path / "cr.csv"
+    path.write_bytes(good + b"\r" + good + b"\r" + good.replace(b"0", b"\xff", 1))
+    with pytest.raises(ParseError, match=r"cr.csv: line 3: invalid UTF-8"):
+        load_dataset(path)
+
+
+_SMALL_SCHEMA = AttributeSchema((Attribute("x", "numeric"),
+                                 Attribute("proto", "nominal"),
+                                 Attribute("y", "numeric")))
+_record = st.tuples(
+    st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+              st.integers(-10**6, 10**6).map(str),
+              st.sampled_from(["-0", "0.0", "1e3", "+5", " 7"])),
+    st.sampled_from(["tcp", "udp", "icmp"]),
+    st.floats(-1e3, 1e3).map(repr),
+    st.sampled_from(["normal.", "smurf.", "neptune", "back"]),
+).map(",".join)
+_row = st.tuples(st.integers(0, 7),                     # which distinct record
+                 st.one_of(st.none(), st.integers(0, 21)),  # difficulty column
+                 st.sampled_from(["\n", "\r\n"]),      # line ending
+                 st.sampled_from(["", "\n", "  \r\n", "\t\n"]))  # blanks before
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_record, min_size=1, max_size=8), st.lists(_row, min_size=1,
+                                                           max_size=60))
+def test_load_dataset_equals_per_line_parse(tmp_path_factory, records, rows):
+    """Parsing each distinct line once gives what parsing every line gives."""
+    text, kept = [], []
+    for which, difficulty, ending, blanks in rows:
+        record = records[which % len(records)]
+        kept.append(record)
+        suffix = "" if difficulty is None else f",{difficulty}"
+        text.append(blanks + record + suffix + ending)
+    path = tmp_path_factory.mktemp("eq") / "data.csv"
+    path.write_bytes("".join(text).encode())
+    got = load_dataset(path, _SMALL_SCHEMA)
+    want = dataset_from_instances(
+        _SMALL_SCHEMA, [parse_kdd_line(r, _SMALL_SCHEMA) for r in kept])
+    assert got.schema == want.schema
+    assert got.numeric.shape == want.numeric.shape
+    assert got.numeric.tobytes() == want.numeric.tobytes()
+    assert np.array_equal(got.nominal, want.nominal)
+    assert np.array_equal(got.labels, want.labels)
+
+
 def test_load_dataset_drops_nsl_difficulty_column(tmp_path):
     rng = np.random.default_rng(1)
     lines = [kdd_line("normal", rng, dotted=False) + ",21",
