@@ -12,17 +12,7 @@ import argparse
 import sys
 import time
 
-from nidsbench.batch_learners import (
-    KNN,
-    MLP,
-    DecisionTree,
-    KnnConfig,
-    MlpConfig,
-    LinearSVM,
-    NaiveBayes,
-    Pipeline,
-)
-from nidsbench.cli import resolve_data
+from nidsbench.cli import RunConfig, make_batch_model, resolve_data
 from nidsbench.dataset import kdd99_schema, load_dataset
 from nidsbench.evaluation import cross_validate
 from nidsbench.preprocess import SelectionSpec, apply_variant, \
@@ -43,28 +33,14 @@ def main() -> int:
     raw = load_dataset(path, kdd99_schema())
     print(f"loaded {args.data}: {len(raw)} instances from {path}")
 
-    knn_sample = args.knn_sample or None
-
-    def factory(algo):
-        if algo == "nb":
-            return NaiveBayes()
-        if algo == "j48":
-            return DecisionTree()
-        if algo.startswith("knn"):
-            k = int(algo[3:])
-            return Pipeline(KNN(KnnConfig(k=k)), normalize=True,
-                            subsample=knn_sample, seed=args.seed)
-        if algo == "mlp":
-            return Pipeline(MLP(MlpConfig(seed=args.seed)), normalize=True,
-                            encode=True)
-        if algo == "svm":
-            return Pipeline(LinearSVM(), normalize=True, encode=True)
-        raise ValueError(algo)
-
     variants = args.variants.split(",")
     algos = args.algos.split(",")
     print(f"\n{'algorithm':<10}" + "".join(f"{v:>10}" for v in variants))
     for algo in algos:
+        knn = algo.startswith("knn")  # knnK: the CLI's knn with k=K
+        cfg = RunConfig(algo="knn" if knn else algo,
+                        k=int(algo[3:]) if knn else 3,
+                        sample=args.knn_sample or None, seed=args.seed)
         cells = []
         for vid in variants:
             if algo == "svm" and vid != "v2":
@@ -73,7 +49,7 @@ def main() -> int:
             ds = select_attributes(apply_variant(raw, variant(vid)),
                                    SelectionSpec())
             t0 = time.perf_counter()
-            res = cross_validate(ds, lambda: factory(algo), args.folds,
+            res = cross_validate(ds, lambda: make_batch_model(cfg), args.folds,
                                  args.seed)
             dt = time.perf_counter() - t0
             cells.append(f"{res.accuracy * 100:9.2f}%")

@@ -13,7 +13,13 @@ from pathlib import Path
 
 import numpy as np
 
-from nidsbench.cli import STREAM_NORMALIZE_WARMUP, emit_svg_curve, resolve_data
+from nidsbench.cli import (
+    STREAM_NORMALIZE_WARMUP,
+    RunConfig,
+    emit_svg_curve,
+    make_stream_model,
+    resolve_data,
+)
 from nidsbench.dataset import kdd99_schema, load_dataset
 from nidsbench.evaluation import annotate_drifts, prequential_run, \
     write_trace_csv
@@ -24,14 +30,6 @@ from nidsbench.preprocess import (
     fit_normalizer,
     select_attributes,
     variant,
-)
-from nidsbench.stream_learners import (
-    BoostConfig,
-    HoeffdingTree,
-    OzaBoost,
-    StreamingNaiveBayes,
-    WindowKNN,
-    WindowKnnConfig,
 )
 
 
@@ -60,13 +58,8 @@ def main() -> int:
         if algo == "wknn":
             warm = ds.subset(np.arange(min(STREAM_NORMALIZE_WARMUP, len(ds))))
             ds = apply_normalizer(fit_normalizer(warm), ds)
-        model = {
-            "snb": lambda: StreamingNaiveBayes(ds.schema),
-            "ht": lambda: HoeffdingTree(ds.schema),
-            "wknn": lambda: WindowKNN(ds.schema, WindowKnnConfig()),
-            "ozaboost": lambda: OzaBoost(ds.schema,
-                                         BoostConfig(seed=args.seed)),
-        }[algo]()
+        model = make_stream_model(
+            ds.schema, RunConfig(command="stream", algo=algo, seed=args.seed))
         t0 = time.perf_counter()
         trace = prequential_run(ds, model, args.alpha)
         dt = time.perf_counter() - t0

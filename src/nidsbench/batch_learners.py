@@ -152,6 +152,8 @@ class _TreeNode:
         self.col = self.kind = self.threshold = self.children = None
 
 
+# Sums only the positive terms: with zeros included, numpy's pairwise sum
+# groups eight or more terms differently, and C4.5 splits move.
 def _entropy(counts: np.ndarray) -> float:
     total = counts.sum()
     if total <= 0:
@@ -160,7 +162,8 @@ def _entropy(counts: np.ndarray) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
-def _entropy_rows(rows: np.ndarray) -> np.ndarray:
+def entropy_rows(rows: np.ndarray) -> np.ndarray:
+    """Entropy (bits) of each row of (possibly fractional) class counts."""
     tot = rows.sum(axis=1, keepdims=True)
     safe = np.maximum(tot, 1e-300)
     p = rows / safe
@@ -253,7 +256,7 @@ class DecisionTree(BatchModel):
             sizes = table.sum(axis=1)
             if (sizes > 0).sum() < 2 or (sizes >= cfg.min_leaf_instances).sum() < 2:
                 continue
-            gain = h_parent - float((sizes / n) @ _entropy_rows(table))
+            gain = h_parent - float((sizes / n) @ entropy_rows(table))
             if gain <= 1e-12:
                 continue
             split_info = _entropy(sizes)
@@ -307,7 +310,7 @@ class DecisionTree(BatchModel):
             left[:, c] = np.searchsorted(pos_c, cand, side="right")
         right = counts[None, :] - left
         n_left = (cand + 1).astype(np.float64)
-        both = _entropy_rows(np.vstack([left, right]))
+        both = entropy_rows(np.vstack([left, right]))
         m = len(cand)
         gains = h_parent - (n_left * both[:m] + (n - n_left) * both[m:]) / n
         best_i = int(np.argmax(gains))
@@ -551,46 +554,28 @@ class MLP(BatchModel):
         c = len(train.schema.class_labels)
         h = cfg.hidden_units or math.ceil((d + c) / 2)
         rng = np.random.default_rng(cfg.seed)
-        w1 = rng.uniform(-0.5, 0.5, (d, h))
-        b1 = rng.uniform(-0.5, 0.5, h)
-        w2 = rng.uniform(-0.5, 0.5, (h, c))
-        b2 = rng.uniform(-0.5, 0.5, c)
-        v_w1 = np.zeros_like(w1)
-        v_b1 = np.zeros_like(b1)
-        v_w2 = np.zeros_like(w2)
-        v_b2 = np.zeros_like(b2)
+        params = (rng.uniform(-0.5, 0.5, (d, h)), rng.uniform(-0.5, 0.5, h),
+                  rng.uniform(-0.5, 0.5, (h, c)), rng.uniform(-0.5, 0.5, c))
+        velocity = tuple(np.zeros_like(p) for p in params)
         targets = np.zeros((n, c))
         targets[np.arange(n), y] = 1.0
         lr, mom, slope = cfg.learning_rate, cfg.momentum, cfg.sigmoid_slope
 
         for _ in range(cfg.epochs):
             for i in rng.permutation(n):
-                xi = x[i]
-                hidden = _sigmoid(xi @ w1 + b1, slope)
-                out = _sigmoid(hidden @ w2 + b2, slope)
-                delta_out = (out - targets[i]) * slope * out * (1.0 - out)
-                delta_hid = (w2 @ delta_out) * slope * hidden * (1.0 - hidden)
-                v_w2 *= mom
-                v_w2 -= lr * np.outer(hidden, delta_out)
-                v_b2 *= mom
-                v_b2 -= lr * delta_out
-                v_w1 *= mom
-                v_w1 -= lr * np.outer(xi, delta_hid)
-                v_b1 *= mom
-                v_b1 -= lr * delta_hid
-                w2 += v_w2
-                b2 += v_b2
-                w1 += v_w1
-                b1 += v_b1
+                grads = mlp_gradients(params, x[i], targets[i], slope)
+                for p, v, g in zip(params, velocity, grads):
+                    v *= mom
+                    v -= lr * g
+                    p += v
+            w1, _, w2, _ = params
             if not (np.isfinite(w1).all() and np.isfinite(w2).all()):
                 raise TrainingError(
                     "non-finite weights: learning rate too high for this data")
-        self.params = (w1, b1, w2, b2)
+        self.params = params
 
     def _scores(self, num, nom):
-        w1, b1, w2, b2 = self.params
-        slope = self.config.sigmoid_slope
-        out = _sigmoid(_sigmoid(num @ w1 + b1, slope) @ w2 + b2, slope)
+        _, out = mlp_forward(self.params, num, self.config.sigmoid_slope)
         return out / out.sum(axis=1, keepdims=True)
 
 

@@ -312,7 +312,8 @@ def load_dataset(path: str | Path, schema: AttributeSchema | None = None) -> Dat
 
     def parse(line: str, line_no: int) -> Instance:
         fields = line.split(",")
-        if len(fields) == expected + 1 and fields[-1].isdigit():
+        last = fields[-1]
+        if len(fields) == expected + 1 and last.isascii() and last.isdigit():
             fields = fields[:-1]  # NSL-KDD difficulty column
         return _parse_fields(fields, schema, line_no)
 

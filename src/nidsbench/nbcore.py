@@ -1,10 +1,11 @@
 """Shared class-conditional statistics for the naive-Bayes learners.
 
-Both the batch and the streaming naive-Bayes classifiers feed instances
-through this accumulator one at a time, so their sufficient statistics are
-identical by construction. Numeric attributes keep per-class running
-count/mean/M2 (Welford updates); nominal attributes keep per-class value
-counts with Laplace add-one smoothing at scoring time.
+The batch and the streaming naive-Bayes classifiers and every
+Hoeffding-tree leaf feed instances through this accumulator one at a time,
+so their sufficient statistics are identical by construction. Numeric
+attributes keep per-class running count/mean/M2 (Welford updates); nominal
+attributes keep per-class value counts with Laplace add-one smoothing at
+scoring time.
 """
 
 from __future__ import annotations
@@ -24,20 +25,24 @@ class ClassConditionalStats:
         self.schema = schema
         c = len(schema.class_labels)
         n_num = len(schema.numeric_positions)
-        self.class_counts = np.zeros(c, dtype=np.int64)
+        # Counts are float64: exact (integers far below 2**53), and updates
+        # and scores then need no mixed int/float arithmetic.
+        self.class_counts = np.zeros(c)
         self.mean = np.zeros((c, n_num))
         self.m2 = np.zeros((c, n_num))
-        self.nominal_counts = [
-            np.zeros((len(schema.attributes[p].domain), c), dtype=np.int64)
-            for p in schema.nominal_positions
-        ]
+        # Each nominal table has one zero row past its domain: code -1 (a
+        # symbol outside the domain) gathers it when scoring.
+        self._nominal_tables = [
+            np.zeros((len(schema.attributes[p].domain) + 1, c))
+            for p in schema.nominal_positions]
+        self.nominal_counts = [t[:-1] for t in self._nominal_tables]
 
     @property
     def total(self) -> int:
         return int(self.class_counts.sum())
 
     def update(self, num_row: np.ndarray, nom_row: np.ndarray, label: int) -> None:
-        self.class_counts[label] += 1
+        self.class_counts[label] += 1.0
         n = self.class_counts[label]
         delta = num_row - self.mean[label]
         self.mean[label] += delta / n
@@ -45,41 +50,47 @@ class ClassConditionalStats:
         for j, counts in enumerate(self.nominal_counts):
             code = nom_row[j]
             if code >= 0:
-                counts[code, label] += 1
+                counts[code, label] += 1.0
 
     def variances(self) -> np.ndarray:
         """Per-(class, attribute) population variance, floored."""
         n = np.maximum(self.class_counts, 1)[:, None]
         return np.maximum(self.m2 / n, VARIANCE_FLOOR)
 
+    def add_log_likelihoods(self, scores: np.ndarray, num_rows: np.ndarray,
+                            nom_rows: np.ndarray) -> None:
+        """Add each observed class's log likelihood of the rows to `scores`.
+
+        `scores` is (n, C) and updated in place: first the Gaussian terms of
+        the numeric attributes, then one Laplace add-one term per nominal
+        attribute. Classes never observed get +0.0. A nominal symbol outside
+        the fitted domain (code -1) contributes the floor 1/(n_c + d).
+        """
+        seen = self.class_counts > 0
+        if self.mean.shape[1]:
+            var = self.variances()
+            diff = num_rows[:, None, :] - self.mean
+            ll = -0.5 * (diff * diff / var + np.log(var) + _LOG_2PI)
+            scores += np.where(seen, ll.sum(axis=2), 0.0)
+        for j, table in enumerate(self._nominal_tables):
+            numer = table[nom_rows[:, j]] + 1.0
+            denom = np.maximum(self.class_counts + (len(table) - 1), 1.0)
+            scores += np.where(seen, np.log(numer) - np.log(denom), 0.0)
+
     def log_scores(self, num_rows: np.ndarray, nom_rows: np.ndarray) -> np.ndarray:
         """(n, C) unnormalized log posteriors: log prior + sum log likelihood.
 
         Classes never observed score -inf; with no observations at all every
-        class scores 0 (a flat tie). Nominal symbols outside a fitted domain
-        contribute the Laplace floor 1/(n_c + d).
+        class scores 0 (a flat tie).
         """
-        n_rows = len(num_rows)
-        c = len(self.class_counts)
         total = self.total
         if total == 0:
-            return np.zeros((n_rows, c))
+            return np.zeros((len(num_rows), len(self.class_counts)))
         with np.errstate(divide="ignore"):
-            scores = np.tile(np.log(self.class_counts / total), (n_rows, 1))
-        seen = self.class_counts > 0
-        if self.mean.shape[1]:
-            var = self.variances()
-            diff = num_rows[:, None, :] - self.mean[None, :, :]
-            ll = -0.5 * (diff * diff / var[None] + np.log(var)[None] + _LOG_2PI)
-            scores[:, seen] += ll.sum(axis=2)[:, seen]
-        for j, counts in enumerate(self.nominal_counts):
-            d = counts.shape[0]
-            smoothed = np.vstack([counts + 1, np.ones((1, c))])  # last row: unseen
-            denom = self.class_counts + d
-            loglik = np.log(smoothed) - np.log(np.maximum(denom, 1))
-            codes = np.where(nom_rows[:, j] >= 0, nom_rows[:, j], d)
-            scores[:, seen] += loglik[codes][:, seen]
-        scores[:, ~seen] = -np.inf
+            scores = np.tile(np.log(self.class_counts / total),
+                             (len(num_rows), 1))
+        self.add_log_likelihoods(scores, num_rows, nom_rows)
+        scores[:, self.class_counts == 0] = -np.inf
         return scores
 
 

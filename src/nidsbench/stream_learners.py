@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import AttributeSchema, Instance
-from .batch_learners import instance_rows, knn_vote, mixed_distances
+from .batch_learners import entropy_rows, instance_rows, knn_vote, \
+    mixed_distances
 from .nbcore import VARIANCE_FLOOR, ClassConditionalStats, scores_to_probabilities
 
 
@@ -140,42 +141,26 @@ class HoeffdingConfig:
 
 
 class _HTLeaf:
-    __slots__ = ("class_counts", "learned", "last_eval", "mean",
-                 "m2", "vmin", "vmax", "nom_counts")
+    __slots__ = ("stats", "class_counts", "last_eval", "vmin", "vmax")
 
-    def __init__(self, n_classes: int, n_num: int, domain_sizes: list[int],
+    def __init__(self, schema: AttributeSchema,
                  startup: np.ndarray | None = None):
-        # class_counts includes the (possibly fractional) startup distribution
-        # carried over from the parent split; `learned` counts only instances
-        # this leaf actually observed.
-        self.class_counts = np.zeros(n_classes) if startup is None \
-            else startup.astype(np.float64)
-        self.learned = np.zeros(n_classes)
-        self.last_eval = 0.0
-        self.mean = np.zeros((n_classes, n_num))
-        self.m2 = np.zeros((n_classes, n_num))
+        # stats holds only the instances this leaf observed; class_counts
+        # adds them to the (possibly fractional) startup distribution carried
+        # over from the parent split.
+        self.stats = ClassConditionalStats(schema)
+        self.class_counts = np.zeros(len(schema.class_labels)) \
+            if startup is None else startup.astype(np.float64)
+        self.last_eval = 0
+        n_num = len(schema.numeric_positions)
         self.vmin = np.full(n_num, np.inf)
         self.vmax = np.full(n_num, -np.inf)
-        self.nom_counts = [np.zeros((d, n_classes)) for d in domain_sizes]
-
-    @property
-    def n_learned(self) -> float:
-        return float(self.learned.sum())
 
     def learn(self, num_row, nom_row, y):
         self.class_counts[y] += 1.0
-        self.learned[y] += 1.0
-        if len(num_row):
-            n = self.learned[y]
-            delta = num_row - self.mean[y]
-            self.mean[y] += delta / n
-            self.m2[y] += delta * (num_row - self.mean[y])
-            np.minimum(self.vmin, num_row, out=self.vmin)
-            np.maximum(self.vmax, num_row, out=self.vmax)
-        for j, counts in enumerate(self.nom_counts):
-            code = nom_row[j]
-            if code >= 0:
-                counts[code, y] += 1.0
+        self.stats.update(num_row, nom_row, y)
+        np.minimum(self.vmin, num_row, out=self.vmin)
+        np.maximum(self.vmax, num_row, out=self.vmax)
 
 
 class _HTSplit:
@@ -189,20 +174,13 @@ class _HTSplit:
         self.fallback = fallback  # majority code for unroutable values
 
 
-def _distribution_entropy(rows: np.ndarray) -> np.ndarray:
-    """Entropy (bits) of each row of fractional class counts."""
-    rows = np.atleast_2d(rows)
-    tot = rows.sum(axis=1, keepdims=True)
-    p = rows / np.maximum(tot, 1e-300)
-    plogp = np.where(p > 0, p * np.log2(np.where(p > 0, p, 1.0)), 0.0)
-    return -plogp.sum(axis=1)
-
-
 class HoeffdingTree(StreamModel):
     """Incremental decision tree with Hoeffding-bound split decisions.
 
-    Leaves keep per-class nominal value counts and per-class Gaussian
-    summaries of numeric attributes; every grace_period learned instances a
+    Leaves keep the naive-Bayes statistics (`nbcore.ClassConditionalStats`:
+    per-class nominal value counts and Gaussian summaries of numeric
+    attributes), and naive-Bayes leaves score with them; every grace_period
+    learned instances a
     leaf compares the two best information gains and splits when their gap
     exceeds the Hoeffding bound (or the bound has shrunk below the tie
     threshold). Numeric candidate thresholds are `numeric_bins` equal-width
@@ -215,14 +193,8 @@ class HoeffdingTree(StreamModel):
                  config: HoeffdingConfig = HoeffdingConfig()):
         super().__init__(schema)
         self.config = config
-        self._n_num = len(schema.numeric_positions)
-        self._domain_sizes = [len(schema.attributes[p].domain)
-                              for p in schema.nominal_positions]
-        self.root: _HTLeaf | _HTSplit = self._new_leaf(None)
+        self.root: _HTLeaf | _HTSplit = _HTLeaf(schema)
         self.n_splits = 0
-
-    def _new_leaf(self, startup):
-        return _HTLeaf(self.n_classes, self._n_num, self._domain_sizes, startup)
 
     def _route(self, num_row, nom_row):
         """Returns (leaf-or-split, parent, slot): split only when unroutable."""
@@ -243,7 +215,7 @@ class HoeffdingTree(StreamModel):
         node, _, _ = self._route(num_row, nom_row)
         if isinstance(node, _HTSplit):
             return node.fallback
-        if self.config.leaf_prediction == "naive-bayes" and node.n_learned > 0:
+        if self.config.leaf_prediction == "naive-bayes" and node.stats.total:
             return int(np.argmax(self._leaf_nb_scores(node, num_row, nom_row)))
         return int(np.argmax(node.class_counts))
 
@@ -253,7 +225,7 @@ class HoeffdingTree(StreamModel):
             scores = np.zeros(self.n_classes)
             scores[node.fallback] = 1.0
             return scores
-        if self.config.leaf_prediction == "naive-bayes" and node.n_learned > 0:
+        if self.config.leaf_prediction == "naive-bayes" and node.stats.total:
             return scores_to_probabilities(
                 self._leaf_nb_scores(node, num_row, nom_row).reshape(1, -1))[0]
         total = node.class_counts.sum()
@@ -262,29 +234,19 @@ class HoeffdingTree(StreamModel):
         return node.class_counts / total
 
     def _leaf_nb_scores(self, leaf, num_row, nom_row):
+        """Log prior from the startup-inclusive counts + NB log likelihood."""
         total = leaf.class_counts.sum()
         with np.errstate(divide="ignore"):
-            scores = np.log(leaf.class_counts / max(total, 1e-300))
-        seen = leaf.learned > 0
-        if self._n_num and seen.any():
-            var = np.maximum(leaf.m2 / np.maximum(leaf.learned, 1.0)[:, None],
-                             VARIANCE_FLOOR)
-            diff = num_row[None, :] - leaf.mean
-            ll = -0.5 * (diff * diff / var + np.log(var) + math.log(2 * math.pi))
-            scores[seen] += ll.sum(axis=1)[seen]
-        for j, counts in enumerate(leaf.nom_counts):
-            d = counts.shape[0]
-            code = int(nom_row[j])
-            numer = counts[code] + 1.0 if 0 <= code < d else np.ones(self.n_classes)
-            scores[seen] += (np.log(numer) - np.log(leaf.learned + d))[seen]
-        return scores
+            scores = np.log(leaf.class_counts / max(total, 1e-300))[None]
+        leaf.stats.add_log_likelihoods(scores, num_row[None], nom_row[None])
+        return scores[0]
 
     def learn_row(self, num_row, nom_row, label_code):
         node, parent, slot = self._route(num_row, nom_row)
         if isinstance(node, _HTSplit):
             return  # unroutable nominal code: nothing to learn on
         node.learn(num_row, nom_row, label_code)
-        seen = node.n_learned
+        seen = node.stats.total
         if seen - node.last_eval >= self.config.grace_period:
             node.last_eval = seen
             self._attempt_split(node, parent, slot)
@@ -292,18 +254,19 @@ class HoeffdingTree(StreamModel):
     def _attempt_split(self, leaf, parent, slot):
         if (leaf.class_counts > 0).sum() <= 1:
             return
-        candidates = []  # (gain, order, builder)
-        for j, counts in enumerate(leaf.nom_counts):
+        candidates = []  # (gain, (kind, col, threshold, child distributions))
+        for j, counts in enumerate(leaf.stats.nominal_counts):
             if (counts.sum(axis=1) > 0).sum() < 2:
                 continue
             totals = counts.sum(axis=0)
             n = totals.sum()
             sizes = counts.sum(axis=1)
-            gain = float(_distribution_entropy(totals)[0]
-                         - (sizes / n) @ _distribution_entropy(counts))
+            gain = float(entropy_rows(totals[None])[0]
+                         - (sizes / n) @ entropy_rows(counts))
             candidates.append((gain, ("nom", j, None, counts.copy())))
-        for col in range(self._n_num):
-            found = self._numeric_candidate(leaf, col)
+        sigma = np.sqrt(leaf.stats.variances())
+        for col in range(sigma.shape[1]):
+            found = self._numeric_candidate(leaf, col, sigma[:, col])
             if found is not None:
                 candidates.append(found)
         if not candidates:
@@ -314,16 +277,17 @@ class HoeffdingTree(StreamModel):
         second = max(second, 0.0)  # the no-split option
         if best_gain <= 0.0:
             return
-        n_seen = leaf.n_learned
         eps = hoeffding_bound(math.log2(max(self.n_classes, 2)),
-                              self.config.delta, int(n_seen))
+                              self.config.delta, leaf.stats.total)
         if not (best_gain - second > eps or eps < self.config.tie_threshold):
             return
         kind, col, threshold, dists = candidates[0][1]
         if kind == "nom":
-            children = [self._new_leaf(dists[k]) for k in range(dists.shape[0])]
+            children = [_HTLeaf(self.schema, dists[k])
+                        for k in range(dists.shape[0])]
         else:
-            children = [self._new_leaf(dists[0]), self._new_leaf(dists[1])]
+            children = [_HTLeaf(self.schema, dists[0]),
+                        _HTLeaf(self.schema, dists[1])]
         fallback = int(np.argmax(leaf.class_counts))
         split = _HTSplit(kind, col, threshold, children, fallback)
         if parent is None:
@@ -332,17 +296,15 @@ class HoeffdingTree(StreamModel):
             parent.children[slot] = split
         self.n_splits += 1
 
-    def _numeric_candidate(self, leaf, col):
+    def _numeric_candidate(self, leaf, col, sigma):
         lo, hi = leaf.vmin[col], leaf.vmax[col]
         if not (np.isfinite(lo) and np.isfinite(hi)) or hi <= lo:
             return None
-        counts = leaf.learned
+        counts = leaf.stats.class_counts
         mask = counts > 0
-        mu = leaf.mean[:, col]
-        sigma = np.sqrt(np.maximum(
-            leaf.m2[:, col] / np.maximum(counts, 1.0), VARIANCE_FLOOR))
+        mu = leaf.stats.mean[:, col]
         n_total = counts.sum()
-        parent_h = float(_distribution_entropy(counts)[0])
+        parent_h = float(entropy_rows(counts[None])[0])
         bins = self.config.numeric_bins
         best = None
         for i in range(1, bins + 1):
@@ -359,11 +321,11 @@ class HoeffdingTree(StreamModel):
             nl, nr = left.sum(), right.sum()
             if nl <= 0 or nr <= 0:
                 continue
-            gain = parent_h - float(
-                nl / n_total * _distribution_entropy(left)[0]
-                + nr / n_total * _distribution_entropy(right)[0])
+            dists = np.vstack([left, right])
+            h_left, h_right = entropy_rows(dists)
+            gain = parent_h - float(nl / n_total * h_left + nr / n_total * h_right)
             if best is None or gain > best[0]:
-                best = (gain, ("num", col, t, np.vstack([left, right])))
+                best = (gain, ("num", col, t, dists))
         return best
 
 

@@ -79,6 +79,8 @@ def _fault_file(path, fault):
                          + good_b.replace("smurf", "smurf\xff").encode("latin-1"))
     elif fault == "43 fields, last not a digit":
         path.write_text(f"{good_a}\n{good_b},x\n")
+    elif fault == "43 fields, last a non-ASCII digit":
+        path.write_text(f"{good_a}\n{good_b},\u00b2\n", encoding="utf-8")
     elif fault == "empty label":
         path.write_text(f"{good_a}\n{good_b.rsplit(',', 1)[0]},\n")
     elif fault == "malformed line repeated":
@@ -92,6 +94,8 @@ def _fault_file(path, fault):
     ("UTF-8 BOM", "line 1: field 1 (duration)"),
     ("non-UTF-8 byte", "line 3: invalid UTF-8 byte b'\\xff'"),
     ("43 fields, last not a digit", "line 2: expected 42 fields, got 43"),
+    ("43 fields, last a non-ASCII digit",
+     "line 2: expected 42 fields, got 43"),
     ("empty label", "line 2: empty class label"),
     ("malformed line repeated", "line 4: empty class label"),
 ])
@@ -274,6 +278,7 @@ def test_fetch_subcommand_downloads(tmp_path, capsys):
         assert not (tmp_path / "nsl-kdd.csv").exists()
     finally:
         server.shutdown()
+        server.server_close()
 
 
 def test_fetch_unreachable_url_is_data_error(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Parsing, loading, serialization round-trips and the fetcher."""
 
+import contextlib
 import gzip
 import hashlib
 import http.server
@@ -285,6 +286,7 @@ def test_subset_preserves_schema_and_provenance():
 # --- fetcher ---------------------------------------------------------------
 
 
+@contextlib.contextmanager
 def _serve_once(payload: bytes):
     class Handler(http.server.BaseHTTPRequestHandler):
         def do_GET(self):
@@ -297,21 +299,21 @@ def _serve_once(payload: bytes):
             pass
 
     server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    return server, f"http://127.0.0.1:{server.server_port}/file.csv"
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}/file.csv"
+    finally:
+        server.shutdown()
+        server.server_close()
 
 
 def test_fetch_downloads_and_verifies(tmp_path):
     payload = b"0,tcp,http,SF\n"
     digest = hashlib.sha256(payload).hexdigest()
-    server, url = _serve_once(payload)
-    try:
+    with _serve_once(payload) as url:
         path = fetch_dataset("mini", url, digest, tmp_path)
-        assert path.read_bytes() == payload
-        assert path.name == "mini.csv"
-    finally:
-        server.shutdown()
+    assert path.read_bytes() == payload
+    assert path.name == "mini.csv"
 
 
 def test_fetch_cache_hit_needs_no_network(tmp_path):
@@ -326,25 +328,19 @@ def test_fetch_cache_hit_needs_no_network(tmp_path):
 
 def test_fetch_digest_mismatch_removes_download(tmp_path):
     payload = b"tampered"
-    server, url = _serve_once(payload)
-    try:
-        with pytest.raises(IntegrityError, match="digest mismatch"):
-            fetch_dataset("mini", url, "00" * 32, tmp_path)
-        assert list(tmp_path.iterdir()) == []
-    finally:
-        server.shutdown()
+    with _serve_once(payload) as url, \
+            pytest.raises(IntegrityError, match="digest mismatch"):
+        fetch_dataset("mini", url, "00" * 32, tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_fetch_refreshes_corrupt_cache(tmp_path):
     payload = b"good-bytes"
     digest = hashlib.sha256(payload).hexdigest()
     (tmp_path / "mini.csv").write_bytes(b"corrupt")
-    server, url = _serve_once(payload)
-    try:
+    with _serve_once(payload) as url:
         path = fetch_dataset("mini", url, digest, tmp_path)
-        assert path.read_bytes() == payload
-    finally:
-        server.shutdown()
+    assert path.read_bytes() == payload
 
 
 def test_sha256_file(tmp_path):

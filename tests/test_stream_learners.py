@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nidsbench.batch_learners import NaiveBayes
-from nidsbench.dataset import Attribute, AttributeSchema, Instance
+from nidsbench.dataset import Attribute, AttributeSchema, Dataset, Instance
 from nidsbench.evaluation import gen_drift_stream, prequential_run
 from nidsbench.stream_learners import (
     BoostConfig,
@@ -213,6 +213,73 @@ def test_ht_grace_period_batches_split_checks():
         model.learn_row(stream.numeric[i], stream.nominal[i],
                         int(stream.labels[i]))
     assert model.n_splits == 0  # evaluation never ran below the grace period
+
+
+def _mixed_stream(seed, n, n_classes, n_num, domain_sizes):
+    """Seeded stream: class-shifted numeric columns rounded to force ties,
+    uniform nominal codes, and a skewed class mix that may leave classes
+    unseen."""
+    rng = np.random.default_rng(seed)
+    attrs = tuple(Attribute(f"x{j}", "numeric") for j in range(n_num)) + tuple(
+        Attribute(f"s{j}", "nominal", tuple(f"v{k}" for k in range(d)))
+        for j, d in enumerate(domain_sizes))
+    schema = AttributeSchema(attrs, tuple(f"c{k}" for k in range(n_classes)))
+    labels = rng.choice(n_classes, n, p=rng.dirichlet(np.full(n_classes, 0.5)))
+    numeric = rng.normal(labels[:, None], 1.0, (n, n_num)).round(
+        int(rng.integers(0, 3)))
+    nominal = rng.integers(0, np.array(domain_sizes, dtype=np.int64),
+                           (n, len(domain_sizes)))
+    return Dataset(schema, numeric, nominal.astype(np.int32),
+                   labels.astype(np.int32), "mixed stream")
+
+
+_MIXED_STREAMS = dict(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 120),
+                      n_classes=st.integers(2, 4), n_num=st.integers(0, 3),
+                      domain_sizes=st.lists(st.integers(1, 4), max_size=2))
+
+
+@settings(max_examples=25, deadline=None)
+@given(**_MIXED_STREAMS)
+def test_ht_unsplit_naive_bayes_leaf_equals_streaming_nb(seed, n, n_classes,
+                                                         n_num, domain_sizes):
+    # Metamorphic: a Hoeffding tree that never reaches its grace period is
+    # one naive-Bayes leaf, so it must score bit for bit like streaming NB.
+    ds = _mixed_stream(seed, n, n_classes, n_num, domain_sizes)
+    ht = HoeffdingTree(ds.schema, HoeffdingConfig(
+        grace_period=n + 1, leaf_prediction="naive-bayes"))
+    nb = StreamingNaiveBayes(ds.schema)
+    unknown = np.full(len(domain_sizes), -1, dtype=np.int32)
+    for i in range(n):
+        num, nom, y = ds.numeric[i], ds.nominal[i], int(ds.labels[i])
+        for row_nom in (nom, unknown):
+            assert ht.predict_code(num, row_nom) == nb.predict_code(num, row_nom)
+        inst = ds.instance(i)
+        assert ht.predict_scores(inst).tobytes() == \
+            nb.predict_scores(inst).tobytes()
+        ht.learn_row(num, nom, y)
+        nb.learn_row(num, nom, y)
+    assert ht.n_splits == 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(**_MIXED_STREAMS)
+def test_ht_unsplit_majority_leaf_predicts_running_majority(
+        seed, n, n_classes, n_num, domain_sizes):
+    # Metamorphic: below the grace period a majority-leaf tree is a
+    # majority-class learner; ties go to the lowest class index.
+    ds = _mixed_stream(seed, n, n_classes, n_num, domain_sizes)
+    ht = HoeffdingTree(ds.schema, HoeffdingConfig(grace_period=n + 1))
+    counts = [0] * n_classes
+    for i in range(n):
+        num, nom, y = ds.numeric[i], ds.nominal[i], int(ds.labels[i])
+        assert ht.predict_code(num, nom) == counts.index(max(counts))
+        total = sum(counts)
+        expected = [c / total for c in counts] if total \
+            else [1.0 / n_classes] * n_classes
+        assert ht.predict_scores(ds.instance(i)).tolist() == expected
+        ht.learn_row(num, nom, y)
+        counts[y] += 1
+    assert ht.n_splits == 0
 
 
 # --- windowed k-NN --------------------------------------------------------------
