@@ -12,18 +12,16 @@ import argparse
 import sys
 import time
 
-from nidsbench.cli import RunConfig, make_batch_model, resolve_data
+from nidsbench.cli import RunConfig, make_batch_model, prepare, resolve_data
 from nidsbench.dataset import kdd99_schema, load_dataset
 from nidsbench.evaluation import cross_validate
-from nidsbench.preprocess import SelectionSpec, apply_variant, \
-    select_attributes, variant
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--data", default="nsl-kdd")
-    ap.add_argument("--folds", type=int, default=10)
-    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--folds", type=int, default=RunConfig.folds)
+    ap.add_argument("--seed", type=int, default=RunConfig.seed)
     ap.add_argument("--knn-sample", type=int, default=20_000)
     ap.add_argument("--variants", default="v1,v2,v3")
     ap.add_argument("--algos", default="nb,j48,knn3,knn5,knn7,mlp,svm")
@@ -38,19 +36,19 @@ def main() -> int:
     print(f"\n{'algorithm':<10}" + "".join(f"{v:>10}" for v in variants))
     for algo in algos:
         knn = algo.startswith("knn")  # knnK: the CLI's knn with k=K
-        cfg = RunConfig(algo="knn" if knn else algo,
-                        k=int(algo[3:]) if knn else 3,
-                        sample=args.knn_sample or None, seed=args.seed)
         cells = []
         for vid in variants:
             if algo == "svm" and vid != "v2":
                 cells.append(f"{'-':>10}")
                 continue
-            ds = select_attributes(apply_variant(raw, variant(vid)),
-                                   SelectionSpec())
+            cfg = RunConfig(variant=vid, algo="knn" if knn else algo,
+                            k=int(algo[3:]) if knn else RunConfig.k,
+                            folds=args.folds, seed=args.seed,
+                            sample=args.knn_sample or None)
+            ds = prepare(raw, cfg)
             t0 = time.perf_counter()
-            res = cross_validate(ds, lambda: make_batch_model(cfg), args.folds,
-                                 args.seed)
+            res = cross_validate(ds, lambda: make_batch_model(cfg), cfg.folds,
+                                 cfg.seed)
             dt = time.perf_counter() - t0
             cells.append(f"{res.accuracy * 100:9.2f}%")
             print(f"  [{algo} {vid}: {res.accuracy * 100:.2f}% in {dt:.0f}s]",

@@ -11,42 +11,30 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from nidsbench.cli import (
-    STREAM_NORMALIZE_WARMUP,
     RunConfig,
     emit_svg_curve,
     make_stream_model,
+    prepare,
     resolve_data,
 )
 from nidsbench.dataset import kdd99_schema, load_dataset
 from nidsbench.evaluation import annotate_drifts, prequential_run, \
     write_trace_csv
-from nidsbench.preprocess import (
-    SelectionSpec,
-    apply_normalizer,
-    apply_variant,
-    fit_normalizer,
-    select_attributes,
-    variant,
-)
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--data", default="kdd99-10")
-    ap.add_argument("--alpha", type=float, default=0.95)
-    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--alpha", type=float, default=RunConfig.alpha)
+    ap.add_argument("--seed", type=int, default=RunConfig.seed)
     ap.add_argument("--out", default="runs/stream")
     ap.add_argument("--algos", default="ht,wknn,snb,ozaboost")
     args = ap.parse_args()
 
     path = resolve_data(args.data)
     raw = load_dataset(path, kdd99_schema())
-    base = select_attributes(apply_variant(raw, variant("v2")),
-                             SelectionSpec())
-    print(f"loaded {args.data}: {len(base)} instances from {path}")
+    print(f"loaded {args.data}: {len(raw)} instances from {path}")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -54,14 +42,12 @@ def main() -> int:
     print(f"\n{'algorithm':<10}{'cumulative':>12}{'faded mean':>12}"
           f"{'time':>8}  drift indices")
     for algo in args.algos.split(","):
-        ds = base
-        if algo == "wknn":
-            warm = ds.subset(np.arange(min(STREAM_NORMALIZE_WARMUP, len(ds))))
-            ds = apply_normalizer(fit_normalizer(warm), ds)
-        model = make_stream_model(
-            ds.schema, RunConfig(command="stream", algo=algo, seed=args.seed))
+        cfg = RunConfig(command="stream", variant="v2", algo=algo,
+                        alpha=args.alpha, seed=args.seed)
+        ds = prepare(raw, cfg)
+        model = make_stream_model(ds.schema, cfg)
         t0 = time.perf_counter()
-        trace = prequential_run(ds, model, args.alpha)
+        trace = prequential_run(ds, model, cfg.alpha)
         dt = time.perf_counter() - t0
         drifts = annotate_drifts(trace)
         write_trace_csv(trace, out / f"{algo}_trace.csv")

@@ -395,6 +395,9 @@ class DecisionTree(BatchModel):
 # ---------------------------------------------------------------------------
 # k nearest neighbors
 
+# test queries per mixed_distances call in batch prediction
+KNN_QUERY_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class KnnConfig:
@@ -446,10 +449,9 @@ class KNN(BatchModel):
     ascending class index. Scores are vote fractions.
     """
 
-    def __init__(self, config: KnnConfig = KnnConfig(), block: int = 256):
+    def __init__(self, config: KnnConfig = KnnConfig()):
         super().__init__()
         self.config = config
-        self.block = block
 
     def _fit(self, train: Dataset) -> None:
         if self.config.k > len(train):
@@ -465,8 +467,8 @@ class KNN(BatchModel):
         k = self.config.k
         codes = np.empty(len(num), dtype=np.int64)
         votes = np.empty((len(num), self.n_classes))
-        for start in range(0, len(num), self.block):
-            stop = min(start + self.block, len(num))
+        for start in range(0, len(num), KNN_QUERY_BLOCK):
+            stop = min(start + KNN_QUERY_BLOCK, len(num))
             dist = mixed_distances(num[start:stop], nom[start:stop],
                                    self.t_num, self.t_nom)
             for i in range(stop - start):

@@ -14,7 +14,7 @@ import os
 import sys
 import time
 import urllib.error
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +32,7 @@ from .batch_learners import (
 )
 from .dataset import (
     DataError,
+    Dataset,
     IntegrityError,
     ParseError,
     fetch_dataset,
@@ -89,7 +90,8 @@ SVG_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything that determines a batch/stream run, seed included."""
+    """Everything that determines a batch/stream run, seed included; the
+    defaults of the CLI's and the scripts' run options."""
 
     command: str = "batch"
     data: str = "nsl-kdd"
@@ -126,18 +128,33 @@ def resolve_data(data: str, cache_dir: Path | None = None) -> Path:
     raise DataError(f"no such data file: {data}")
 
 
-def _load_prepared(cfg: RunConfig):
-    """Load + relabel + select per the run configuration."""
-    path = resolve_data(cfg.data)
-    ds = load_dataset(path, kdd99_schema())
-    ds = apply_variant(ds, variant(cfg.variant))
-    if cfg.attrs != "all":
-        if cfg.attrs == "selected":
-            spec = SelectionSpec()
-        else:
-            spec = SelectionSpec(tuple(int(t) for t in cfg.attrs.split(",")))
+def _selection(attrs: str) -> SelectionSpec | None:
+    """The attributes --attrs keeps; None keeps them all."""
+    if attrs == "all":
+        return None
+    if attrs == "selected":
+        return SelectionSpec()
+    return SelectionSpec(tuple(int(t) for t in attrs.split(",")))
+
+
+def prepare(raw: Dataset, cfg: RunConfig) -> Dataset:
+    """A run's learner input: relabel per the variant, select per --attrs and,
+    for wknn, min-max normalize with a normalizer fitted on the first
+    STREAM_NORMALIZE_WARMUP rows."""
+    ds = apply_variant(raw, variant(cfg.variant))
+    spec = _selection(cfg.attrs)
+    if spec is not None:
         ds = select_attributes(ds, spec)
-    return ds, path
+    if cfg.algo == "wknn":
+        warm = ds.subset(np.arange(min(STREAM_NORMALIZE_WARMUP, len(ds))),
+                         note="normalizer warm-up")
+        ds = apply_normalizer(fit_normalizer(warm), ds)
+    return ds
+
+
+def _load_prepared(cfg: RunConfig):
+    path = resolve_data(cfg.data)
+    return prepare(load_dataset(path, kdd99_schema()), cfg), path
 
 
 def make_batch_model(cfg: RunConfig):
@@ -168,26 +185,32 @@ def make_stream_model(schema, cfg: RunConfig):
     raise ValueError(f"unknown stream algorithm {cfg.algo!r}")
 
 
-def _run_stem(cfg: RunConfig) -> str:
-    data_tag = cfg.data if cfg.data in DEFAULT_URLS else Path(cfg.data).stem
-    return f"{data_tag}_{cfg.variant}_{cfg.algo}_s{cfg.seed}"
+def _data_tag(cfg: RunConfig) -> str:
+    return cfg.data if cfg.data in DEFAULT_URLS else Path(cfg.data).stem
 
 
-def _write_manifest(cfg: RunConfig, input_path: Path, out_dir: Path,
-                    stem: str) -> Path:
+def _artifact(cfg: RunConfig, suffix: str) -> Path:
+    """Path of a run's `<data>_<variant>_<algo>_s<seed>_<suffix>` artifact."""
+    out_dir = Path(cfg.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir / (f"{_data_tag(cfg)}_{cfg.variant}_{cfg.algo}_s{cfg.seed}"
+                      f"_{suffix}")
+
+
+def _write_run(cfg: RunConfig, input_path: Path, confusion,
+               summary: dict) -> None:
+    """The confusion CSV, summary JSON and manifest every run writes."""
+    write_confusion_csv(confusion, _artifact(cfg, "confusion.csv"))
+    summary = dict(summary, dataset=cfg.data, variant=cfg.variant,
+                   algorithm=cfg.algo)
     manifest = {
         "config": asdict(cfg),
         "inputs": {str(input_path): sha256_file(input_path)},
     }
-    path = out_dir / f"{stem}_manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def _write_summary(out_dir: Path, stem: str, payload: dict) -> Path:
-    path = out_dir / f"{stem}_summary.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+    for suffix, payload in (("summary.json", summary),
+                            ("manifest.json", manifest)):
+        _artifact(cfg, suffix).write_text(
+            json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def run_batch(cfg: RunConfig) -> str:
@@ -195,19 +218,12 @@ def run_batch(cfg: RunConfig) -> str:
     ds, path = _load_prepared(cfg)
     result = cross_validate(ds, lambda: make_batch_model(cfg), cfg.folds,
                             cfg.seed)
-    runtime = time.perf_counter() - t0
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stem = _run_stem(cfg)
-    write_confusion_csv(result.confusion, out_dir / f"{stem}_confusion.csv")
-    _write_summary(out_dir, stem, {
-        "dataset": cfg.data, "variant": cfg.variant, "algorithm": cfg.algo,
+    _write_run(cfg, path, result.confusion, {
         "params": {"folds": cfg.folds, "seed": cfg.seed, "k": cfg.k,
                    "sample": cfg.sample, "attrs": cfg.attrs},
         "accuracy": result.accuracy, "error": result.error,
-        "runtime_seconds": runtime, "drift_indices": [],
+        "runtime_seconds": time.perf_counter() - t0, "drift_indices": [],
     })
-    _write_manifest(cfg, path, out_dir, stem)
     return (f"batch {cfg.algo} on {cfg.data} {cfg.variant}: "
             f"accuracy={result.accuracy * 100:.2f}% "
             f"error={result.error * 100:.2f}% "
@@ -218,29 +234,19 @@ def run_batch(cfg: RunConfig) -> str:
 def run_stream(cfg: RunConfig) -> str:
     t0 = time.perf_counter()
     ds, path = _load_prepared(cfg)
-    if cfg.algo == "wknn":
-        warm = ds.subset(np.arange(min(STREAM_NORMALIZE_WARMUP, len(ds))),
-                         note="normalizer warm-up")
-        ds = apply_normalizer(fit_normalizer(warm), ds)
     model = make_stream_model(ds.schema, cfg)
     trace = prequential_run(ds, model, cfg.alpha)
     drifts = annotate_drifts(trace)
     runtime = time.perf_counter() - t0
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stem = _run_stem(cfg)
-    write_trace_csv(trace, out_dir / f"{stem}_trace.csv")
-    write_confusion_csv(trace.confusion, out_dir / f"{stem}_confusion.csv")
-    emit_svg_curve([(cfg.algo, trace)], out_dir / f"{stem}_curve.svg")
-    _write_summary(out_dir, stem, {
-        "dataset": cfg.data, "variant": cfg.variant, "algorithm": cfg.algo,
+    write_trace_csv(trace, _artifact(cfg, "trace.csv"))
+    emit_svg_curve([(cfg.algo, trace)], _artifact(cfg, "curve.svg"))
+    _write_run(cfg, path, trace.confusion, {
         "params": {"alpha": cfg.alpha, "seed": cfg.seed, "k": cfg.k},
         "accuracy": trace.final_cumulative_accuracy,
         "error": 1.0 - trace.final_cumulative_accuracy,
         "faded_mean": trace.faded_mean,
         "runtime_seconds": runtime, "drift_indices": drifts,
     })
-    _write_manifest(cfg, path, out_dir, stem)
     return (f"stream {cfg.algo} on {cfg.data} {cfg.variant} alpha={cfg.alpha}: "
             f"accuracy={trace.final_cumulative_accuracy * 100:.2f}% "
             f"faded-mean={trace.faded_mean * 100:.2f}% "
@@ -362,16 +368,40 @@ class _Parser(argparse.ArgumentParser):
         raise _ExitRequest(EXIT_USAGE)
 
 
-def _add_common(p: argparse.ArgumentParser, stream: bool):
-    p.add_argument("--data", default="kdd99-10" if stream else "nsl-kdd",
+def _checked(parse, ok, expect: str):
+    """An argparse `type=` that parses a value and rejects it unless ok."""
+    def convert(text: str):
+        value = parse(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{expect}, got {text!r}")
+        return value
+    convert.__name__ = parse.__name__  # argparse's "invalid int value"
+    return convert
+
+
+def _attrs(text: str) -> str:
+    try:
+        _selection(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad value {text!r}: {exc}")
+    return text
+
+
+def _add_data(p: argparse.ArgumentParser, stream: bool = False):
+    p.add_argument("--data", default="kdd99-10" if stream else RunConfig.data,
                    help="kdd99-10 | nsl-kdd | path to a KDD-format file")
-    p.add_argument("--variant", default="v2" if stream else "v1",
+    p.add_argument("--variant", default="v2" if stream else RunConfig.variant,
                    choices=("v1", "v2", "v3"))
-    p.add_argument("--attrs", default="selected",
+    p.add_argument("--attrs", type=_attrs, default=RunConfig.attrs,
                    help="selected | all | comma-separated 1-based indices")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--out", default="runs", help="output directory")
-    p.add_argument("--k", type=int, default=3, help="neighbors for knn/wknn")
+
+
+def _add_run(p: argparse.ArgumentParser, algos: tuple[str, ...]):
+    p.add_argument("--algo", required=True, choices=algos)
+    p.add_argument("--seed", type=int, default=RunConfig.seed)
+    p.add_argument("--out", default=RunConfig.out, help="output directory")
+    p.add_argument("--k", type=_checked(int, lambda v: v >= 1, "need k >= 1"),
+                   default=RunConfig.k, help="neighbors for knn/wknn")
 
 
 def build_parser() -> _Parser:
@@ -387,45 +417,40 @@ def build_parser() -> _Parser:
     p.add_argument("--cache", default=None, help="cache directory")
 
     p = sub.add_parser("preprocess", help="write a relabeled/reduced CSV")
-    _add_common(p, stream=False)
+    _add_data(p)
+    p.add_argument("--out", default=RunConfig.out, help="output directory")
     p.add_argument("--normalize", action="store_true",
                    help="min-max normalize numeric attributes (fit on the "
                         "whole file)")
 
     p = sub.add_parser("rank", help="print the OneR attribute ranking")
-    _add_common(p, stream=False)
+    _add_data(p)
 
     p = sub.add_parser("batch", help="stratified cross-validation run")
-    _add_common(p, stream=False)
-    p.add_argument("--algo", required=True, choices=BATCH_ALGOS)
-    p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--sample", type=int, default=None,
+    _add_data(p)
+    _add_run(p, BATCH_ALGOS)
+    p.add_argument("--folds", default=RunConfig.folds,
+                   type=_checked(int, lambda v: v >= 2, "need folds >= 2"))
+    p.add_argument("--sample", default=RunConfig.sample,
+                   type=_checked(int, lambda v: v >= 1, "need sample >= 1"),
                    help="stratified training subsample size (knn)")
 
     p = sub.add_parser("stream", help="prequential evaluation run")
-    _add_common(p, stream=True)
-    p.add_argument("--algo", required=True, choices=STREAM_ALGOS)
-    p.add_argument("--alpha", type=float, default=0.95)
+    _add_data(p, stream=True)
+    _add_run(p, STREAM_ALGOS)
+    p.add_argument("--alpha", default=RunConfig.alpha,
+                   type=_checked(float, lambda v: 0.0 < v <= 1.0,
+                                 "need 0 < alpha <= 1"))
 
     p = sub.add_parser("report", help="combine traces under --out")
-    p.add_argument("--out", default="runs")
+    p.add_argument("--out", default=RunConfig.out)
     return parser
 
 
 def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        data=getattr(args, "data", "nsl-kdd"),
-        variant=getattr(args, "variant", "v1"),
-        attrs=getattr(args, "attrs", "selected"),
-        algo=getattr(args, "algo", "nb"),
-        k=getattr(args, "k", 3),
-        folds=getattr(args, "folds", 10),
-        alpha=getattr(args, "alpha", 0.95),
-        seed=getattr(args, "seed", 1),
-        out=getattr(args, "out", "runs"),
-        sample=getattr(args, "sample", None),
-    )
+    given = vars(args)
+    return RunConfig(**{f.name: given[f.name] for f in fields(RunConfig)
+                        if f.name in given})
 
 
 def run_command(argv: list[str]) -> int:
@@ -438,12 +463,6 @@ def run_command(argv: list[str]) -> int:
         if args.command is None:
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
-        attrs = getattr(args, "attrs", "selected")
-        if attrs not in ("selected", "all"):
-            try:
-                SelectionSpec(tuple(int(t) for t in attrs.split(",")))
-            except ValueError as exc:
-                parser.error(f"bad --attrs value {attrs!r}: {exc}")
         if args.command == "fetch":
             url = args.url or DEFAULT_URLS.get(args.data)
             if url is None:
@@ -458,10 +477,10 @@ def run_command(argv: list[str]) -> int:
                 ds = apply_normalizer(fit_normalizer(ds), ds)
             out_dir = Path(cfg.out)
             out_dir.mkdir(parents=True, exist_ok=True)
-            stem = _run_stem(cfg).rsplit("_s", 1)[0]
-            csv_path = out_dir / f"{stem}_preprocessed.csv"
+            stem = f"{_data_tag(cfg)}_{cfg.variant}_preprocessed"
+            csv_path = out_dir / f"{stem}.csv"
             write_dataset(ds, csv_path)
-            sidecar = out_dir / f"{stem}_preprocessed.provenance.txt"
+            sidecar = out_dir / f"{stem}.provenance.txt"
             sidecar.write_text(ds.provenance + "\n")
             print(f"wrote {csv_path} ({len(ds)} instances) and {sidecar}")
         elif args.command == "rank":

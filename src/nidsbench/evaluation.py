@@ -58,13 +58,6 @@ def metrics(cm: ConfusionMatrix) -> Metrics:
 # stratified cross-validation
 
 
-@dataclass(frozen=True)
-class FoldPlan:
-    n_folds: int
-    assignment: np.ndarray  # fold index per instance
-    seed: int
-
-
 def assign_stratified_folds(labels: Sequence[int] | np.ndarray, n_folds: int,
                             seed: int) -> np.ndarray:
     """Per-instance fold indices: shuffle within class, deal round-robin.
@@ -90,11 +83,6 @@ def assign_stratified_folds(labels: Sequence[int] | np.ndarray, n_folds: int,
     return assignment
 
 
-def stratified_folds(ds: Dataset, n_folds: int, seed: int) -> FoldPlan:
-    return FoldPlan(n_folds, assign_stratified_folds(ds.labels, n_folds, seed),
-                    seed)
-
-
 @dataclass(frozen=True)
 class CrossValidationResult:
     confusion: ConfusionMatrix
@@ -111,12 +99,12 @@ def cross_validate(ds: Dataset, model_factory: Callable[[], object],
     the training folds only, so any preprocessing the model performs inside
     fit (see batch_learners.Pipeline) never sees test-fold data.
     """
-    plan = stratified_folds(ds, n_folds, seed)
+    assignment = assign_stratified_folds(ds.labels, n_folds, seed)
     c = len(ds.schema.class_labels)
     counts = np.zeros((c, c), dtype=np.int64)
     fold_accs = []
     for fold in range(n_folds):
-        test_mask = plan.assignment == fold
+        test_mask = assignment == fold
         train = ds.subset(np.flatnonzero(~test_mask), note=f"train fold {fold}")
         test = ds.subset(np.flatnonzero(test_mask), note=f"test fold {fold}")
         model = model_factory()

@@ -63,3 +63,11 @@ def tiny_mixed_dataset():
         [(1.0, "red"), (2.0, "red"), (3.0, "blue"), (4.0, "blue")],
         ["a", "a", "b", "b"],
     )
+
+
+@pytest.fixture
+def mini_kdd(tmp_path):
+    """A small but learnable KDD-format file (normal + two attack types)."""
+    labels = (["normal", "smurf", "neptune", "normal"] * 40
+              + ["back", "normal"] * 10)
+    return kdd_file(tmp_path / "mini_kdd.csv", labels, seed=12)

@@ -14,19 +14,15 @@ import time
 import numpy as np
 import pytest
 
-from nidsbench.batch_learners import (
-    KNN,
-    MLP,
-    DecisionTree,
-    KnnConfig,
-    LinearSVM,
-    MlpConfig,
-    NaiveBayes,
-    Pipeline,
-    mlp_gradients,
-    mlp_loss,
+from nidsbench.batch_learners import NaiveBayes, mlp_gradients, mlp_loss
+from nidsbench.cli import (
+    RunConfig,
+    make_batch_model,
+    make_stream_model,
+    prepare,
+    resolve_data,
+    run_command,
 )
-from nidsbench.cli import resolve_data, run_command
 from nidsbench.dataset import DataError, load_dataset
 from nidsbench.evaluation import (
     annotate_drifts,
@@ -36,19 +32,9 @@ from nidsbench.evaluation import (
     gen_drift_stream,
     prequential_run,
 )
-from nidsbench.nbcore import ClassConditionalStats
-from nidsbench.preprocess import (
-    ATTACK_CATEGORIES,
-    SelectionSpec,
-    apply_normalizer,
-    apply_variant,
-    fit_normalizer,
-    select_attributes,
-    variant,
-)
+from nidsbench.preprocess import ATTACK_CATEGORIES, apply_variant, variant
 from nidsbench.stream_learners import (
     BoostConfig,
-    HoeffdingTree,
     OzaBoost,
     StreamingNaiveBayes,
     WindowKNN,
@@ -88,42 +74,48 @@ def nsl_path():
 
 
 @pytest.fixture(scope="module")
-def nsl_v1(nsl_path):
-    ds = load_dataset(nsl_path)
-    return select_attributes(apply_variant(ds, variant("v1")), SelectionSpec())
+def nsl_raw(nsl_path):
+    return load_dataset(nsl_path)
 
 
 @pytest.fixture(scope="module")
-def nsl_v2(nsl_path):
-    ds = load_dataset(nsl_path)
-    return select_attributes(apply_variant(ds, variant("v2")), SelectionSpec())
+def nsl_v1(nsl_raw):
+    return prepare(nsl_raw, RunConfig(variant="v1"))
 
 
 @pytest.fixture(scope="module")
-def kdd_v2(kdd99_path):
-    ds = load_dataset(kdd99_path)
-    return select_attributes(apply_variant(ds, variant("v2")), SelectionSpec())
+def nsl_v2(nsl_raw):
+    return prepare(nsl_raw, RunConfig(variant="v2"))
+
+
+def _cross_validate(ds, **config):
+    """The CLI's batch evaluation with 10 folds and seed 1; returns
+    (result, seconds)."""
+    cfg = RunConfig(folds=10, seed=1, **config)
+    t0 = time.perf_counter()
+    res = cross_validate(ds, lambda: make_batch_model(cfg), cfg.folds,
+                         cfg.seed)
+    return res, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
-def stream_results(kdd_v2):
+def kdd_raw(kdd99_path):
+    return load_dataset(kdd99_path)
+
+
+@pytest.fixture(scope="module")
+def stream_results(kdd_raw):
     """Prequential traces on KDD99-10 v2, alpha 0.95, seed 1 (cached)."""
     cache = {}
 
     def get(algo: str):
         if algo not in cache:
-            ds = kdd_v2
-            if algo == "wknn":
-                warm = ds.subset(np.arange(min(1_000, len(ds))))
-                ds = apply_normalizer(fit_normalizer(warm), ds)
-            model = {
-                "snb": lambda: StreamingNaiveBayes(ds.schema),
-                "ht": lambda: HoeffdingTree(ds.schema),
-                "wknn": lambda: WindowKNN(ds.schema, WindowKnnConfig()),
-                "ozaboost": lambda: OzaBoost(ds.schema, BoostConfig(seed=1)),
-            }[algo]()
+            cfg = RunConfig(command="stream", variant="v2", algo=algo,
+                            alpha=0.95, seed=1)
+            ds = prepare(kdd_raw, cfg)
+            model = make_stream_model(ds.schema, cfg)
             t0 = time.perf_counter()
-            trace = prequential_run(ds, model, alpha=0.95)
+            trace = prequential_run(ds, model, alpha=cfg.alpha)
             cache[algo] = (trace, time.perf_counter() - t0)
         return cache[algo]
 
@@ -136,7 +128,7 @@ def stream_results(kdd_v2):
 def test_criterion1_table1_exact_counts(kdd99_path):
     t0 = time.perf_counter()
     ds = load_dataset(kdd99_path)
-    v1 = apply_variant(ds, variant("v1"))
+    v1 = prepare(ds, RunConfig(variant="v1", attrs="all"))
     counts = v1.class_counts()
     elapsed = time.perf_counter() - t0
     got = {k: counts.get(k, 0) for k in TABLE1_COUNTS}
@@ -149,31 +141,21 @@ def test_criterion1_table1_exact_counts(kdd99_path):
 
 
 def test_criterion2_naive_bayes(nsl_v1):
-    t0 = time.perf_counter()
-    res = cross_validate(nsl_v1, NaiveBayes, 10, seed=1)
-    elapsed = time.perf_counter() - t0
+    res, elapsed = _cross_validate(nsl_v1, algo="nb")
     ok = abs(res.accuracy - 0.9814) <= 0.010 and elapsed < 300
     _report("criterion 2 (Naive Bayes V1 = 98.14% +/- 1.0pp)", ok,
             f"accuracy={res.accuracy * 100:.2f}% elapsed={elapsed:.0f}s")
 
 
 def test_criterion2_j48_tree(nsl_v1):
-    t0 = time.perf_counter()
-    res = cross_validate(nsl_v1, DecisionTree, 10, seed=1)
-    elapsed = time.perf_counter() - t0
+    res, elapsed = _cross_validate(nsl_v1, algo="j48")
     ok = abs(res.accuracy - 0.9902) <= 0.015 and elapsed < 300
     _report("criterion 2 (tree V1 = 99.02% +/- 1.5pp)", ok,
             f"accuracy={res.accuracy * 100:.2f}% elapsed={elapsed:.0f}s")
 
 
 def test_criterion2_knn_subsampled(nsl_v1):
-    t0 = time.perf_counter()
-    res = cross_validate(
-        nsl_v1,
-        lambda: Pipeline(KNN(KnnConfig(k=3)), normalize=True,
-                         subsample=20_000, seed=1),
-        10, seed=1)
-    elapsed = time.perf_counter() - t0
+    res, elapsed = _cross_validate(nsl_v1, algo="knn", k=3, sample=20_000)
     ok = abs(res.accuracy - 0.9842) <= 0.015 and elapsed < 600
     _report("criterion 2 (k-NN k=3 V1 = 98.42% +/- 1.5pp, 20k subsample)", ok,
             f"accuracy={res.accuracy * 100:.2f}% elapsed={elapsed:.0f}s")
@@ -183,24 +165,14 @@ def test_criterion2_knn_subsampled(nsl_v1):
 
 
 def test_criterion3_mlp(nsl_v1):
-    t0 = time.perf_counter()
-    res = cross_validate(
-        nsl_v1,
-        lambda: Pipeline(MLP(MlpConfig(seed=1)), normalize=True, encode=True),
-        10, seed=1)
-    elapsed = time.perf_counter() - t0
+    res, elapsed = _cross_validate(nsl_v1, algo="mlp")
     ok = abs(res.accuracy - 0.9852) <= 0.020 and elapsed < 1_200
     _report("criterion 3 (MLP V1 = 98.52% +/- 2.0pp)", ok,
             f"accuracy={res.accuracy * 100:.2f}% elapsed={elapsed:.0f}s")
 
 
 def test_criterion3_linear_svm(nsl_v2):
-    t0 = time.perf_counter()
-    res = cross_validate(
-        nsl_v2,
-        lambda: Pipeline(LinearSVM(), normalize=True, encode=True),
-        10, seed=1)
-    elapsed = time.perf_counter() - t0
+    res, elapsed = _cross_validate(nsl_v2, algo="svm")
     ok = res.accuracy >= 0.975 and elapsed < 1_200
     _report("criterion 3 (linear SVM V2 >= 97.5%)", ok,
             f"accuracy={res.accuracy * 100:.2f}% elapsed={elapsed:.0f}s")

@@ -22,15 +22,7 @@ from nidsbench.dataset import DataError, load_dataset
 from nidsbench.evaluation import gen_drift_stream, prequential_run
 from nidsbench.stream_learners import WindowKNN, WindowKnnConfig
 
-from conftest import kdd_file, kdd_line
-
-
-@pytest.fixture
-def mini_kdd(tmp_path):
-    """A small but learnable KDD-format file (normal + two attack types)."""
-    labels = (["normal", "smurf", "neptune", "normal"] * 40
-              + ["back", "normal"] * 10)
-    return kdd_file(tmp_path / "mini_kdd.csv", labels, seed=12)
+from conftest import kdd_line
 
 
 def test_no_arguments_is_usage_error(capsys):
@@ -56,6 +48,22 @@ def test_missing_data_file_is_data_error(tmp_path, capsys):
                         "--out", str(tmp_path)])
     assert code == EXIT_DATA
     assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["batch", "--algo", "knn", "--k", "0"],
+    ["batch", "--algo", "nb", "--folds", "1"],
+    ["stream", "--algo", "ht", "--alpha", "0"],
+    ["stream", "--algo", "ht", "--alpha", "1.5"],
+    ["batch", "--algo", "knn", "--sample", "0"],
+], ids=" ".join)
+def test_out_of_range_flag_is_usage_error(tmp_path, capsys, argv):
+    # the data file does not exist: exit 1, not 2, shows the flag was
+    # checked before anything was read
+    code = run_command(argv + ["--data", str(tmp_path / "nope.csv"),
+                               "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert "error: argument --" in capsys.readouterr().err
 
 
 def test_unparsable_file_is_data_error(tmp_path, capsys):
@@ -212,18 +220,26 @@ def test_rank_prints_all_selected_attributes(mini_kdd, capsys):
     assert len(out.splitlines()) == 13  # header + 12 selected attributes
 
 
+@pytest.mark.parametrize("argv", [
+    ["rank", "--k", "3"], ["rank", "--seed", "9"], ["rank", "--out", "x"],
+    ["preprocess", "--k", "3"], ["preprocess", "--seed", "9"],
+], ids=" ".join)
+def test_rank_and_preprocess_reject_run_flags(mini_kdd, argv):
+    assert run_command(argv + ["--data", str(mini_kdd)]) == EXIT_USAGE
+
+
 def test_preprocess_writes_csv_and_provenance(mini_kdd, tmp_path):
     out = tmp_path / "out"
     code = run_command(["preprocess", "--data", str(mini_kdd),
                         "--variant", "v2", "--normalize", "--out", str(out)])
     assert code == EXIT_OK
-    csvs = list(out.glob("*_preprocessed.csv"))
-    assert len(csvs) == 1
-    sidecar = out / csvs[0].name.replace(".csv", ".provenance.txt")
-    prov = sidecar.read_text()
+    assert sorted(p.name for p in out.iterdir()) == [
+        "mini_kdd_v2_preprocessed.csv",
+        "mini_kdd_v2_preprocessed.provenance.txt"]
+    prov = (out / "mini_kdd_v2_preprocessed.provenance.txt").read_text()
     assert "variant v2" in prov and "normalized" in prov
     # the emitted CSV is loadable and reduced to 12 attributes + label
-    first = csvs[0].read_text().splitlines()[0]
+    first = (out / "mini_kdd_v2_preprocessed.csv").read_text().splitlines()[0]
     assert len(first.split(",")) == 13
 
 

@@ -17,7 +17,6 @@ from nidsbench.evaluation import (
     gen_drift_stream,
     metrics,
     prequential_run,
-    stratified_folds,
     write_confusion_csv,
     write_trace_csv,
 )
@@ -64,9 +63,9 @@ def test_fold_errors():
 
 
 def test_fold_plan_deterministic(tiny_mixed_dataset):
-    a = stratified_folds(tiny_mixed_dataset, 2, seed=3)
-    b = stratified_folds(tiny_mixed_dataset, 2, seed=3)
-    assert np.array_equal(a.assignment, b.assignment)
+    a = assign_stratified_folds(tiny_mixed_dataset.labels, 2, seed=3)
+    b = assign_stratified_folds(tiny_mixed_dataset.labels, 2, seed=3)
+    assert np.array_equal(a, b)
 
 
 # --- cross validation -----------------------------------------------------------
