@@ -398,7 +398,8 @@ def _add_data(p: argparse.ArgumentParser, stream: bool = False):
 
 def _add_run(p: argparse.ArgumentParser, algos: tuple[str, ...]):
     p.add_argument("--algo", required=True, choices=algos)
-    p.add_argument("--seed", type=int, default=RunConfig.seed)
+    p.add_argument("--seed", default=RunConfig.seed,
+                   type=_checked(int, lambda v: v >= 0, "need seed >= 0"))
     p.add_argument("--out", default=RunConfig.out, help="output directory")
     p.add_argument("--k", type=_checked(int, lambda v: v >= 1, "need k >= 1"),
                    default=RunConfig.k, help="neighbors for knn/wknn")

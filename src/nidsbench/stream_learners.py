@@ -18,6 +18,8 @@ from .batch_learners import entropy_rows, instance_rows, knn_vote, \
     mixed_distances
 from .nbcore import VARIANCE_FLOOR, ClassConditionalStats, scores_to_probabilities
 
+_erf = np.frompyfunc(math.erf, 1, 1)  # elementwise math.erf, bit for bit
+
 
 def hoeffding_bound(value_range: float, delta: float, n: int) -> float:
     """Confidence radius sqrt(R^2 ln(1/delta) / (2n)).
@@ -138,6 +140,8 @@ class HoeffdingConfig:
             raise ValueError("tie_threshold must be >= 0")
         if self.leaf_prediction not in ("majority", "naive-bayes"):
             raise ValueError(f"unknown leaf prediction {self.leaf_prediction!r}")
+        if self.numeric_bins < 1:
+            raise ValueError("numeric_bins must be >= 1")
 
 
 class _HTLeaf:
@@ -179,14 +183,19 @@ class HoeffdingTree(StreamModel):
 
     Leaves keep the naive-Bayes statistics (`nbcore.ClassConditionalStats`:
     per-class nominal value counts and Gaussian summaries of numeric
-    attributes), and naive-Bayes leaves score with them; every grace_period
-    learned instances a
-    leaf compares the two best information gains and splits when their gap
-    exceeds the Hoeffding bound (or the bound has shrunk below the tie
-    threshold). Numeric candidate thresholds are `numeric_bins` equal-width
-    cuts between the observed min and max, with left/right class mass
-    estimated from the Gaussians. New children start from the split's
-    estimated class distributions, so prediction quality carries over.
+    attributes), and naive-Bayes leaves score with them. Every grace_period
+    learned instances a leaf compares the two best information gains and
+    splits when their gap exceeds the Hoeffding bound (or the bound has
+    shrunk below the tie threshold). Numeric candidate thresholds are
+    `numeric_bins` equal-width cuts between the observed min and max, with
+    left/right class mass estimated from the Gaussians (Pfahringer, Holmes
+    & Kirkby, PAKDD 2008). New children start from the split's estimated
+    class distributions, so prediction quality carries over.
+
+    Ties: each numeric column offers its first cut of the highest gain.
+    The candidates, nominal attributes first and then numeric ones, each in
+    column order, are ranked by a stable sort on gain, so of equal gains the
+    earlier candidate wins.
     """
 
     def __init__(self, schema: AttributeSchema,
@@ -264,11 +273,7 @@ class HoeffdingTree(StreamModel):
             gain = float(entropy_rows(totals[None])[0]
                          - (sizes / n) @ entropy_rows(counts))
             candidates.append((gain, ("nom", j, None, counts.copy())))
-        sigma = np.sqrt(leaf.stats.variances())
-        for col in range(sigma.shape[1]):
-            found = self._numeric_candidate(leaf, col, sigma[:, col])
-            if found is not None:
-                candidates.append(found)
+        candidates += self._numeric_candidates(leaf)
         if not candidates:
             return
         candidates.sort(key=lambda t: -t[0])
@@ -296,37 +301,51 @@ class HoeffdingTree(StreamModel):
             parent.children[slot] = split
         self.n_splits += 1
 
-    def _numeric_candidate(self, leaf, col, sigma):
-        lo, hi = leaf.vmin[col], leaf.vmax[col]
-        if not (np.isfinite(lo) and np.isfinite(hi)) or hi <= lo:
-            return None
+    def _numeric_candidates(self, leaf):
+        """Each numeric column's best (gain, split) candidate, in column order.
+
+        Scores every eligible column (finite observed min < max) in one
+        array pass. Cut i of b = `numeric_bins` is
+        t = lo + i * (hi - lo) / (b + 1); each observed class c sends the
+        Gaussian mass n_c * (1 + erf((t - mu_c) / (sigma_c * sqrt 2))) / 2
+        to the left, or all of n_c when mu_c <= t if its variance sits at
+        the floor. A cut with an empty side is no candidate; among a
+        column's cuts the first of the highest gain wins. Each value goes
+        through the same floating-point operations, in the same order, as
+        in the one-cut formula (erf is `math.erf`), so a gain does not
+        depend on how many cuts or columns share the pass.
+        """
+        lo, hi = leaf.vmin, leaf.vmax
+        cols = np.flatnonzero(np.isfinite(lo) & np.isfinite(hi) & (hi > lo))
+        if not cols.size:
+            return []
+        lo, hi = lo[cols], hi[cols]
         counts = leaf.stats.class_counts
-        mask = counts > 0
-        mu = leaf.stats.mean[:, col]
+        seen = np.flatnonzero(counts > 0)
+        bins = self.config.numeric_bins
+        t = lo + np.arange(1, bins + 1)[:, None] * (hi - lo) / (bins + 1)
+        # (bins, cols, seen classes): the class axis last, so that each
+        # row of the masses sums and scores like a one-cut class vector
+        tc = t[:, :, None]
+        mu = leaf.stats.mean[seen][:, cols].T
+        sigma = np.sqrt(leaf.stats.variances()[seen][:, cols].T)
+        frac = np.where(sigma > math.sqrt(VARIANCE_FLOOR),
+                        0.5 * (1.0 + _erf((tc - mu) / (sigma * math.sqrt(2)))
+                               .astype(np.float64)),
+                        mu <= tc)
+        dists = np.zeros((bins, len(cols), 2, self.n_classes))
+        dists[:, :, 0, seen] = counts[seen] * frac
+        dists[:, :, 1] = counts - dists[:, :, 0]
+        sides = dists.sum(axis=3)
+        h = entropy_rows(dists.reshape(-1, self.n_classes)).reshape(sides.shape)
         n_total = counts.sum()
         parent_h = float(entropy_rows(counts[None])[0])
-        bins = self.config.numeric_bins
-        best = None
-        for i in range(1, bins + 1):
-            t = lo + i * (hi - lo) / (bins + 1)
-            left = np.zeros(self.n_classes)
-            for c in np.flatnonzero(mask):
-                if sigma[c] > math.sqrt(VARIANCE_FLOOR):
-                    frac = 0.5 * (1.0 + math.erf((t - mu[c])
-                                                 / (sigma[c] * math.sqrt(2))))
-                else:
-                    frac = 1.0 if mu[c] <= t else 0.0
-                left[c] = counts[c] * frac
-            right = counts - left
-            nl, nr = left.sum(), right.sum()
-            if nl <= 0 or nr <= 0:
-                continue
-            dists = np.vstack([left, right])
-            h_left, h_right = entropy_rows(dists)
-            gain = parent_h - float(nl / n_total * h_left + nr / n_total * h_right)
-            if best is None or gain > best[0]:
-                best = (gain, ("num", col, t, dists))
-        return best
+        gain = parent_h - (sides[..., 0] / n_total * h[..., 0]
+                           + sides[..., 1] / n_total * h[..., 1])
+        valid = (sides > 0).all(axis=2)
+        best = np.where(valid, gain, -np.inf).argmax(axis=0)
+        return [(float(gain[b, k]), ("num", int(col), t[b, k], dists[b, k]))
+                for k, (b, col) in enumerate(zip(best, cols)) if valid[b, k]]
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,8 @@ def tiny_mixed_dataset():
 
 @pytest.fixture
 def mini_kdd(tmp_path):
-    """A small but learnable KDD-format file (normal + two attack types)."""
+    """A small KDD-format file: normal, DoS (smurf, neptune, back), probe
+    (portsweep) and R2L (guess_passwd), so v1 and v2 label it differently."""
     labels = (["normal", "smurf", "neptune", "normal"] * 40
-              + ["back", "normal"] * 10)
+              + ["back", "portsweep", "guess_passwd", "normal"] * 5)
     return kdd_file(tmp_path / "mini_kdd.csv", labels, seed=12)

@@ -56,6 +56,8 @@ def test_missing_data_file_is_data_error(tmp_path, capsys):
     ["stream", "--algo", "ht", "--alpha", "0"],
     ["stream", "--algo", "ht", "--alpha", "1.5"],
     ["batch", "--algo", "knn", "--sample", "0"],
+    ["batch", "--algo", "nb", "--seed", "-1"],
+    ["stream", "--algo", "ozaboost", "--seed", "-1"],
 ], ids=" ".join)
 def test_out_of_range_flag_is_usage_error(tmp_path, capsys, argv):
     # the data file does not exist: exit 1, not 2, shows the flag was

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nidsbench.batch_learners import NaiveBayes
+from nidsbench.batch_learners import NaiveBayes, entropy_rows
 from nidsbench.dataset import Attribute, AttributeSchema, Dataset, Instance
 from nidsbench.evaluation import gen_drift_stream, prequential_run
+from nidsbench.nbcore import VARIANCE_FLOOR
 from nidsbench.stream_learners import (
     BoostConfig,
     HoeffdingConfig,
@@ -19,6 +20,7 @@ from nidsbench.stream_learners import (
     StreamModel,
     WindowKNN,
     WindowKnnConfig,
+    _HTSplit,
     hoeffding_bound,
     poisson_knuth,
 )
@@ -280,6 +282,224 @@ def test_ht_unsplit_majority_leaf_predicts_running_majority(
         ht.learn_row(num, nom, y)
         counts[y] += 1
     assert ht.n_splits == 0
+
+
+def test_hoeffding_config_validation():
+    HoeffdingConfig(numeric_bins=1)
+    for bad in (dict(delta=0.0), dict(delta=1.0), dict(grace_period=0),
+                dict(tie_threshold=-0.1), dict(leaf_prediction="knn"),
+                dict(numeric_bins=0), dict(numeric_bins=-3)):
+        with pytest.raises(ValueError):
+            HoeffdingConfig(**bad)
+
+
+# --- Hoeffding-tree numeric split search ---------------------------------------
+
+
+def _oracle_numeric_candidates(tree, leaf):
+    """The documented split search, one column, cut and class at a time.
+
+    Cut i of b is lo + i * (hi - lo) / (b + 1) on a column whose observed
+    min and max are finite and differ; an observed class c sends
+    n_c * (1 + erf((t - mu_c) / (sigma_c * sqrt 2))) / 2 to the left, or
+    n_c when mu_c <= t if its variance is at the floor; a cut with an empty
+    side is skipped; a column offers its first cut of the highest gain.
+    """
+    counts = leaf.stats.class_counts
+    n_total = counts.sum()
+    parent_h = float(entropy_rows(counts[None])[0])
+    bins = tree.config.numeric_bins
+    var = leaf.stats.variances()
+    found = []
+    for col in range(len(leaf.vmin)):
+        lo, hi = leaf.vmin[col], leaf.vmax[col]
+        if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
+            continue
+        best = None
+        for i in range(1, bins + 1):
+            t = lo + i * (hi - lo) / (bins + 1)
+            left = np.zeros(tree.n_classes)
+            for c in range(tree.n_classes):
+                if counts[c] == 0:
+                    continue
+                mu, sigma = leaf.stats.mean[c, col], math.sqrt(var[c, col])
+                if sigma > math.sqrt(VARIANCE_FLOOR):
+                    frac = 0.5 * (1.0 + math.erf((t - mu)
+                                                 / (sigma * math.sqrt(2))))
+                else:
+                    frac = 1.0 if mu <= t else 0.0
+                left[c] = counts[c] * frac
+            right = counts - left
+            nl, nr = left.sum(), right.sum()
+            if nl <= 0 or nr <= 0:
+                continue
+            dists = np.vstack([left, right])
+            h_left, h_right = entropy_rows(dists)
+            gain = parent_h - float(nl / n_total * h_left
+                                    + nr / n_total * h_right)
+            if best is None or gain > best[0]:
+                best = (gain, ("num", col, t, dists))
+        if best is not None:
+            found.append(best)
+    return found
+
+
+def _leaf_state(counts, mean, m2, vmin, vmax, bins=10):
+    """A tree and a leaf holding the given statistics ((C, cols) arrays)."""
+    mean = np.asarray(mean, dtype=float)
+    n_classes, n_num = mean.shape
+    schema = AttributeSchema(
+        tuple(Attribute(f"x{j}", "numeric") for j in range(n_num)),
+        tuple(f"c{k}" for k in range(n_classes)))
+    tree = HoeffdingTree(schema, HoeffdingConfig(numeric_bins=bins))
+    leaf = tree.root
+    leaf.stats.class_counts[:] = counts
+    leaf.class_counts[:] = counts
+    leaf.stats.mean[:] = mean
+    leaf.stats.m2[:] = m2
+    leaf.vmin[:] = vmin
+    leaf.vmax[:] = vmax
+    return tree, leaf
+
+
+def _bits(candidate):
+    """A candidate with its floats as bytes, to compare bit for bit."""
+    gain, (kind, col, t, dists) = candidate
+    return (np.float64(gain).tobytes(), kind, col, np.float64(t).tobytes(),
+            dists.shape, dists.tobytes())
+
+
+def _assert_same_candidates(got, want):
+    assert [_bits(c) for c in got] == [_bits(c) for c in want]
+
+
+_GRID = (-1.0, 0.0, 0.25, 0.5, 1.0, 3.0)
+
+
+@st.composite
+def _leaf_states(draw):
+    n_classes = draw(st.integers(2, 5))
+    n_num = draw(st.integers(1, 4))
+    value = st.sampled_from(_GRID) | st.floats(-5.0, 5.0)
+    counts = draw(st.lists(st.sampled_from((0, 1, 3, 40)) | st.integers(0, 500),
+                           min_size=n_classes, max_size=n_classes)
+                  .filter(any))
+    mean = [[draw(value) for _ in range(n_num)] for _ in range(n_classes)]
+    # m2 0 puts a class's variance at the floor (the step branch)
+    m2 = [[draw(st.sampled_from((0.0, 1e-12)) | st.floats(1e-3, 1e3))
+           for _ in range(n_num)] for _ in range(n_classes)]
+    vmin, vmax = [], []
+    for _ in range(n_num):
+        lo = draw(value)
+        kind = draw(st.sampled_from(("range", "range", "constant", "unseen")))
+        if kind == "unseen":
+            lo, hi = math.inf, -math.inf
+        elif kind == "constant":
+            hi = lo
+        else:
+            hi = lo + draw(st.sampled_from((0.5, 1.0, 4.0)) | st.floats(1e-6, 10.0))
+        vmin.append(lo)
+        vmax.append(hi)
+    return _leaf_state(counts, mean, m2, vmin, vmax,
+                       bins=draw(st.integers(1, 12)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_leaf_states())
+def test_ht_numeric_candidates_equal_the_scalar_formula(state):
+    tree, leaf = state
+    _assert_same_candidates(tree._numeric_candidates(leaf),
+                            _oracle_numeric_candidates(tree, leaf))
+
+
+# each case: the `_leaf_state` arguments (class counts, (class, column)
+# means and M2, column minima and maxima), then the columns that must offer
+# a candidate
+_SPLIT_CASES = {
+    "constant column skipped": (
+        ([5, 5], [[2.0, 0.0], [2.0, 1.0]], [[1.0, 2.0], [1.0, 2.0]],
+         [2.0, 0.0], [2.0, 1.0]), [1]),
+    "class at the variance floor": (
+        ([6, 9], [[0.3, 0.2], [0.6, 0.8]], [[0.0, 0.0], [2.0, 0.0]],
+         [0.0, 0.0], [1.0, 1.0]), [0, 1]),
+    "class never seen": (
+        ([10, 0, 4], [[0.2, 1.0], [0.0, 0.0], [0.7, 3.0]],
+         [[1.0, 5.0], [0.0, 0.0], [2.0, 1.0]], [0.0, 0.0], [1.0, 4.0]),
+        [0, 1]),
+    "every cut one-sided": (
+        ([4, 7], [[1.0, 0.5], [1.0, 0.5]], [[0.0, 3.0], [0.0, 3.0]],
+         [0.0, 0.0], [1.0, 1.0]), [1]),
+    "equal cuts": (
+        ([8, 8], [[0.1, 0.5], [0.9, 0.5]], [[0.0, 4.0], [0.0, 4.0]],
+         [0.0, 0.0], [1.0, 1.0]), [0, 1]),
+    "equal columns": (
+        ([3, 5], [[0.2, 0.2], [0.7, 0.7]], [[0.5, 0.5], [0.4, 0.4]],
+         [0.0, 0.0], [1.0, 1.0]), [0, 1]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SPLIT_CASES))
+def test_ht_numeric_candidates_edge_cases(case):
+    state, cols = _SPLIT_CASES[case]
+    tree, leaf = _leaf_state(*state)
+    got = tree._numeric_candidates(leaf)
+    _assert_same_candidates(got, _oracle_numeric_candidates(tree, leaf))
+    assert [c for _, (_, c, _, _) in got] == cols
+
+
+def test_ht_numeric_candidate_ties_go_to_first_cut_and_lower_column():
+    # both classes sit at the variance floor at 0.1 and 0.9, so every cut
+    # in between separates them: cuts 2..9 of 10 all reach the full gain
+    tree, leaf = _leaf_state(*_SPLIT_CASES["equal cuts"][0])
+    (gain, (_, col, t, _)), _ = tree._numeric_candidates(leaf)
+    assert (col, t, gain) == (0, 2 / 11, 1.0)
+    # two identical columns tie on every cut; the stable sort of the
+    # candidates splits on the lower column
+    tree, leaf = _leaf_state([2_000, 2_000], [[0.2, 0.2], [0.7, 0.7]],
+                             [[500.0, 500.0], [400.0, 400.0]],
+                             [0.0, 0.0], [1.0, 1.0])
+    (g0, (_, c0, _, _)), (g1, (_, c1, _, _)) = tree._numeric_candidates(leaf)
+    assert (c0, c1) == (0, 1) and g0 == g1 > 0.0
+    tree._attempt_split(leaf, None, None)
+    assert tree.n_splits == 1 and tree.root.col == 0
+
+
+def _tree_shape(node):
+    if isinstance(node, _HTSplit):
+        return (node.kind, node.col, np.float64(node.threshold).tobytes()
+                if node.threshold is not None else None, node.fallback,
+                tuple(_tree_shape(child) for child in node.children))
+    return node.class_counts.tobytes()
+
+
+def _threshold_stream(seed, n):
+    """Four classes set by nested thresholds on x0 and x1 (5 % label noise);
+    x2 and the nominal attribute carry no signal."""
+    rng = np.random.default_rng(seed)
+    x = rng.random((n, 3)).round(2)
+    labels = (x[:, 0] > 0.5) + 2 * (x[:, 1] > np.where(x[:, 0] > 0.5, 0.3, 0.7))
+    noise = rng.random(n) < 0.05
+    labels[noise] = rng.integers(0, 4, noise.sum())
+    schema = AttributeSchema(
+        tuple(Attribute(f"x{j}", "numeric") for j in range(3))
+        + (Attribute("s", "nominal", ("a", "b", "c")),), tuple("abcd"))
+    return Dataset(schema, x, rng.integers(0, 3, (n, 1)).astype(np.int32),
+                   labels.astype(np.int32), "threshold stream")
+
+
+def test_ht_with_the_scalar_search_grows_the_same_tree(monkeypatch):
+    ds = _threshold_stream(1, 6_000)
+    config = HoeffdingConfig(grace_period=50)
+    fast = HoeffdingTree(ds.schema, config)
+    slow = HoeffdingTree(ds.schema, config)
+    monkeypatch.setattr(slow, "_numeric_candidates",
+                        lambda leaf: _oracle_numeric_candidates(slow, leaf))
+    for num, nom, y in _stream_rows(ds):
+        assert fast.predict_code(num, nom) == slow.predict_code(num, nom)
+        fast.learn_row(num, nom, y)
+        slow.learn_row(num, nom, y)
+    assert fast.n_splits == slow.n_splits >= 3
+    assert _tree_shape(fast.root) == _tree_shape(slow.root)
 
 
 # --- windowed k-NN --------------------------------------------------------------
