@@ -8,25 +8,29 @@ subsample per fold by default to keep the run desk-scale; pass
 --knn-sample 0 for the full-data run.
 """
 
-import argparse
 import sys
 import time
 
-from nidsbench.cli import RunConfig, make_batch_model, prepare, resolve_data
+from nidsbench.cli import ArgParser, RunConfig, checked, folds_arg, \
+    make_batch_model, prepare, resolve_data, run_guarded, seed_arg
 from nidsbench.dataset import kdd99_schema, load_dataset
 from nidsbench.evaluation import cross_validate
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = ArgParser(description=__doc__)
     ap.add_argument("--data", default="nsl-kdd")
-    ap.add_argument("--folds", type=int, default=RunConfig.folds)
-    ap.add_argument("--seed", type=int, default=RunConfig.seed)
-    ap.add_argument("--knn-sample", type=int, default=20_000)
+    ap.add_argument("--folds", type=folds_arg, default=RunConfig.folds)
+    ap.add_argument("--seed", type=seed_arg, default=RunConfig.seed)
+    ap.add_argument("--knn-sample", default=20_000,
+                    type=checked(int, lambda v: v >= 0,
+                                 "need knn-sample >= 0"))
     ap.add_argument("--variants", default="v1,v2,v3")
     ap.add_argument("--algos", default="nb,j48,knn3,knn5,knn7,mlp,svm")
-    args = ap.parse_args()
+    return run_guarded(lambda: _run(ap.parse_args()))
 
+
+def _run(args) -> None:
     path = resolve_data(args.data)
     raw = load_dataset(path, kdd99_schema())
     print(f"loaded {args.data}: {len(raw)} instances from {path}")
@@ -54,7 +58,6 @@ def main() -> int:
             print(f"  [{algo} {vid}: {res.accuracy * 100:.2f}% in {dt:.0f}s]",
                   file=sys.stderr)
         print(f"{algo:<10}" + "".join(cells))
-    return 0
 
 
 if __name__ == "__main__":

@@ -6,32 +6,28 @@ cumulative and faded-mean accuracies plus annotated drift indices, and writes
 per-algorithm trace CSVs and a combined faded-accuracy SVG chart.
 """
 
-import argparse
 import sys
 import time
 from pathlib import Path
 
-from nidsbench.cli import (
-    RunConfig,
-    emit_svg_curve,
-    make_stream_model,
-    prepare,
-    resolve_data,
-)
+from nidsbench.cli import ArgParser, RunConfig, alpha_arg, emit_svg_curve, \
+    make_stream_model, prepare, resolve_data, run_guarded, seed_arg
 from nidsbench.dataset import kdd99_schema, load_dataset
 from nidsbench.evaluation import annotate_drifts, prequential_run, \
     write_trace_csv
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = ArgParser(description=__doc__)
     ap.add_argument("--data", default="kdd99-10")
-    ap.add_argument("--alpha", type=float, default=RunConfig.alpha)
-    ap.add_argument("--seed", type=int, default=RunConfig.seed)
+    ap.add_argument("--alpha", type=alpha_arg, default=RunConfig.alpha)
+    ap.add_argument("--seed", type=seed_arg, default=RunConfig.seed)
     ap.add_argument("--out", default="runs/stream")
     ap.add_argument("--algos", default="ht,wknn,snb,ozaboost")
-    args = ap.parse_args()
+    return run_guarded(lambda: _run(ap.parse_args()))
 
+
+def _run(args) -> None:
     path = resolve_data(args.data)
     raw = load_dataset(path, kdd99_schema())
     print(f"loaded {args.data}: {len(raw)} instances from {path}")
@@ -56,7 +52,6 @@ def main() -> int:
               f"{trace.faded_mean * 100:11.2f}%{dt:7.0f}s  {drifts}")
     svg = emit_svg_curve(traces, out / "comparison.svg")
     print(f"\nwrote {svg}")
-    return 0
 
 
 if __name__ == "__main__":

@@ -114,21 +114,20 @@ class NaiveBayes(BatchModel):
 # decision tree
 
 
+# C4.5's default confidence factor CF for pessimistic pruning (Quinlan 1993)
+PRUNING_CONFIDENCE = 0.25
+
+
 @dataclass(frozen=True)
 class TreeConfig:
     min_leaf_instances: int = 2
-    use_gain_ratio: bool = True
     pruning: str = "pessimistic"  # or "none"
-    confidence: float = 0.25
-    max_depth: int | None = None
 
     def __post_init__(self):
         if self.min_leaf_instances < 1:
             raise ValueError("min_leaf_instances must be >= 1")
         if self.pruning not in ("none", "pessimistic"):
             raise ValueError(f"unknown pruning mode {self.pruning!r}")
-        if not 0.0 < self.confidence <= 0.5:
-            raise ValueError("confidence must lie in (0, 0.5]")
 
 
 class _TreeNode:
@@ -171,15 +170,15 @@ def entropy_rows(rows: np.ndarray) -> np.ndarray:
     return -plogp.sum(axis=1)
 
 
-def _pessimistic_extra_errors(n: float, e: float, cf: float) -> float:
+def _pessimistic_extra_errors(n: float, e: float) -> float:
     """Upper-confidence extra error count for a leaf with n instances, e errors."""
     if n <= 0:
         return 0.0
     if e == 0:
-        return n * (1.0 - cf ** (1.0 / n))
+        return n * (1.0 - PRUNING_CONFIDENCE ** (1.0 / n))
     if e + 0.5 >= n:
         return max(n - e, 0.0)
-    z = NormalDist().inv_cdf(1.0 - cf)
+    z = NormalDist().inv_cdf(1.0 - PRUNING_CONFIDENCE)
     f = (e + 0.5) / n
     r = (f + z * z / (2 * n)
          + z * math.sqrt(f / n - f * f / n + z * z / (4 * n * n))) / (1 + z * z / n)
@@ -210,22 +209,19 @@ class DecisionTree(BatchModel):
         ]
         self.root = self._grow(num, nom, y)
         if self.config.pruning == "pessimistic":
-            self._prune(self.config.confidence)
+            self._prune()
 
     def _grow(self, num, nom, y):
-        cfg = self.config
         holder: list = [None]
-        stack = [(np.arange(len(y)), 0, holder, 0)]
+        stack = [(np.arange(len(y)), holder, 0)]
         while stack:
-            idx, depth, container, slot = stack.pop()
+            idx, container, slot = stack.pop()
             counts = np.bincount(y[idx], minlength=self.n_classes)
             node = _TreeNode(counts)
             container[slot] = node
             if (counts > 0).sum() <= 1:
                 continue  # pure
-            if len(idx) < cfg.min_leaf_instances:
-                continue
-            if cfg.max_depth is not None and depth >= cfg.max_depth:
+            if len(idx) < self.config.min_leaf_instances:
                 continue
             best = self._best_split(num, nom, y, idx, counts)
             if best is None:
@@ -235,7 +231,7 @@ class DecisionTree(BatchModel):
             node.children = [None] * len(parts)
             for slot_i, part in enumerate(parts):
                 if len(part):
-                    stack.append((part, depth + 1, node.children, slot_i))
+                    stack.append((part, node.children, slot_i))
         return holder[0]
 
     def _best_split(self, num, nom, y, idx, counts):
@@ -260,8 +256,7 @@ class DecisionTree(BatchModel):
             if gain <= 1e-12:
                 continue
             split_info = _entropy(sizes)
-            key = gain / split_info if cfg.use_gain_ratio and split_info > 1e-12 \
-                else gain
+            key = gain / split_info if split_info > 1e-12 else gain
             if best is None or key > best_key:
                 best_key = key
                 parts = [idx[codes == k] for k in range(d)]
@@ -272,8 +267,7 @@ class DecisionTree(BatchModel):
             if found is None:
                 continue
             gain, split_info, threshold = found
-            key = gain / split_info if cfg.use_gain_ratio and split_info > 1e-12 \
-                else gain
+            key = gain / split_info if split_info > 1e-12 else gain
             if best is None or key > best_key:
                 best_key = key
                 vals = num[idx, col]
@@ -322,21 +316,21 @@ class DecisionTree(BatchModel):
         split_info = _entropy(np.array([pos + 1, n - pos - 1], dtype=np.float64))
         return gain, split_info, threshold
 
-    def _prune(self, cf: float) -> None:
+    def _prune(self) -> None:
         stack = [(self.root, False)]
         while stack:
             node, processed = stack.pop()
             n = float(node.counts.sum())
             e = float(n - node.counts.max())
             if node.is_leaf:
-                node.est_errors = e + _pessimistic_extra_errors(n, e, cf)
+                node.est_errors = e + _pessimistic_extra_errors(n, e)
                 continue
             if not processed:
                 stack.append((node, True))
                 stack.extend((c, False) for c in node.children if c is not None)
                 continue
             subtree = sum(c.est_errors for c in node.children if c is not None)
-            as_leaf = e + _pessimistic_extra_errors(n, e, cf)
+            as_leaf = e + _pessimistic_extra_errors(n, e)
             if as_leaf <= subtree + 0.1:
                 node.to_leaf()
                 node.est_errors = as_leaf
@@ -489,20 +483,19 @@ class KNN(BatchModel):
 # multilayer perceptron
 
 
+# SGD step size and momentum: the defaults of Weka's MultilayerPerceptron
+MLP_LEARNING_RATE = 0.3
+MLP_MOMENTUM = 0.2
+# slope of the unipolar sigmoid 1 / (1 + exp(-slope * z))
+MLP_SIGMOID_SLOPE = 1.0
+
+
 @dataclass(frozen=True)
 class MlpConfig:
-    hidden_units: int | None = None  # None: ceil((inputs + classes) / 2)
-    learning_rate: float = 0.3
-    momentum: float = 0.2
     epochs: int = 10
     seed: int = 1
-    sigmoid_slope: float = 1.0
 
     def __post_init__(self):
-        if self.hidden_units is not None and self.hidden_units < 1:
-            raise ValueError("hidden_units must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
 
@@ -539,7 +532,8 @@ def mlp_gradients(params, x, target, slope):
 class MLP(BatchModel):
     """Three-layer feed-forward net, unipolar sigmoid on hidden and output
     layers, trained by per-instance SGD on half squared error with momentum.
-    Inputs must be all-numeric (normalize + one-hot encode first).
+    The hidden layer has ceil((inputs + classes) / 2) units. Inputs must be
+    all-numeric (normalize + one-hot encode first).
     """
 
     def __init__(self, config: MlpConfig = MlpConfig()):
@@ -554,21 +548,21 @@ class MLP(BatchModel):
         y = train.labels
         n, d = x.shape
         c = len(train.schema.class_labels)
-        h = cfg.hidden_units or math.ceil((d + c) / 2)
+        h = math.ceil((d + c) / 2)
         rng = np.random.default_rng(cfg.seed)
         params = (rng.uniform(-0.5, 0.5, (d, h)), rng.uniform(-0.5, 0.5, h),
                   rng.uniform(-0.5, 0.5, (h, c)), rng.uniform(-0.5, 0.5, c))
         velocity = tuple(np.zeros_like(p) for p in params)
         targets = np.zeros((n, c))
         targets[np.arange(n), y] = 1.0
-        lr, mom, slope = cfg.learning_rate, cfg.momentum, cfg.sigmoid_slope
 
         for _ in range(cfg.epochs):
             for i in rng.permutation(n):
-                grads = mlp_gradients(params, x[i], targets[i], slope)
+                grads = mlp_gradients(params, x[i], targets[i],
+                                      MLP_SIGMOID_SLOPE)
                 for p, v, g in zip(params, velocity, grads):
-                    v *= mom
-                    v -= lr * g
+                    v *= MLP_MOMENTUM
+                    v -= MLP_LEARNING_RATE * g
                     p += v
             w1, _, w2, _ = params
             if not (np.isfinite(w1).all() and np.isfinite(w2).all()):
@@ -577,7 +571,7 @@ class MLP(BatchModel):
         self.params = params
 
     def _scores(self, num, nom):
-        _, out = mlp_forward(self.params, num, self.config.sigmoid_slope)
+        _, out = mlp_forward(self.params, num, MLP_SIGMOID_SLOPE)
         return out / out.sum(axis=1, keepdims=True)
 
 
@@ -585,17 +579,11 @@ class MLP(BatchModel):
 # linear soft-margin SVM trained by pairwise dual optimization
 
 
-@dataclass(frozen=True)
-class SvmConfig:
-    c: float = 1.0
-    tolerance: float = 1e-3
-    max_passes: int = 50
-
-    def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError("C must be positive")
-        if self.max_passes < 1:
-            raise ValueError("max_passes must be >= 1")
+# box constraint C, KKT/convergence tolerance and pass limit of the SMO
+# training (C and the tolerance are the defaults of Platt's SMO in Weka)
+SVM_C = 1.0
+SVM_TOLERANCE = 1e-3
+SVM_MAX_PASSES = 50
 
 
 class LinearSVM(BatchModel):
@@ -605,16 +593,12 @@ class LinearSVM(BatchModel):
     label order that is normal vs attack). Candidate first multipliers are
     KKT violators; the second is chosen by the largest error difference, with
     deterministic fallbacks over non-bound then all multipliers. Training
-    stops when no multiplier moved by more than the tolerance over a full
-    pass, or after max_passes passes. A decision value of exactly 0 predicts
-    the +1 class.
+    stops when no multiplier moved by more than SVM_TOLERANCE over a full
+    pass, or after SVM_MAX_PASSES passes. A decision value of exactly 0
+    predicts the +1 class.
     """
 
     _REFRESH_EVERY = 256
-
-    def __init__(self, config: SvmConfig = SvmConfig()):
-        super().__init__()
-        self.config = config
 
     def _fit(self, train: Dataset) -> None:
         if train.nominal.shape[1]:
@@ -629,10 +613,9 @@ class LinearSVM(BatchModel):
         self.w, self.b, self.alpha_, self.passes_ = self._smo(x, y)
 
     def _smo(self, x, y):
-        cfg = self.config
         n, d = x.shape
-        c = cfg.c
-        tol = cfg.tolerance
+        c = SVM_C
+        tol = SVM_TOLERANCE
         alpha = np.zeros(n)
         w = np.zeros(d)
         b = 0.0
@@ -705,7 +688,7 @@ class LinearSVM(BatchModel):
 
         passes = 0
         examine_all = True
-        while passes < cfg.max_passes:
+        while passes < SVM_MAX_PASSES:
             e_cache[:] = x @ w + b - y
             max_delta = 0.0
             if examine_all:

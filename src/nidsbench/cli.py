@@ -356,7 +356,10 @@ class _ExitRequest(Exception):
         self.code = code
 
 
-class _Parser(argparse.ArgumentParser):
+class ArgParser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors end `run_guarded` with
+    EXIT_USAGE (plain argparse exits 2, the data-error code here)."""
+
     def exit(self, status=0, message=None):
         if message:
             sys.stderr.write(message)
@@ -368,7 +371,7 @@ class _Parser(argparse.ArgumentParser):
         raise _ExitRequest(EXIT_USAGE)
 
 
-def _checked(parse, ok, expect: str):
+def checked(parse, ok, expect: str):
     """An argparse `type=` that parses a value and rejects it unless ok."""
     def convert(text: str):
         value = parse(text)
@@ -379,11 +382,25 @@ def _checked(parse, ok, expect: str):
     return convert
 
 
+# the range-checked run options, shared with scripts/reproduce_*.py
+seed_arg = checked(int, lambda v: v >= 0, "need seed >= 0")
+k_arg = checked(int, lambda v: v >= 1, "need k >= 1")
+folds_arg = checked(int, lambda v: v >= 2, "need folds >= 2")
+sample_arg = checked(int, lambda v: v >= 1, "need sample >= 1")
+alpha_arg = checked(float, lambda v: 0.0 < v <= 1.0, "need 0 < alpha <= 1")
+
+
 def _attrs(text: str) -> str:
+    """--attrs, checked against kdd99_schema(), which every command loads."""
     try:
-        _selection(text)
+        spec = _selection(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad value {text!r}: {exc}")
+    n = kdd99_schema().n_attributes
+    if spec is not None and max(spec.keep_indices) > n:
+        raise argparse.ArgumentTypeError(
+            f"bad value {text!r}: attribute index {max(spec.keep_indices)} "
+            f"out of range (schema has {n})")
     return text
 
 
@@ -398,16 +415,15 @@ def _add_data(p: argparse.ArgumentParser, stream: bool = False):
 
 def _add_run(p: argparse.ArgumentParser, algos: tuple[str, ...]):
     p.add_argument("--algo", required=True, choices=algos)
-    p.add_argument("--seed", default=RunConfig.seed,
-                   type=_checked(int, lambda v: v >= 0, "need seed >= 0"))
+    p.add_argument("--seed", type=seed_arg, default=RunConfig.seed)
     p.add_argument("--out", default=RunConfig.out, help="output directory")
-    p.add_argument("--k", type=_checked(int, lambda v: v >= 1, "need k >= 1"),
-                   default=RunConfig.k, help="neighbors for knn/wknn")
+    p.add_argument("--k", type=k_arg, default=RunConfig.k,
+                   help="neighbors for knn/wknn")
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="nidsbench",
-                     description="KDD99-family intrusion-detection benchmark")
+def build_parser() -> ArgParser:
+    parser = ArgParser(prog="nidsbench",
+                       description="KDD99-family intrusion-detection benchmark")
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("fetch", help="download and verify a dataset file")
@@ -430,18 +446,14 @@ def build_parser() -> _Parser:
     p = sub.add_parser("batch", help="stratified cross-validation run")
     _add_data(p)
     _add_run(p, BATCH_ALGOS)
-    p.add_argument("--folds", default=RunConfig.folds,
-                   type=_checked(int, lambda v: v >= 2, "need folds >= 2"))
-    p.add_argument("--sample", default=RunConfig.sample,
-                   type=_checked(int, lambda v: v >= 1, "need sample >= 1"),
+    p.add_argument("--folds", type=folds_arg, default=RunConfig.folds)
+    p.add_argument("--sample", type=sample_arg, default=RunConfig.sample,
                    help="stratified training subsample size (knn)")
 
     p = sub.add_parser("stream", help="prequential evaluation run")
     _add_data(p, stream=True)
     _add_run(p, STREAM_ALGOS)
-    p.add_argument("--alpha", default=RunConfig.alpha,
-                   type=_checked(float, lambda v: 0.0 < v <= 1.0,
-                                 "need 0 < alpha <= 1"))
+    p.add_argument("--alpha", type=alpha_arg, default=RunConfig.alpha)
 
     p = sub.add_parser("report", help="combine traces under --out")
     p.add_argument("--out", default=RunConfig.out)
@@ -454,50 +466,12 @@ def _config_from_args(args) -> RunConfig:
                         if f.name in given})
 
 
-def run_command(argv: list[str]) -> int:
-    parser = build_parser()
+def run_guarded(body) -> int:
+    """Call body() and return the exit code for how it ended: EXIT_OK, or
+    the code of a usage error, data error or runtime failure, with the
+    failure's message on stderr and no traceback."""
     try:
-        if not argv:
-            parser.print_usage(sys.stderr)
-            return EXIT_USAGE
-        args = parser.parse_args(argv)
-        if args.command is None:
-            parser.print_usage(sys.stderr)
-            return EXIT_USAGE
-        if args.command == "fetch":
-            url = args.url or DEFAULT_URLS.get(args.data)
-            if url is None:
-                parser.error(f"no default URL for {args.data!r}; pass --url")
-            cache = Path(args.cache) if args.cache else default_cache_dir()
-            path = fetch_dataset(args.data, url, args.sha256, cache)
-            print(f"fetched {args.data} -> {path}")
-        elif args.command == "preprocess":
-            cfg = _config_from_args(args)
-            ds, _ = _load_prepared(cfg)
-            if args.normalize:
-                ds = apply_normalizer(fit_normalizer(ds), ds)
-            out_dir = Path(cfg.out)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            stem = f"{_data_tag(cfg)}_{cfg.variant}_preprocessed"
-            csv_path = out_dir / f"{stem}.csv"
-            write_dataset(ds, csv_path)
-            sidecar = out_dir / f"{stem}.provenance.txt"
-            sidecar.write_text(ds.provenance + "\n")
-            print(f"wrote {csv_path} ({len(ds)} instances) and {sidecar}")
-        elif args.command == "rank":
-            cfg = _config_from_args(args)
-            ds, _ = _load_prepared(cfg)
-            print("rank  attr  name                          accuracy")
-            for rank, (idx, acc) in enumerate(oner_rank(ds), start=1):
-                name = ds.schema.attributes[idx - 1].name
-                print(f"{rank:>4}  {idx:>4}  {name:<28}  {acc * 100:7.3f}%")
-        elif args.command == "batch":
-            print(run_batch(_config_from_args(args)))
-        elif args.command == "stream":
-            print(run_stream(_config_from_args(args)))
-        elif args.command == "report":
-            for p in emit_report(args.out):
-                print(f"wrote {p}")
+        body()
     except _ExitRequest as req:
         return req.code
     except (ParseError, DataError, IntegrityError, urllib.error.URLError,
@@ -508,6 +482,52 @@ def run_command(argv: list[str]) -> int:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK
+
+
+def run_command(argv: list[str]) -> int:
+    return run_guarded(lambda: _dispatch(argv))
+
+
+def _dispatch(argv: list[str]) -> None:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command is None:
+        parser.print_usage(sys.stderr)
+        raise _ExitRequest(EXIT_USAGE)
+    if args.command == "fetch":
+        url = args.url or DEFAULT_URLS.get(args.data)
+        if url is None:
+            parser.error(f"no default URL for {args.data!r}; pass --url")
+        cache = Path(args.cache) if args.cache else default_cache_dir()
+        path = fetch_dataset(args.data, url, args.sha256, cache)
+        print(f"fetched {args.data} -> {path}")
+    elif args.command == "preprocess":
+        cfg = _config_from_args(args)
+        ds, _ = _load_prepared(cfg)
+        if args.normalize:
+            ds = apply_normalizer(fit_normalizer(ds), ds)
+        out_dir = Path(cfg.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        stem = f"{_data_tag(cfg)}_{cfg.variant}_preprocessed"
+        csv_path = out_dir / f"{stem}.csv"
+        write_dataset(ds, csv_path)
+        sidecar = out_dir / f"{stem}.provenance.txt"
+        sidecar.write_text(ds.provenance + "\n")
+        print(f"wrote {csv_path} ({len(ds)} instances) and {sidecar}")
+    elif args.command == "rank":
+        cfg = _config_from_args(args)
+        ds, _ = _load_prepared(cfg)
+        print("rank  attr  name                          accuracy")
+        for rank, (idx, acc) in enumerate(oner_rank(ds), start=1):
+            name = ds.schema.attributes[idx - 1].name
+            print(f"{rank:>4}  {idx:>4}  {name:<28}  {acc * 100:7.3f}%")
+    elif args.command == "batch":
+        print(run_batch(_config_from_args(args)))
+    elif args.command == "stream":
+        print(run_stream(_config_from_args(args)))
+    elif args.command == "report":
+        for p in emit_report(args.out):
+            print(f"wrote {p}")
 
 
 def main() -> None:

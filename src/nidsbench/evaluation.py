@@ -145,10 +145,6 @@ class PrequentialTrace:
         return float(self.cumulative[-1])
 
     @property
-    def final_faded_accuracy(self) -> float:
-        return float(self.faded[-1])
-
-    @property
     def faded_mean(self) -> float:
         return float(self.faded.mean())
 
@@ -255,13 +251,12 @@ def gen_drift_stream(n: int, switch_at: int, seed: int) -> Dataset:
 # exports
 
 
-def write_trace_csv(trace: PrequentialTrace, path: str | Path,
-                    every: int = 1) -> Path:
+def write_trace_csv(trace: PrequentialTrace, path: str | Path) -> Path:
     """Trace CSV: index,correct,faded_accuracy,cumulative_accuracy."""
     path = Path(path)
     with open(path, "w") as fh:
         fh.write("index,correct,faded_accuracy,cumulative_accuracy\n")
-        for i in range(0, len(trace), every):
+        for i in range(len(trace)):
             fh.write(f"{i + 1},{trace.correct[i]},{float(trace.faded[i])!r},"
                      f"{float(trace.cumulative[i])!r}\n")
     return path

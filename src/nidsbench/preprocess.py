@@ -62,21 +62,19 @@ def variant(vid: str) -> PreprocessVariant:
     raise ValueError(f"unknown preprocessing variant {vid!r}")
 
 
-def apply_variant(ds: Dataset, v: PreprocessVariant,
-                  categories: dict[str, str] | None = None) -> Dataset:
+def apply_variant(ds: Dataset, v: PreprocessVariant) -> Dataset:
     """Relabel classes per the variant; features and order are untouched."""
     if v.id == "v3":
         return ds.with_provenance("variant v3 (raw labels)")
-    categories = ATTACK_CATEGORIES if categories is None else categories
     mapping = np.empty(len(ds.schema.class_labels), dtype=np.int32)
     for code, label in enumerate(ds.schema.class_labels):
         if label == "normal":
             target = "normal"
         else:
-            if label not in categories:
+            if label not in ATTACK_CATEGORIES:
                 raise DataError(
                     f"unknown attack label {label!r} under variant {v.id}")
-            target = categories[label] if v.id == "v1" else "attack"
+            target = ATTACK_CATEGORIES[label] if v.id == "v1" else "attack"
         mapping[code] = v.target_labels.index(target)
     schema = AttributeSchema(ds.schema.attributes, v.target_labels)
     return Dataset(schema, ds.numeric, ds.nominal, mapping[ds.labels],
@@ -121,12 +119,16 @@ def _majority(counts: np.ndarray) -> tuple[int, int]:
     return c, int(counts[c])
 
 
+# OneR's minimum bucket size (Holte, Machine Learning 1993)
+ONER_MIN_BUCKET = 6
+
+
 def _numeric_rule_correct(values: np.ndarray, labels: np.ndarray,
-                          n_classes: int, min_bucket: int) -> int:
+                          n_classes: int) -> int:
     """Correct count of a one-rule over a discretized numeric attribute.
 
     Instances are sorted by value; buckets close greedily once the bucket's
-    majority class holds at least `min_bucket` instances, only at positions
+    majority class holds at least ONER_MIN_BUCKET instances, only at positions
     where the value changes (a run of equal values is never split). Adjacent
     buckets sharing a majority class are merged, which leaves the rule's
     correct count unchanged.
@@ -140,7 +142,7 @@ def _numeric_rule_correct(values: np.ndarray, labels: np.ndarray,
     for i in range(n):
         counts[sy[i]] += 1
         boundary = i == n - 1 or sv[i] != sv[i + 1]
-        if boundary and counts.max() >= min_bucket:
+        if boundary and counts.max() >= ONER_MIN_BUCKET:
             buckets.append(counts)
             counts = np.zeros(n_classes, dtype=np.int64)
     if counts.any():
@@ -155,7 +157,7 @@ def _numeric_rule_correct(values: np.ndarray, labels: np.ndarray,
     return sum(_majority(b)[1] for b in merged)
 
 
-def oner_rank(ds: Dataset, min_bucket: int = 6) -> list[tuple[int, float]]:
+def oner_rank(ds: Dataset) -> list[tuple[int, float]]:
     """Rank attributes by their one-rule training accuracy.
 
     Returns (1-based attribute index, accuracy) sorted by accuracy descending,
@@ -180,7 +182,7 @@ def oner_rank(ds: Dataset, min_bucket: int = 6) -> list[tuple[int, float]]:
             correct = int(table.max(axis=1).sum())
         else:
             correct = _numeric_rule_correct(ds.numeric[:, num_col[pos]],
-                                            ds.labels, n_classes, min_bucket)
+                                            ds.labels, n_classes)
         scored.append((pos + 1, correct / n))
     scored.sort(key=lambda t: (-t[1], t[0]))
     return scored

@@ -123,21 +123,21 @@ class StreamingNaiveBayes(StreamModel):
 # Hoeffding tree
 
 
+# split confidence delta and tie threshold tau of the VFDT split test
+# (Domingos & Hulten, KDD 2000)
+HT_DELTA = 1e-7
+HT_TIE_THRESHOLD = 0.05
+
+
 @dataclass(frozen=True)
 class HoeffdingConfig:
-    delta: float = 1e-7
     grace_period: int = 200
-    tie_threshold: float = 0.05
     leaf_prediction: str = "majority"  # or "naive-bayes"
     numeric_bins: int = 10
 
     def __post_init__(self):
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
         if self.grace_period < 1:
             raise ValueError("grace_period must be >= 1")
-        if self.tie_threshold < 0:
-            raise ValueError("tie_threshold must be >= 0")
         if self.leaf_prediction not in ("majority", "naive-bayes"):
             raise ValueError(f"unknown leaf prediction {self.leaf_prediction!r}")
         if self.numeric_bins < 1:
@@ -185,12 +185,13 @@ class HoeffdingTree(StreamModel):
     per-class nominal value counts and Gaussian summaries of numeric
     attributes), and naive-Bayes leaves score with them. Every grace_period
     learned instances a leaf compares the two best information gains and
-    splits when their gap exceeds the Hoeffding bound (or the bound has
-    shrunk below the tie threshold). Numeric candidate thresholds are
-    `numeric_bins` equal-width cuts between the observed min and max, with
-    left/right class mass estimated from the Gaussians (Pfahringer, Holmes
-    & Kirkby, PAKDD 2008). New children start from the split's estimated
-    class distributions, so prediction quality carries over.
+    splits when their gap exceeds the Hoeffding bound at confidence
+    HT_DELTA (or the bound has shrunk below HT_TIE_THRESHOLD). Numeric
+    candidate thresholds are `numeric_bins` equal-width cuts between the
+    observed min and max, with left/right class mass estimated from the
+    Gaussians (Pfahringer, Holmes & Kirkby, PAKDD 2008). New children start
+    from the split's estimated class distributions, so prediction quality
+    carries over.
 
     Ties: each numeric column offers its first cut of the highest gain.
     The candidates, nominal attributes first and then numeric ones, each in
@@ -282,17 +283,12 @@ class HoeffdingTree(StreamModel):
         second = max(second, 0.0)  # the no-split option
         if best_gain <= 0.0:
             return
-        eps = hoeffding_bound(math.log2(max(self.n_classes, 2)),
-                              self.config.delta, leaf.stats.total)
-        if not (best_gain - second > eps or eps < self.config.tie_threshold):
+        eps = hoeffding_bound(math.log2(max(self.n_classes, 2)), HT_DELTA,
+                              leaf.stats.total)
+        if not (best_gain - second > eps or eps < HT_TIE_THRESHOLD):
             return
         kind, col, threshold, dists = candidates[0][1]
-        if kind == "nom":
-            children = [_HTLeaf(self.schema, dists[k])
-                        for k in range(dists.shape[0])]
-        else:
-            children = [_HTLeaf(self.schema, dists[0]),
-                        _HTLeaf(self.schema, dists[1])]
+        children = [_HTLeaf(self.schema, d) for d in dists]
         fallback = int(np.argmax(leaf.class_counts))
         split = _HTSplit(kind, col, threshold, children, fallback)
         if parent is None:
@@ -420,7 +416,6 @@ class WindowKNN(StreamModel):
 class BoostConfig:
     n_members: int = 10
     seed: int = 1
-    kappa_cap: int = 20
 
     def __post_init__(self):
         if self.n_members < 1:
@@ -474,7 +469,7 @@ class OzaBoost(StreamModel):
     def learn_row(self, num_row, nom_row, label_code):
         lam = 1.0
         for i, member in enumerate(self.members):
-            kappa = poisson_knuth(lam, self._rng, self.config.kappa_cap)
+            kappa = poisson_knuth(lam, self._rng)
             for _ in range(kappa):
                 member.learn_row(num_row, nom_row, label_code)
             if member.predict_code(num_row, nom_row) == label_code:

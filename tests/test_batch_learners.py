@@ -17,7 +17,6 @@ from nidsbench.batch_learners import (
     MlpConfig,
     NaiveBayes,
     Pipeline,
-    SvmConfig,
     TrainingError,
     TreeConfig,
     mlp_forward,
@@ -354,7 +353,7 @@ def test_svm_four_point_dual_against_grid_oracle():
     y = np.array([-1.0, -1.0, 1.0, 1.0])
     ds = _binary([tuple(r) for r in x],
                  ["normal", "normal", "attack", "attack"])
-    model = LinearSVM(SvmConfig(c=1.0)).fit(ds)
+    model = LinearSVM().fit(ds)
 
     # brute-force maximization of the dual over a coarse feasible grid
     grid = np.linspace(0.0, 1.0, 11)

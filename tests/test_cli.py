@@ -58,6 +58,7 @@ def test_missing_data_file_is_data_error(tmp_path, capsys):
     ["batch", "--algo", "knn", "--sample", "0"],
     ["batch", "--algo", "nb", "--seed", "-1"],
     ["stream", "--algo", "ozaboost", "--seed", "-1"],
+    ["preprocess", "--attrs", "1,99"],
 ], ids=" ".join)
 def test_out_of_range_flag_is_usage_error(tmp_path, capsys, argv):
     # the data file does not exist: exit 1, not 2, shows the flag was

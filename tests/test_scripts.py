@@ -6,18 +6,26 @@ import subprocess
 import sys
 from pathlib import Path
 
-from nidsbench.cli import EXIT_OK, run_command
+import pytest
+
+from nidsbench.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, run_command
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _script(name: str, *args: str) -> dict[str, str]:
-    """Run scripts/<name> in a fresh interpreter; its table rows by name."""
+def _run_script(name: str, *args: str, cwd: Path = ROOT):
+    """Run scripts/<name> in a fresh interpreter."""
     path = os.pathsep.join(p for p in (str(ROOT / "src"),
                                        os.environ.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, str(ROOT / "scripts" / name),
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name),
                            *args], env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, check=True)
+                          cwd=cwd, capture_output=True, text=True)
+
+
+def _script(name: str, *args: str) -> dict[str, str]:
+    """Run scripts/<name>; its table rows by name."""
+    done = _run_script(name, *args)
+    assert done.returncode == EXIT_OK, done.stderr
     lines = done.stdout.splitlines()
     start = next(i for i, line in enumerate(lines)
                  if line.startswith("algorithm"))
@@ -61,3 +69,38 @@ def test_stream_script_writes_the_cli_traces(mini_kdd, tmp_path):
         cli_trace, = out.glob("*_trace.csv")
         assert (tmp_path / "s" / f"{algo}_trace.csv").read_bytes() == \
             cli_trace.read_bytes(), algo
+
+
+@pytest.mark.parametrize("script, args, code, message", [
+    ("reproduce_batch.py", ["--seed", "-1"], EXIT_USAGE, "need seed >= 0"),
+    ("reproduce_batch.py", ["--folds", "1"], EXIT_USAGE, "need folds >= 2"),
+    ("reproduce_batch.py", ["--knn-sample", "-1"], EXIT_USAGE,
+     "need knn-sample >= 0"),
+    ("reproduce_batch.py", ["--seed", "x"], EXIT_USAGE, "invalid int value"),
+    ("reproduce_stream.py", ["--seed", "-1"], EXIT_USAGE, "need seed >= 0"),
+    ("reproduce_stream.py", ["--alpha", "0"], EXIT_USAGE,
+     "need 0 < alpha <= 1"),
+    ("reproduce_batch.py", [], EXIT_DATA, "data error: no such data file"),
+    ("reproduce_stream.py", [], EXIT_DATA, "data error: no such data file"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_script_errors_exit_as_the_cli_does(tmp_path, script, args, code,
+                                            message):
+    # the data file does not exist: a usage error shows the flag was
+    # checked before anything was read
+    done = _run_script(script, "--data", str(tmp_path / "nope.csv"), *args,
+                       cwd=tmp_path)
+    assert done.returncode == code, done.stderr
+    assert message in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("script", ["reproduce_batch.py",
+                                    "reproduce_stream.py"])
+def test_script_on_a_malformed_file_is_data_error(tmp_path, script):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("1,2,3\n")
+    done = _run_script(script, "--data", str(bad), cwd=tmp_path)
+    assert done.returncode == EXIT_DATA, done.stderr
+    assert done.stderr.startswith("data error: ")
+    assert "Traceback" not in done.stderr

