@@ -8,13 +8,23 @@ subsample per fold by default to keep the run desk-scale; pass
 --knn-sample 0 for the full-data run.
 """
 
+import re
 import sys
 import time
 
-from nidsbench.cli import ArgParser, RunConfig, checked, folds_arg, \
-    make_batch_model, prepare, resolve_data, run_guarded, seed_arg
+from nidsbench.cli import BATCH_ALGOS, VARIANTS, ArgParser, RunConfig, \
+    checked, folds_arg, list_arg, make_batch_model, prepare, resolve_data, \
+    run_guarded, seed_arg
 from nidsbench.dataset import kdd99_schema, load_dataset
 from nidsbench.evaluation import cross_validate
+
+
+def _algo_ok(algo: str) -> bool:
+    """nb, j48, mlp, svm, or knnK: the CLI's knn with k = K >= 1."""
+    if algo.startswith("knn"):
+        return re.fullmatch("[0-9]+", algo[3:]) is not None \
+            and int(algo[3:]) >= 1
+    return algo in BATCH_ALGOS
 
 
 def main() -> int:
@@ -25,8 +35,13 @@ def main() -> int:
     ap.add_argument("--knn-sample", default=20_000,
                     type=checked(int, lambda v: v >= 0,
                                  "need knn-sample >= 0"))
-    ap.add_argument("--variants", default="v1,v2,v3")
-    ap.add_argument("--algos", default="nb,j48,knn3,knn5,knn7,mlp,svm")
+    ap.add_argument("--variants", default="v1,v2,v3",
+                    type=list_arg(VARIANTS.__contains__,
+                                  "need variants from v1, v2, v3"))
+    ap.add_argument("--algos", default="nb,j48,knn3,knn5,knn7,mlp,svm",
+                    type=list_arg(_algo_ok,
+                                  "need algorithms from nb, j48, mlp, svm, "
+                                  "knnK with K >= 1"))
     return run_guarded(lambda: _run(ap.parse_args()))
 
 
@@ -35,10 +50,9 @@ def _run(args) -> None:
     raw = load_dataset(path, kdd99_schema())
     print(f"loaded {args.data}: {len(raw)} instances from {path}")
 
-    variants = args.variants.split(",")
-    algos = args.algos.split(",")
+    variants = args.variants
     print(f"\n{'algorithm':<10}" + "".join(f"{v:>10}" for v in variants))
-    for algo in algos:
+    for algo in args.algos:
         knn = algo.startswith("knn")  # knnK: the CLI's knn with k=K
         cells = []
         for vid in variants:

@@ -10,8 +10,9 @@ import sys
 import time
 from pathlib import Path
 
-from nidsbench.cli import ArgParser, RunConfig, alpha_arg, emit_svg_curve, \
-    make_stream_model, prepare, resolve_data, run_guarded, seed_arg
+from nidsbench.cli import STREAM_ALGOS, ArgParser, RunConfig, alpha_arg, \
+    emit_svg_curve, list_arg, make_stream_model, prepare, resolve_data, \
+    run_guarded, seed_arg
 from nidsbench.dataset import kdd99_schema, load_dataset
 from nidsbench.evaluation import annotate_drifts, prequential_run, \
     write_trace_csv
@@ -23,7 +24,10 @@ def main() -> int:
     ap.add_argument("--alpha", type=alpha_arg, default=RunConfig.alpha)
     ap.add_argument("--seed", type=seed_arg, default=RunConfig.seed)
     ap.add_argument("--out", default="runs/stream")
-    ap.add_argument("--algos", default="ht,wknn,snb,ozaboost")
+    ap.add_argument("--algos", default="ht,wknn,snb,ozaboost",
+                    type=list_arg(STREAM_ALGOS.__contains__,
+                                  "need algorithms from "
+                                  + ", ".join(STREAM_ALGOS)))
     return run_guarded(lambda: _run(ap.parse_args()))
 
 
@@ -37,7 +41,7 @@ def _run(args) -> None:
     traces = []
     print(f"\n{'algorithm':<10}{'cumulative':>12}{'faded mean':>12}"
           f"{'time':>8}  drift indices")
-    for algo in args.algos.split(","):
+    for algo in args.algos:
         cfg = RunConfig(command="stream", variant="v2", algo=algo,
                         alpha=args.alpha, seed=args.seed)
         ds = prepare(raw, cfg)

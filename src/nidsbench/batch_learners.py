@@ -1,10 +1,11 @@
 """Batch classifiers: naive Bayes, C4.5-style tree, k-NN, MLP, linear SVM.
 
 Every model follows the same contract: `fit(train)` builds the model from a
-Dataset, `predict(instance)` returns a class label, `predict_scores(instance)`
-a per-class score vector whose argmax (ties to the lowest class index) is the
-prediction. The k-NN and SVM tie rules refine the plain argmax at exact score
-ties; see their docstrings.
+Dataset, and `predict_dataset(ds)` returns the class code of each row of a
+Dataset coded against the schema the model was fitted on; any other schema
+raises DataError. A prediction is the class of the highest score, ties to
+the lowest class index; the k-NN and SVM tie rules refine this at exact
+ties (see their docstrings).
 
 Mixed-distance convention used by k-NN (batch and windowed): euclidean over
 numeric attributes plus a 0/1 overlap term per nominal attribute, i.e.
@@ -19,15 +20,13 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .dataset import AttributeSchema, DataError, Dataset, Instance
-from .nbcore import ClassConditionalStats, scores_to_probabilities
+from .dataset import AttributeSchema, DataError, Dataset
+from .nbcore import ClassConditionalStats
 from .preprocess import (
     Normalizer,
-    OneHotEncoder,
     apply_normalizer,
-    apply_one_hot,
     fit_normalizer,
-    fit_one_hot,
+    one_hot_encode,
     stratified_sample,
 )
 
@@ -36,23 +35,9 @@ class TrainingError(RuntimeError):
     """Model training diverged or received an unusable dataset."""
 
 
-def instance_rows(schema: AttributeSchema, instance: Instance):
-    """Split one Instance into (numeric row, nominal code row).
-
-    Nominal symbols outside the schema's domain are coded -1; each learner
-    documents how it treats them.
-    """
-    num = np.array([float(instance.values[p]) for p in schema.numeric_positions])
-    nom = np.empty(len(schema.nominal_positions), dtype=np.int32)
-    for j, p in enumerate(schema.nominal_positions):
-        domain = schema.attributes[p].domain
-        v = instance.values[p]
-        nom[j] = domain.index(v) if v in domain else -1
-    return num.reshape(1, -1), nom.reshape(1, -1)
-
-
 class BatchModel:
-    """Shared fit/predict plumbing; subclasses implement _fit and _scores."""
+    """Shared fit/predict plumbing; subclasses implement _fit and
+    _predict_codes."""
 
     def __init__(self):
         self.schema: AttributeSchema | None = None
@@ -67,24 +52,13 @@ class BatchModel:
     def _fit(self, train: Dataset) -> None:
         raise NotImplementedError
 
-    def _scores(self, num: np.ndarray, nom: np.ndarray) -> np.ndarray:
+    def _predict_codes(self, num: np.ndarray, nom: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _predict_codes(self, num: np.ndarray, nom: np.ndarray) -> np.ndarray:
-        return np.argmax(self._scores(num, nom), axis=1)
-
     def predict_dataset(self, ds: Dataset) -> np.ndarray:
-        if not self.schema.same_attributes(ds.schema):
+        if ds.schema != self.schema:
             raise DataError("dataset schema differs from the fitted schema")
         return self._predict_codes(ds.numeric, ds.nominal)
-
-    def predict(self, instance: Instance) -> str:
-        num, nom = instance_rows(self.schema, instance)
-        return self.schema.class_labels[int(self._predict_codes(num, nom)[0])]
-
-    def predict_scores(self, instance: Instance) -> np.ndarray:
-        num, nom = instance_rows(self.schema, instance)
-        return self._scores(num, nom)[0]
 
 
 class NaiveBayes(BatchModel):
@@ -92,9 +66,8 @@ class NaiveBayes(BatchModel):
 
     Nominal likelihoods use add-one smoothing, numeric likelihoods are
     Gaussian per (class, attribute) with the variance floored, and scores
-    are log prior + sum of log likelihoods (exposed as normalized
-    probabilities). Statistics are accumulated instance-by-instance through
-    the same code path as the streaming variant.
+    are log prior + sum of log likelihoods. Statistics are accumulated
+    instance-by-instance through the same code path as the streaming variant.
     """
 
     def _fit(self, train: Dataset) -> None:
@@ -102,9 +75,6 @@ class NaiveBayes(BatchModel):
         for i in range(len(train)):
             stats.update(train.numeric[i], train.nominal[i], int(train.labels[i]))
         self.stats = stats
-
-    def _scores(self, num, nom):
-        return scores_to_probabilities(self.stats.log_scores(num, nom))
 
     def _predict_codes(self, num, nom):
         return np.argmax(self.stats.log_scores(num, nom), axis=1)
@@ -192,8 +162,8 @@ class DecisionTree(BatchModel):
     replacement. A split is admissible only when at least two branches hold
     min_leaf_instances instances and its information gain is positive.
 
-    At prediction, a nominal value with no branch (unseen at the node, or a
-    symbol outside the schema domain) falls back to the node's majority class.
+    At prediction, a nominal value with no branch (unseen at the node) falls
+    back to the node's majority class.
     """
 
     def __init__(self, config: TreeConfig = TreeConfig()):
@@ -344,9 +314,7 @@ class DecisionTree(BatchModel):
                 child = node.children[0] if num_row[node.col] <= node.threshold \
                     else node.children[1]
             else:
-                code = int(nom_row[node.col])
-                child = node.children[code] if 0 <= code < len(node.children) \
-                    else None
+                child = node.children[nom_row[node.col]]
             if child is None:
                 break
             node = child
@@ -356,14 +324,6 @@ class DecisionTree(BatchModel):
         out = np.empty(len(num), dtype=np.int64)
         for i in range(len(num)):
             out[i] = self._route(num[i], nom[i]).majority
-        return out
-
-    def _scores(self, num, nom):
-        out = np.empty((len(num), self.n_classes))
-        for i in range(len(num)):
-            node = self._route(num[i], nom[i])
-            total = node.counts.sum()
-            out[i] = node.counts / total if total else 1.0 / self.n_classes
         return out
 
     def n_leaves(self) -> int:
@@ -416,31 +376,31 @@ def mixed_distances(q_num, q_nom, t_num, t_nom) -> np.ndarray:
 
 
 def knn_vote(dist: np.ndarray, tie_order: np.ndarray, labels: np.ndarray,
-             k: int, n_classes: int) -> tuple[int, np.ndarray]:
-    """Majority vote among the k nearest of one query.
+             k: int) -> int:
+    """The class code winning the majority vote among the k nearest of one
+    query.
 
     Equal distances are resolved toward the lower `tie_order` value; equal
     vote counts toward the class with the smaller summed neighbor distance,
-    then the lower class index. Returns (winner code, vote count vector).
+    then the lower class index.
     """
     kth = np.partition(dist, k - 1)[k - 1]
     cand = np.flatnonzero(dist <= kth)
     nb = cand[np.lexsort((tie_order[cand], dist[cand]))[:k]]
-    votes = np.bincount(labels[nb], minlength=n_classes).astype(np.float64)
-    top = votes.max()
-    tied = np.flatnonzero(votes == top)
+    votes = np.bincount(labels[nb])
+    tied = np.flatnonzero(votes == votes.max())
     if len(tied) > 1:
-        sums = np.bincount(labels[nb], weights=dist[nb], minlength=n_classes)
+        sums = np.bincount(labels[nb], weights=dist[nb])
         tied = tied[sums[tied] == sums[tied].min()]
-    return int(tied[0]), votes
+    return int(tied[0])
 
 
 class KNN(BatchModel):
     """Brute-force k-NN over the mixed distance, majority vote.
 
-    Prediction refines the score-argmax contract at exact vote ties: tied
-    classes are separated by smaller summed neighbor distance first, then by
-    ascending class index. Scores are vote fractions.
+    Prediction refines the plain majority at exact vote ties: tied classes
+    are separated by smaller summed neighbor distance first, then by
+    ascending class index.
     """
 
     def __init__(self, config: KnnConfig = KnnConfig()):
@@ -454,29 +414,18 @@ class KNN(BatchModel):
         self.t_num = train.numeric
         self.t_nom = train.nominal
         self.t_labels = train.labels.astype(np.int64)
-        self.n_classes = len(train.schema.class_labels)
         self._order = np.arange(len(train))
 
-    def _vote_block(self, num, nom):
-        k = self.config.k
+    def _predict_codes(self, num, nom):
         codes = np.empty(len(num), dtype=np.int64)
-        votes = np.empty((len(num), self.n_classes))
         for start in range(0, len(num), KNN_QUERY_BLOCK):
             stop = min(start + KNN_QUERY_BLOCK, len(num))
             dist = mixed_distances(num[start:stop], nom[start:stop],
                                    self.t_num, self.t_nom)
             for i in range(stop - start):
-                c, v = knn_vote(dist[i], self._order, self.t_labels, k,
-                                self.n_classes)
-                codes[start + i] = c
-                votes[start + i] = v / k
-        return codes, votes
-
-    def _predict_codes(self, num, nom):
-        return self._vote_block(num, nom)[0]
-
-    def _scores(self, num, nom):
-        return self._vote_block(num, nom)[1]
+                codes[start + i] = knn_vote(dist[i], self._order,
+                                            self.t_labels, self.config.k)
+        return codes
 
 
 # ---------------------------------------------------------------------------
@@ -570,9 +519,11 @@ class MLP(BatchModel):
                     "non-finite weights: learning rate too high for this data")
         self.params = params
 
-    def _scores(self, num, nom):
+    def _predict_codes(self, num, nom):
+        # argmax of the normalized outputs: the division can round two
+        # outputs equal, and the tie then goes to the lower class index
         _, out = mlp_forward(self.params, num, MLP_SIGMOID_SLOPE)
-        return out / out.sum(axis=1, keepdims=True)
+        return np.argmax(out / out.sum(axis=1, keepdims=True), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -709,10 +660,6 @@ class LinearSVM(BatchModel):
     def decision_values(self, num: np.ndarray) -> np.ndarray:
         return num @ self.w + self.b
 
-    def _scores(self, num, nom):
-        f = self.decision_values(num)
-        return np.column_stack([-f, f])
-
     def _predict_codes(self, num, nom):
         return (self.decision_values(num) >= 0.0).astype(np.int64)
 
@@ -725,8 +672,9 @@ class Pipeline(BatchModel):
     """Fits per-fold preprocessing on the training split, then the model.
 
     Optional stages, applied in order: class-stratified training subsample,
-    min-max normalization, one-hot encoding. The fitted normalizer/encoder
-    transform every later input, so no test data reaches their fitting.
+    min-max normalization, one-hot encoding. The normalizer is fitted on the
+    training split only and transforms every later input, so no test data
+    reaches its fitting.
     """
 
     def __init__(self, model: BatchModel, normalize: bool = False,
@@ -739,7 +687,6 @@ class Pipeline(BatchModel):
         self.subsample = subsample
         self.seed = seed
         self._normalizer: Normalizer | None = None
-        self._encoder: OneHotEncoder | None = None
 
     def _fit(self, train: Dataset) -> None:
         ds = train
@@ -748,38 +695,16 @@ class Pipeline(BatchModel):
             ds = ds.subset(idx, note=f"stratified subsample {self.subsample}")
         if self.normalize:
             self._normalizer = fit_normalizer(ds)
-            ds = apply_normalizer(self._normalizer, ds)
-        if self.encode:
-            self._encoder = fit_one_hot(ds)
-            ds = apply_one_hot(self._encoder, ds)
-        self.model.fit(ds)
+        self.model.fit(self._transform(ds))
 
     def _transform(self, ds: Dataset) -> Dataset:
         if self._normalizer is not None:
             ds = apply_normalizer(self._normalizer, ds)
-        if self._encoder is not None:
-            ds = apply_one_hot(self._encoder, ds)
+        if self.encode:
+            ds = one_hot_encode(ds)
         return ds
 
     def predict_dataset(self, ds: Dataset) -> np.ndarray:
-        if not self.schema.same_attributes(ds.schema):
+        if ds.schema != self.schema:
             raise DataError("dataset schema differs from the fitted schema")
         return self.model.predict_dataset(self._transform(ds))
-
-    def _predict_codes(self, num, nom):
-        raise NotImplementedError  # dataset-level entry points only
-
-    def predict(self, instance: Instance) -> str:
-        ds = _single_instance_dataset(self.schema, instance)
-        code = int(self.model.predict_dataset(self._transform(ds))[0])
-        return self.schema.class_labels[code]
-
-    def predict_scores(self, instance: Instance) -> np.ndarray:
-        ds = _single_instance_dataset(self.schema, instance)
-        tr = self._transform(ds)
-        return self.model._scores(tr.numeric, tr.nominal)[0]
-
-
-def _single_instance_dataset(schema: AttributeSchema, instance: Instance) -> Dataset:
-    num, nom = instance_rows(schema, instance)
-    return Dataset(schema, num, nom, np.zeros(1, dtype=np.int32))

@@ -74,6 +74,7 @@ EXIT_RUNTIME = 3
 
 BATCH_ALGOS = ("nb", "j48", "knn", "mlp", "svm")
 STREAM_ALGOS = ("snb", "ht", "wknn", "ozaboost")
+VARIANTS = ("v1", "v2", "v3")
 
 DEFAULT_URLS = {
     "kdd99-10": "http://kdd.ics.uci.edu/databases/kddcup99/"
@@ -390,6 +391,12 @@ sample_arg = checked(int, lambda v: v >= 1, "need sample >= 1")
 alpha_arg = checked(float, lambda v: 0.0 < v <= 1.0, "need 0 < alpha <= 1")
 
 
+def list_arg(ok, expect: str):
+    """An argparse `type=` for a comma-separated list whose every item is ok."""
+    return checked(lambda text: text.split(","),
+                   lambda items: all(map(ok, items)), expect)
+
+
 def _attrs(text: str) -> str:
     """--attrs, checked against kdd99_schema(), which every command loads."""
     try:
@@ -408,7 +415,7 @@ def _add_data(p: argparse.ArgumentParser, stream: bool = False):
     p.add_argument("--data", default="kdd99-10" if stream else RunConfig.data,
                    help="kdd99-10 | nsl-kdd | path to a KDD-format file")
     p.add_argument("--variant", default="v2" if stream else RunConfig.variant,
-                   choices=("v1", "v2", "v3"))
+                   choices=VARIANTS)
     p.add_argument("--attrs", type=_attrs, default=RunConfig.attrs,
                    help="selected | all | comma-separated 1-based indices")
 

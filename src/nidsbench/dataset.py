@@ -1,10 +1,12 @@
 """KDD99-family schema, record parsing, dataset loading and fetching.
 
 Records are plain comma-separated lines: 41 feature fields followed by a
-class label that may carry a trailing period ("smurf."). Datasets are stored
-column-major (numeric matrix + nominal code matrix + label codes) so the
-learners can work on numpy arrays directly; `Instance` objects are material-
-ized on demand.
+class label that may carry a trailing period ("smurf."). The parser turns a
+line into an `Instance`; `dataset_from_instances` is the one coder of
+nominal symbols and class labels, and stores a Dataset column-major (numeric
+matrix + nominal code matrix + label codes) for the learners. Codes mean
+something only together with the schema they were made against, so a
+fitted model accepts only data with that same schema.
 """
 
 from __future__ import annotations
@@ -72,18 +74,6 @@ class AttributeSchema:
     @property
     def nominal_positions(self) -> tuple[int, ...]:
         return tuple(i for i, a in enumerate(self.attributes) if a.kind == NOMINAL)
-
-    def label_code(self, label: str) -> int:
-        try:
-            return self.class_labels.index(label)
-        except ValueError:
-            raise DataError(f"label {label!r} not in schema class labels") from None
-
-    def same_attributes(self, other: "AttributeSchema") -> bool:
-        """True when attribute names and kinds match (domains may differ)."""
-        return [(a.name, a.kind) for a in self.attributes] == [
-            (a.name, a.kind) for a in other.attributes
-        ]
 
 
 @dataclass(frozen=True)

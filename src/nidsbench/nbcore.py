@@ -5,7 +5,8 @@ Hoeffding-tree leaf feed instances through this accumulator one at a time,
 so their sufficient statistics are identical by construction. Numeric
 attributes keep per-class running count/mean/M2 (Welford updates); nominal
 attributes keep per-class value counts with Laplace add-one smoothing at
-scoring time.
+scoring time. Rows arrive as coded arrays against the schema the statistics
+were built for, so every nominal code lies inside its attribute's domain.
 """
 
 from __future__ import annotations
@@ -30,12 +31,9 @@ class ClassConditionalStats:
         self.class_counts = np.zeros(c)
         self.mean = np.zeros((c, n_num))
         self.m2 = np.zeros((c, n_num))
-        # Each nominal table has one zero row past its domain: code -1 (a
-        # symbol outside the domain) gathers it when scoring.
-        self._nominal_tables = [
-            np.zeros((len(schema.attributes[p].domain) + 1, c))
-            for p in schema.nominal_positions]
-        self.nominal_counts = [t[:-1] for t in self._nominal_tables]
+        # one (domain size, C) value-count table per nominal attribute
+        self.nominal_counts = [np.zeros((len(schema.attributes[p].domain), c))
+                               for p in schema.nominal_positions]
 
     @property
     def total(self) -> int:
@@ -47,10 +45,8 @@ class ClassConditionalStats:
         delta = num_row - self.mean[label]
         self.mean[label] += delta / n
         self.m2[label] += delta * (num_row - self.mean[label])
-        for j, counts in enumerate(self.nominal_counts):
-            code = nom_row[j]
-            if code >= 0:
-                counts[code, label] += 1.0
+        for counts, code in zip(self.nominal_counts, nom_row):
+            counts[code, label] += 1.0
 
     def variances(self) -> np.ndarray:
         """Per-(class, attribute) population variance, floored."""
@@ -63,8 +59,7 @@ class ClassConditionalStats:
 
         `scores` is (n, C) and updated in place: first the Gaussian terms of
         the numeric attributes, then one Laplace add-one term per nominal
-        attribute. Classes never observed get +0.0. A nominal symbol outside
-        the fitted domain (code -1) contributes the floor 1/(n_c + d).
+        attribute. Classes never observed get +0.0.
         """
         seen = self.class_counts > 0
         if self.mean.shape[1]:
@@ -72,9 +67,9 @@ class ClassConditionalStats:
             diff = num_rows[:, None, :] - self.mean
             ll = -0.5 * (diff * diff / var + np.log(var) + _LOG_2PI)
             scores += np.where(seen, ll.sum(axis=2), 0.0)
-        for j, table in enumerate(self._nominal_tables):
+        for j, table in enumerate(self.nominal_counts):
             numer = table[nom_rows[:, j]] + 1.0
-            denom = np.maximum(self.class_counts + (len(table) - 1), 1.0)
+            denom = np.maximum(self.class_counts + len(table), 1.0)
             scores += np.where(seen, np.log(numer) - np.log(denom), 0.0)
 
     def log_scores(self, num_rows: np.ndarray, nom_rows: np.ndarray) -> np.ndarray:
@@ -93,18 +88,3 @@ class ClassConditionalStats:
         scores[:, self.class_counts == 0] = -np.inf
         return scores
 
-
-def scores_to_probabilities(log_scores: np.ndarray) -> np.ndarray:
-    """Row-normalize log scores into probabilities (flat rows stay uniform)."""
-    log_scores = np.atleast_2d(log_scores)
-    finite = np.isfinite(log_scores)
-    out = np.zeros_like(log_scores)
-    for i in range(len(log_scores)):
-        row = log_scores[i]
-        if not finite[i].any():
-            out[i] = 1.0 / row.size
-            continue
-        m = row[finite[i]].max()
-        ex = np.where(finite[i], np.exp(row - m), 0.0)
-        out[i] = ex / ex.sum()
-    return out

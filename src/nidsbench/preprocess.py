@@ -211,7 +211,7 @@ def fit_normalizer(ds: Dataset) -> Normalizer:
 
 def apply_normalizer(norm: Normalizer, ds: Dataset) -> Dataset:
     """Map numeric values to [0, 1]; constants map to 0, outliers are clamped."""
-    if not norm.schema.same_attributes(ds.schema):
+    if ds.schema != norm.schema:
         raise DataError("normalizer was fitted on a different schema")
     span = norm.maxs - norm.mins
     scaled = np.zeros_like(ds.numeric)
@@ -222,32 +222,13 @@ def apply_normalizer(norm: Normalizer, ds: Dataset) -> Dataset:
                    ds.provenance + "; min-max normalized")
 
 
-@dataclass(frozen=True)
-class OneHotEncoder:
-    """Indicator encoding fitted to a schema's frozen nominal domains."""
-
-    schema: AttributeSchema
-
-
-def fit_one_hot(ds: Dataset) -> OneHotEncoder:
-    return OneHotEncoder(ds.schema)
-
-
-def apply_one_hot(enc: OneHotEncoder, ds: Dataset) -> Dataset:
-    """Expand each nominal attribute into one indicator per domain symbol.
-
-    Symbols absent from the encoder's domain produce an all-zero indicator
-    block; occurrences are recorded in the provenance rather than raised.
-    """
-    if not enc.schema.same_attributes(ds.schema):
-        raise DataError("encoder was fitted on a different schema")
-    fit_attrs = enc.schema.attributes
+def one_hot_encode(ds: Dataset) -> Dataset:
+    """Expand each nominal attribute into one 0/1 indicator column per
+    symbol of its domain, in domain order; numeric attributes pass through."""
     if not ds.schema.nominal_positions:
         return ds
-
     out_attrs: list[Attribute] = []
     columns: list[np.ndarray] = []
-    unseen = 0
     num_col = {p: j for j, p in enumerate(ds.schema.numeric_positions)}
     nom_col = {p: j for j, p in enumerate(ds.schema.nominal_positions)}
     for pos, attr in enumerate(ds.schema.attributes):
@@ -255,29 +236,14 @@ def apply_one_hot(enc: OneHotEncoder, ds: Dataset) -> Dataset:
             out_attrs.append(attr)
             columns.append(ds.numeric[:, num_col[pos]])
             continue
-        fit_domain = fit_attrs[pos].domain
-        ds_domain = attr.domain
-        # map this dataset's codes into the fitted domain (-1 = unseen)
-        code_map = np.array(
-            [fit_domain.index(s) if s in fit_domain else -1 for s in ds_domain],
-            dtype=np.int64,
-        )
-        raw = ds.nominal[:, nom_col[pos]]
-        codes = np.where(raw >= 0, code_map[np.maximum(raw, 0)], -1) \
-            if len(code_map) else np.full(len(ds), -1, dtype=np.int64)
-        unseen += int((codes < 0).sum())
-        for k, sym in enumerate(fit_domain):
+        codes = ds.nominal[:, nom_col[pos]]
+        for k, sym in enumerate(attr.domain):
             out_attrs.append(Attribute(f"{attr.name}={sym}", NUMERIC))
             columns.append((codes == k).astype(np.float64))
     schema = AttributeSchema(tuple(out_attrs), ds.schema.class_labels)
     numeric = np.column_stack(columns) if columns else np.zeros((len(ds), 0))
-    note = "; one-hot encoded" + (f" ({unseen} unseen symbols zeroed)" if unseen else "")
     return Dataset(schema, numeric, np.zeros((len(ds), 0), dtype=np.int32),
-                   ds.labels, ds.provenance + note)
-
-
-def one_hot_encode(ds: Dataset) -> Dataset:
-    return apply_one_hot(fit_one_hot(ds), ds)
+                   ds.labels, ds.provenance + "; one-hot encoded")
 
 
 def stratified_sample(labels: np.ndarray, size: int, seed: int) -> np.ndarray:

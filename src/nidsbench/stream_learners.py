@@ -1,9 +1,11 @@
 """Stream classifiers driven predict-then-train, one instance at a time.
 
-All four learners share the StreamModel contract: `predict` never mutates
-state, `learn` folds one labeled instance into the model, and predictions
-break score ties toward the lowest class index. Cold starts (no evidence at
-all) predict class index 0.
+All four learners share the StreamModel contract on coded rows (a numeric
+row and a nominal code row, coded against the schema the model was built
+for): `predict_code` returns a class code and never mutates state,
+`learn_row` folds one labeled row into the model, and predictions break
+score ties toward the lowest class index. Cold starts (no evidence at all)
+predict class index 0.
 """
 
 from __future__ import annotations
@@ -13,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import AttributeSchema, Instance
-from .batch_learners import entropy_rows, instance_rows, knn_vote, \
-    mixed_distances
-from .nbcore import VARIANCE_FLOOR, ClassConditionalStats, scores_to_probabilities
+from .dataset import AttributeSchema
+from .batch_learners import entropy_rows, knn_vote, mixed_distances
+from .nbcore import VARIANCE_FLOOR, ClassConditionalStats
 
 _erf = np.frompyfunc(math.erf, 1, 1)  # elementwise math.erf, bit for bit
 
@@ -76,21 +77,6 @@ class StreamModel:
                   label_code: int) -> None:
         raise NotImplementedError
 
-    def _scores_row(self, num_row: np.ndarray, nom_row: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def predict(self, instance: Instance) -> str:
-        num, nom = instance_rows(self.schema, instance)
-        return self.schema.class_labels[self.predict_code(num[0], nom[0])]
-
-    def predict_scores(self, instance: Instance) -> np.ndarray:
-        num, nom = instance_rows(self.schema, instance)
-        return self._scores_row(num[0], nom[0])
-
-    def learn(self, instance: Instance) -> None:
-        num, nom = instance_rows(self.schema, instance)
-        self.learn_row(num[0], nom[0], self.schema.label_code(instance.label))
-
 
 class StreamingNaiveBayes(StreamModel):
     """Naive Bayes with one-pass sufficient-statistic updates.
@@ -109,11 +95,6 @@ class StreamingNaiveBayes(StreamModel):
         scores = self.stats.log_scores(num_row.reshape(1, -1),
                                        nom_row.reshape(1, -1))
         return int(np.argmax(scores[0]))
-
-    def _scores_row(self, num_row, nom_row):
-        scores = self.stats.log_scores(num_row.reshape(1, -1),
-                                       nom_row.reshape(1, -1))
-        return scores_to_probabilities(scores)[0]
 
     def learn_row(self, num_row, nom_row, label_code):
         self.stats.update(num_row, nom_row, label_code)
@@ -168,14 +149,13 @@ class _HTLeaf:
 
 
 class _HTSplit:
-    __slots__ = ("kind", "col", "threshold", "children", "fallback")
+    __slots__ = ("kind", "col", "threshold", "children")
 
-    def __init__(self, kind, col, threshold, children, fallback):
+    def __init__(self, kind, col, threshold, children):
         self.kind = kind
         self.col = col
         self.threshold = threshold
         self.children = children
-        self.fallback = fallback  # majority code for unroutable values
 
 
 class HoeffdingTree(StreamModel):
@@ -207,41 +187,22 @@ class HoeffdingTree(StreamModel):
         self.n_splits = 0
 
     def _route(self, num_row, nom_row):
-        """Returns (leaf-or-split, parent, slot): split only when unroutable."""
+        """(leaf, parent split, slot in the parent) the row reaches."""
         node, parent, slot = self.root, None, None
         while isinstance(node, _HTSplit):
             if node.kind == "num":
                 branch = 0 if num_row[node.col] <= node.threshold else 1
             else:
-                code = int(nom_row[node.col])
-                if not 0 <= code < len(node.children):
-                    return node, parent, slot
-                branch = code
+                branch = int(nom_row[node.col])
             parent, slot = node, branch
             node = node.children[branch]
         return node, parent, slot
 
     def predict_code(self, num_row, nom_row):
-        node, _, _ = self._route(num_row, nom_row)
-        if isinstance(node, _HTSplit):
-            return node.fallback
-        if self.config.leaf_prediction == "naive-bayes" and node.stats.total:
-            return int(np.argmax(self._leaf_nb_scores(node, num_row, nom_row)))
-        return int(np.argmax(node.class_counts))
-
-    def _scores_row(self, num_row, nom_row):
-        node, _, _ = self._route(num_row, nom_row)
-        if isinstance(node, _HTSplit):
-            scores = np.zeros(self.n_classes)
-            scores[node.fallback] = 1.0
-            return scores
-        if self.config.leaf_prediction == "naive-bayes" and node.stats.total:
-            return scores_to_probabilities(
-                self._leaf_nb_scores(node, num_row, nom_row).reshape(1, -1))[0]
-        total = node.class_counts.sum()
-        if total <= 0:
-            return np.full(self.n_classes, 1.0 / self.n_classes)
-        return node.class_counts / total
+        leaf, _, _ = self._route(num_row, nom_row)
+        if self.config.leaf_prediction == "naive-bayes" and leaf.stats.total:
+            return int(np.argmax(self._leaf_nb_scores(leaf, num_row, nom_row)))
+        return int(np.argmax(leaf.class_counts))
 
     def _leaf_nb_scores(self, leaf, num_row, nom_row):
         """Log prior from the startup-inclusive counts + NB log likelihood."""
@@ -252,14 +213,12 @@ class HoeffdingTree(StreamModel):
         return scores[0]
 
     def learn_row(self, num_row, nom_row, label_code):
-        node, parent, slot = self._route(num_row, nom_row)
-        if isinstance(node, _HTSplit):
-            return  # unroutable nominal code: nothing to learn on
-        node.learn(num_row, nom_row, label_code)
-        seen = node.stats.total
-        if seen - node.last_eval >= self.config.grace_period:
-            node.last_eval = seen
-            self._attempt_split(node, parent, slot)
+        leaf, parent, slot = self._route(num_row, nom_row)
+        leaf.learn(num_row, nom_row, label_code)
+        seen = leaf.stats.total
+        if seen - leaf.last_eval >= self.config.grace_period:
+            leaf.last_eval = seen
+            self._attempt_split(leaf, parent, slot)
 
     def _attempt_split(self, leaf, parent, slot):
         if (leaf.class_counts > 0).sum() <= 1:
@@ -289,8 +248,7 @@ class HoeffdingTree(StreamModel):
             return
         kind, col, threshold, dists = candidates[0][1]
         children = [_HTLeaf(self.schema, d) for d in dists]
-        fallback = int(np.argmax(leaf.class_counts))
-        split = _HTSplit(kind, col, threshold, children, fallback)
+        split = _HTSplit(kind, col, threshold, children)
         if parent is None:
             self.root = split
         else:
@@ -380,22 +338,13 @@ class WindowKNN(StreamModel):
         self._counter = 0
 
     def predict_code(self, num_row, nom_row):
-        if self.size == 0:
-            return 0
-        return self._vote(num_row, nom_row)[0]
-
-    def _scores_row(self, num_row, nom_row):
-        if self.size == 0:
-            return np.full(self.n_classes, 1.0 / self.n_classes)
-        _, votes = self._vote(num_row, nom_row)
-        return votes / votes.sum()
-
-    def _vote(self, num_row, nom_row):
         m = self.size
+        if m == 0:
+            return 0
         dist = mixed_distances(num_row.reshape(1, -1), nom_row.reshape(1, -1),
                                self._num[:m], self._nom[:m])[0]
-        k = min(self.config.k, m)
-        return knn_vote(dist, self._seq[:m], self._labels[:m], k, self.n_classes)
+        return knn_vote(dist, self._seq[:m], self._labels[:m],
+                        min(self.config.k, m))
 
     def learn_row(self, num_row, nom_row, label_code):
         i = self._write
@@ -450,21 +399,12 @@ class OzaBoost(StreamModel):
                                 where=mass > 0), 1e-10, 1.0 - 1e-10)
         return np.where(mass > 0, np.log((1.0 - eps) / eps), 0.0)
 
-    def _votes(self, num_row, nom_row):
+    def predict_code(self, num_row, nom_row):
         votes = np.zeros(self.n_classes)
         for m, wt in zip(self.members, self.member_weights()):
             if wt != 0.0:
                 votes[m.predict_code(num_row, nom_row)] += wt
-        return votes
-
-    def predict_code(self, num_row, nom_row):
-        return int(np.argmax(self._votes(num_row, nom_row)))
-
-    def _scores_row(self, num_row, nom_row):
-        votes = self._votes(num_row, nom_row)
-        total = votes.sum()
-        return votes / total if total > 0 else np.full(self.n_classes,
-                                                       1.0 / self.n_classes)
+        return int(np.argmax(votes))
 
     def learn_row(self, num_row, nom_row, label_code):
         lam = 1.0

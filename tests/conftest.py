@@ -33,6 +33,20 @@ def build_dataset(attrs, rows, labels, class_labels=()):
     return dataset_from_instances(schema, instances)
 
 
+def code_rows(schema, *rows):
+    """Value rows coded against `schema` by the program's one coder (each
+    labeled with the schema's first class)."""
+    return dataset_from_instances(
+        schema, [Instance(tuple(r), schema.class_labels[0]) for r in rows])
+
+
+def predict_labels(model, *rows):
+    """The labels a fitted batch model predicts for value rows, coded against
+    its fitted schema and sent through `predict_dataset`, as the CLI does."""
+    codes = model.predict_dataset(code_rows(model.schema, *rows))
+    return [model.schema.class_labels[c] for c in codes]
+
+
 def kdd_line(label: str, rng: np.random.Generator, dotted: bool = True) -> str:
     """One syntactically valid 42-field KDD record with random-ish values."""
     fields = []
@@ -63,6 +77,20 @@ def tiny_mixed_dataset():
         [(1.0, "red"), (2.0, "red"), (3.0, "blue"), (4.0, "blue")],
         ["a", "a", "b", "b"],
     )
+
+
+@pytest.fixture
+def domain_swapped_pair():
+    """(train, test): train has c in (p, q) with three p -> a and three
+    q -> b; test holds q -> b then p -> a, coded on its own, so its domain is
+    (q, p) and its codes name the other symbol than in train."""
+    train = build_dataset([("x", "numeric"), ("c", "nominal")],
+                          [(1.0, "p")] * 3 + [(1.0, "q")] * 3,
+                          ["a"] * 3 + ["b"] * 3)
+    test = build_dataset([("x", "numeric"), ("c", "nominal")],
+                         [(1.0, "q"), (1.0, "p")], ["b", "a"],
+                         class_labels=("a", "b"))
+    return train, test
 
 
 @pytest.fixture

@@ -19,14 +19,15 @@ from nidsbench.batch_learners import (
     Pipeline,
     TrainingError,
     TreeConfig,
+    mixed_distances,
     mlp_forward,
     mlp_gradients,
     mlp_loss,
 )
-from nidsbench.dataset import Instance
+from nidsbench.dataset import DataError
 from nidsbench.nbcore import ClassConditionalStats
 
-from conftest import build_dataset
+from conftest import build_dataset, code_rows, predict_labels
 
 
 # --- naive Bayes ------------------------------------------------------------
@@ -36,31 +37,29 @@ def test_nb_single_class_always_predicted():
     ds = build_dataset([("x", "numeric")], [(1.0,), (5.0,), (9.0,)],
                        ["only"] * 3)
     model = NaiveBayes().fit(ds)
-    assert model.predict(Instance((123.0,), "?")) == "only"
+    assert predict_labels(model, (123.0,)) == ["only"]
 
 
 def test_nb_matches_hand_computed_posterior(tiny_mixed_dataset):
     model = NaiveBayes().fit(tiny_mixed_dataset)
-    query = Instance((2.5, "red"), "?")
 
-    # independent evaluation of the smoothed Bayes rule
-    def gauss(x, mu, var):
-        return math.exp(-0.5 * (x - mu) ** 2 / var) / math.sqrt(
-            2 * math.pi * var)
+    # independent evaluation of the smoothed Bayes rule, in logs
+    def log_gauss(x, mu, var):
+        return -0.5 * (x - mu) ** 2 / var - 0.5 * math.log(2 * math.pi * var)
 
     # class a: x in {1, 2}; class b: x in {3, 4}; population variances
     expect = {}
     for cls, mu, var, n_red in (("a", 1.5, 0.25, 2), ("b", 3.5, 0.25, 0)):
         prior = 0.5
         p_red = (n_red + 1) / (2 + 2)  # Laplace over domain {red, blue}
-        expect[cls] = prior * gauss(2.5, mu, var) * p_red
-    total = sum(expect.values())
+        expect[cls] = math.log(prior) + log_gauss(2.5, mu, var) \
+            + math.log(p_red)
 
-    scores = model.predict_scores(query)
-    labels = model.schema.class_labels
-    for i, lab in enumerate(labels):
-        assert scores[i] == pytest.approx(expect[lab] / total, rel=1e-9)
-    assert model.predict(query) == max(expect, key=expect.get)
+    query = code_rows(model.schema, (2.5, "red"))
+    scores = model.stats.log_scores(query.numeric, query.nominal)[0]
+    for i, lab in enumerate(model.schema.class_labels):
+        assert scores[i] == pytest.approx(expect[lab], rel=1e-9)
+    assert predict_labels(model, (2.5, "red")) == [max(expect, key=expect.get)]
 
 
 def test_nb_batch_statistics_equal_streaming_updates(tiny_mixed_dataset):
@@ -78,8 +77,10 @@ def test_nb_variance_floor_handles_constant_attribute():
     ds = build_dataset([("x", "numeric")], [(3.0,), (3.0,), (4.0,)],
                        ["a", "a", "b"])
     model = NaiveBayes().fit(ds)
-    assert model.predict(Instance((3.0,), "?")) == "a"
-    assert np.isfinite(model.predict_scores(Instance((3.0,), "?"))).all()
+    assert predict_labels(model, (3.0,)) == ["a"]
+    query = code_rows(model.schema, (3.0,))
+    assert np.isfinite(model.stats.log_scores(query.numeric,
+                                              query.nominal)).all()
 
 
 # --- decision tree ----------------------------------------------------------
@@ -103,7 +104,7 @@ def test_tree_pure_training_set_is_single_leaf():
     ds = build_dataset([("x", "numeric")], [(1.0,), (2.0,)], ["a", "a"])
     tree = DecisionTree().fit(ds)
     assert tree.root.is_leaf
-    assert tree.predict(Instance((99.0,), "?")) == "a"
+    assert predict_labels(tree, (99.0,)) == ["a"]
 
 
 def test_tree_xor_style_set_matches_gain_oracle():
@@ -133,8 +134,7 @@ def test_tree_numeric_threshold_at_boundary_midpoint():
     tree = DecisionTree(TreeConfig(pruning="none")).fit(ds)
     assert tree.root.kind == "num"
     assert tree.root.threshold == pytest.approx(6.0)  # midpoint of 2 and 10
-    assert tree.predict(Instance((5.0,), "?")) == "a"
-    assert tree.predict(Instance((7.0,), "?")) == "b"
+    assert predict_labels(tree, (5.0,), (7.0,)) == ["a", "b"]
 
 
 @settings(max_examples=30, deadline=None)
@@ -168,11 +168,14 @@ def test_tree_pruning_collapses_noise_splits():
 
 
 def test_tree_unseen_nominal_value_falls_back_to_majority():
-    ds = build_dataset([("c", "nominal")],
+    # zzz is in the domain, but no training row has it: the root split has
+    # no branch for it
+    ds = build_dataset([("c", "nominal", ("p", "q", "zzz"))],
                        [("p",), ("p",), ("p",), ("q",), ("q",)],
                        ["a", "a", "a", "b", "b"])
     tree = DecisionTree(TreeConfig(min_leaf_instances=1, pruning="none")).fit(ds)
-    assert tree.predict(Instance(("zzz",), "?")) == "a"
+    assert tree.root.kind == "nom"
+    assert predict_labels(tree, ("zzz",)) == ["a"]
 
 
 # --- k-NN -------------------------------------------------------------------
@@ -183,7 +186,7 @@ def test_knn_k1_identical_instance_wins():
                        [(0.0, "p"), (5.0, "q"), (9.0, "p")],
                        ["a", "b", "c"])
     model = KNN(KnnConfig(k=1)).fit(ds)
-    assert model.predict(Instance((5.0, "q"), "?")) == "b"
+    assert predict_labels(model, (5.0, "q")) == ["b"]
 
 
 def test_knn_three_point_hand_distances():
@@ -191,24 +194,21 @@ def test_knn_three_point_hand_distances():
                        ["a", "b", "b"])
     model = KNN(KnnConfig(k=3)).fit(ds)
     # query 0.5: distances 0.5, 0.5, 3.5 -> votes a=1, b=2
-    assert model.predict(Instance((0.5,), "?")) == "b"
-    scores = model.predict_scores(Instance((0.5,), "?"))
-    assert scores.tolist() == [1 / 3, 2 / 3]
+    assert predict_labels(model, (0.5,)) == ["b"]
 
 
 def test_knn_vote_tie_broken_by_summed_distance():
     ds = build_dataset([("x", "numeric")], [(0.0,), (1.0,)], ["a", "b"])
     model = KNN(KnnConfig(k=2)).fit(ds)
-    assert model.predict(Instance((0.4,), "?")) == "a"  # 0.4 < 0.6
-    assert model.predict(Instance((0.6,), "?")) == "b"
-    assert model.predict(Instance((0.5,), "?")) == "a"  # full tie -> class 0
+    # 0.4: summed distance 0.4 < 0.6; 0.5: a full tie goes to class 0
+    assert predict_labels(model, (0.4,), (0.6,), (0.5,)) == ["a", "b", "a"]
 
 
 def test_knn_neighbor_distance_tie_prefers_lower_index():
     ds = build_dataset([("x", "numeric")], [(0.0,), (0.0,), (0.0,)],
                        ["b", "a", "a"])
     model = KNN(KnnConfig(k=1)).fit(ds)
-    assert model.predict(Instance((0.0,), "?")) == "b"
+    assert predict_labels(model, (0.0,)) == ["b"]
 
 
 def test_knn_mixed_distance_includes_nominal_mismatch():
@@ -216,7 +216,7 @@ def test_knn_mixed_distance_includes_nominal_mismatch():
                        [(0.0, "p"), (0.8, "q")], ["a", "b"])
     model = KNN(KnnConfig(k=1)).fit(ds)
     # query (0.0, "q"): d(a) = 0 + 1 = 1.0; d(b) = 0.8 + 0 = 0.8
-    assert model.predict(Instance((0.0, "q"), "?")) == "b"
+    assert predict_labels(model, (0.0, "q")) == ["b"]
 
 
 def test_knn_k_equal_to_train_size_predicts_majority():
@@ -224,8 +224,7 @@ def test_knn_k_equal_to_train_size_predicts_majority():
                        [(float(i),) for i in range(7)],
                        ["a"] * 4 + ["b"] * 3)
     model = KNN(KnnConfig(k=7)).fit(ds)
-    for q in (0.0, 3.5, 100.0):
-        assert model.predict(Instance((q,), "?")) == "a"
+    assert predict_labels(model, (0.0,), (3.5,), (100.0,)) == ["a"] * 3
 
 
 def test_knn_k_larger_than_train_errors():
@@ -246,7 +245,7 @@ def test_mlp_zero_weights_output_half_and_class_zero():
                     np.zeros(2))
     _, out = mlp_forward(model.params, np.array([3.0, -1.0]), 1.0)
     assert np.allclose(out, 0.5)
-    assert model.predict(Instance((3.0, -1.0), "?")) == "u"  # tie -> index 0
+    assert predict_labels(model, (3.0, -1.0)) == ["u"]  # tie -> index 0
 
 
 def _finite_difference_grads(params, x, target, slope, step):
@@ -337,8 +336,7 @@ def _binary(rows, labels):
 def test_svm_two_separable_points():
     ds = _binary([(0.0,), (1.0,)], ["normal", "attack"])
     model = LinearSVM().fit(ds)
-    assert model.predict(Instance((0.0,), "?")) == "normal"
-    assert model.predict(Instance((1.0,), "?")) == "attack"
+    assert predict_labels(model, (0.0,), (1.0,)) == ["normal", "attack"]
     boundary = -model.b / model.w[0]
     assert 0.0 < boundary < 1.0
 
@@ -381,7 +379,7 @@ def test_svm_zero_decision_value_maps_to_attack():
     model = LinearSVM().fit(ds)
     model.w = np.array([0.0])
     model.b = 0.0
-    assert model.predict(Instance((0.0,), "?")) == "attack"
+    assert predict_labels(model, (0.0,)) == ["attack"]
 
 
 def test_svm_requires_two_present_classes():
@@ -408,25 +406,10 @@ def test_svm_separates_shifted_clusters():
 # --- shared contract ---------------------------------------------------------
 
 
-def test_argmax_contract_and_positive_scaling(tiny_mixed_dataset):
-    ds = tiny_mixed_dataset
-    queries = [ds.instance(i) for i in range(len(ds))]
-    for model in (NaiveBayes().fit(ds), DecisionTree().fit(ds)):
-        for q in queries:
-            scores = model.predict_scores(q)
-            assert model.predict(q) == ds.schema.class_labels[
-                int(np.argmax(scores))]
-            for c in (0.5, 3.0, 1e6):
-                assert np.argmax(scores * c) == np.argmax(scores)
-
-
 def test_pipeline_fits_preprocessing_inside_fold(tiny_mixed_dataset):
     ds = tiny_mixed_dataset
     model = Pipeline(NaiveBayes(), normalize=True, encode=True).fit(ds)
-    preds = model.predict_dataset(ds)
-    assert (preds == ds.labels).all()
-    # single-instance path agrees with the dataset path
-    assert model.predict(ds.instance(0)) == ds.schema.class_labels[preds[0]]
+    assert (model.predict_dataset(ds) == ds.labels).all()
 
 
 def test_pipeline_subsample_reduces_training_set():
@@ -436,3 +419,89 @@ def test_pipeline_subsample_reduces_training_set():
     inner = KNN(KnnConfig(k=1))
     Pipeline(inner, subsample=20, seed=1).fit(ds)
     assert len(inner.t_labels) == 20
+
+
+_SCHEMA_CHECKED = {
+    "nb": NaiveBayes,
+    "j48": DecisionTree,
+    "knn": lambda: KNN(KnnConfig(k=1)),
+    "pipeline knn": lambda: Pipeline(KNN(KnnConfig(k=1)), normalize=True,
+                                     subsample=4),
+    "pipeline mlp": lambda: Pipeline(MLP(), normalize=True, encode=True),
+    "pipeline svm": lambda: Pipeline(LinearSVM(), normalize=True,
+                                     encode=True),
+}
+
+
+@pytest.mark.parametrize("name", _SCHEMA_CHECKED)
+def test_model_rejects_data_coded_against_another_domain(
+        domain_swapped_pair, name):
+    # the codes of such data name other symbols: predicting it would answer
+    # [a, b] for the true labels [b, a]
+    train, test = domain_swapped_pair
+    model = _SCHEMA_CHECKED[name]().fit(train)
+    assert len(model.predict_dataset(train)) == len(train)
+    with pytest.raises(DataError, match="differs from the fitted schema"):
+        model.predict_dataset(test)
+
+
+# --- metamorphic: column order -----------------------------------------------
+
+
+def _column_orders(seed):
+    """(train, query, permuted train, permuted query, k): one seeded set of
+    mixed columns, and the same data with its columns in another order."""
+    rng = np.random.default_rng(seed)
+    n_num, n_nom, n = int(rng.integers(1, 4)), int(rng.integers(0, 3)), 60
+    labels = rng.integers(0, 2, n)
+    specs = [(f"x{j}", "numeric") for j in range(n_num)] \
+        + [(f"s{j}", "nominal") for j in range(n_nom)]
+    cols = [rng.normal(labels, 1.0).round(2).tolist() for _ in range(n_num)] \
+        + [[f"v{v}" for v in rng.integers(0, 3, n)] for _ in range(n_nom)]
+    rows = list(zip(*cols))
+    perm = rng.permutation(len(specs))
+    names = [f"c{y}" for y in labels]
+    sets = []
+    for order in (range(len(specs)), perm):
+        ds = build_dataset([specs[i] for i in order],
+                           [tuple(r[i] for i in order) for r in rows], names)
+        sets += [ds.subset(np.arange(40)), ds.subset(np.arange(40, n))]
+    return (*sets, int(rng.choice([1, 3, 5])))
+
+
+# Summing the same terms in another order moves a naive-Bayes log score by a
+# few ulps. The expanded k-NN distance sqrt(|q|^2 + |t|^2 - 2 q.t) rounds a
+# near-zero square to ~1e-14, which the square root lifts to ~1e-7.
+NB_TOL = 1e-9
+KNN_TOL = 1e-6
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_nb_predictions_do_not_depend_on_column_order(seed):
+    train, query, train_p, query_p, _ = _column_orders(seed)
+    a, b = NaiveBayes().fit(train), NaiveBayes().fit(train_p)
+    sa = a.stats.log_scores(query.numeric, query.nominal)
+    sb = b.stats.log_scores(query_p.numeric, query_p.nominal)
+    assert np.allclose(sa, sb, rtol=0.0, atol=NB_TOL)
+    top2 = np.sort(sa, axis=1)[:, -2:]
+    clear = top2[:, 1] - top2[:, 0] > NB_TOL
+    assert clear.any()
+    assert np.array_equal(a.predict_dataset(query)[clear],
+                          b.predict_dataset(query_p)[clear])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_knn_predictions_do_not_depend_on_column_order(seed):
+    train, query, train_p, query_p, k = _column_orders(seed)
+    a, b = KNN(KnnConfig(k=k)).fit(train), KNN(KnnConfig(k=k)).fit(train_p)
+    da = np.sort(mixed_distances(query.numeric, query.nominal,
+                                 a.t_num, a.t_nom), axis=1)
+    db = np.sort(mixed_distances(query_p.numeric, query_p.nominal,
+                                 b.t_num, b.t_nom), axis=1)
+    assert np.allclose(da, db, rtol=0.0, atol=KNN_TOL)
+    clear = da[:, k] - da[:, k - 1] > KNN_TOL
+    assert clear.any()
+    assert np.array_equal(a.predict_dataset(query)[clear],
+                          b.predict_dataset(query_p)[clear])

@@ -20,6 +20,9 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize("argv, span", [
     (["stream", "--algo", "ht"], "stream_learners.learn_row"),
     (["stream", "--algo", "wknn"], "stream_learners.learn_row"),
+    (["stream", "--algo", "ozaboost"], "stream_learners.predict_code"),
+    (["stream", "--algo", "snb"], "nbcore.log_scores"),
+    (["batch", "--algo", "knn", "--folds", "3"], "batch_learners.knn_vote"),
     (["batch", "--algo", "j48", "--folds", "3"], "batch_learners.fit"),
     (["batch", "--algo", "nb", "--folds", "3"], "batch_learners.fit"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)

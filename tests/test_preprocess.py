@@ -11,10 +11,8 @@ from nidsbench.preprocess import (
     DEFAULT_KEEP_INDICES,
     SelectionSpec,
     apply_normalizer,
-    apply_one_hot,
     apply_variant,
     fit_normalizer,
-    fit_one_hot,
     one_hot_encode,
     oner_rank,
     select_attributes,
@@ -232,6 +230,13 @@ def test_normalizer_schema_mismatch():
         apply_normalizer(fit_normalizer(a), b)
 
 
+def test_normalizer_rejects_data_coded_against_another_domain(
+        domain_swapped_pair):
+    train, test = domain_swapped_pair
+    with pytest.raises(DataError, match="different schema"):
+        apply_normalizer(fit_normalizer(train), test)
+
+
 @settings(max_examples=40)
 @given(st.lists(st.tuples(st.floats(-1e9, 1e9), st.floats(-1e9, 1e9)),
                 min_size=1, max_size=30))
@@ -264,17 +269,6 @@ def test_one_hot_no_nominal_is_identity():
     out = one_hot_encode(ds)
     assert out.schema.attributes == ds.schema.attributes
     assert np.array_equal(out.numeric, ds.numeric)
-
-
-def test_one_hot_unseen_symbol_zero_block():
-    train = build_dataset([("c", "nominal", ("p", "q"))], [("p",), ("q",)],
-                          ["a", "b"])
-    enc = fit_one_hot(train)
-    test = build_dataset([("c", "nominal")], [("r",), ("p",)], ["a", "b"])
-    out = apply_one_hot(enc, test)
-    assert out.numeric[0].tolist() == [0.0, 0.0]
-    assert out.numeric[1].tolist() == [1.0, 0.0]
-    assert "unseen" in out.provenance
 
 
 # --- stratified subsample ----------------------------------------------------

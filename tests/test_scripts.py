@@ -80,6 +80,14 @@ def test_stream_script_writes_the_cli_traces(mini_kdd, tmp_path):
     ("reproduce_stream.py", ["--seed", "-1"], EXIT_USAGE, "need seed >= 0"),
     ("reproduce_stream.py", ["--alpha", "0"], EXIT_USAGE,
      "need 0 < alpha <= 1"),
+    ("reproduce_batch.py", ["--algos", "foo"], EXIT_USAGE,
+     "need algorithms from nb, j48, mlp, svm, knnK with K >= 1, got 'foo'"),
+    ("reproduce_batch.py", ["--algos", "nb,knn0"], EXIT_USAGE,
+     "got 'nb,knn0'"),
+    ("reproduce_batch.py", ["--variants", "v9"], EXIT_USAGE,
+     "need variants from v1, v2, v3, got 'v9'"),
+    ("reproduce_stream.py", ["--algos", "foo"], EXIT_USAGE,
+     "need algorithms from snb, ht, wknn, ozaboost, got 'foo'"),
     ("reproduce_batch.py", [], EXIT_DATA, "data error: no such data file"),
     ("reproduce_stream.py", [], EXIT_DATA, "data error: no such data file"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))

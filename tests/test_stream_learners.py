@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nidsbench.batch_learners import NaiveBayes, entropy_rows
-from nidsbench.dataset import Attribute, AttributeSchema, Dataset, Instance
+from nidsbench.dataset import Attribute, AttributeSchema, Dataset
 from nidsbench.evaluation import gen_drift_stream, prequential_run
 from nidsbench.nbcore import VARIANCE_FLOOR
 from nidsbench.stream_learners import (
@@ -78,7 +78,6 @@ def test_streaming_nb_cold_start_predicts_class_zero(tiny_mixed_dataset):
     model = StreamingNaiveBayes(tiny_mixed_dataset.schema)
     num, nom, _ = next(_stream_rows(tiny_mixed_dataset))
     assert model.predict_code(num, nom) == 0
-    assert model._scores_row(num, nom).tolist() == [0.5, 0.5]
 
 
 def test_streaming_nb_statistics_equal_batch_exactly(tiny_mixed_dataset):
@@ -250,14 +249,12 @@ def test_ht_unsplit_naive_bayes_leaf_equals_streaming_nb(seed, n, n_classes,
     ht = HoeffdingTree(ds.schema, HoeffdingConfig(
         grace_period=n + 1, leaf_prediction="naive-bayes"))
     nb = StreamingNaiveBayes(ds.schema)
-    unknown = np.full(len(domain_sizes), -1, dtype=np.int32)
     for i in range(n):
         num, nom, y = ds.numeric[i], ds.nominal[i], int(ds.labels[i])
-        for row_nom in (nom, unknown):
-            assert ht.predict_code(num, row_nom) == nb.predict_code(num, row_nom)
-        inst = ds.instance(i)
-        assert ht.predict_scores(inst).tobytes() == \
-            nb.predict_scores(inst).tobytes()
+        assert ht.predict_code(num, nom) == nb.predict_code(num, nom)
+        if i:  # the log scores each argmaxes once a row has been learned
+            assert ht._leaf_nb_scores(ht.root, num, nom).tobytes() == \
+                nb.stats.log_scores(num[None], nom[None])[0].tobytes()
         ht.learn_row(num, nom, y)
         nb.learn_row(num, nom, y)
     assert ht.n_splits == 0
@@ -275,10 +272,6 @@ def test_ht_unsplit_majority_leaf_predicts_running_majority(
     for i in range(n):
         num, nom, y = ds.numeric[i], ds.nominal[i], int(ds.labels[i])
         assert ht.predict_code(num, nom) == counts.index(max(counts))
-        total = sum(counts)
-        expected = [c / total for c in counts] if total \
-            else [1.0 / n_classes] * n_classes
-        assert ht.predict_scores(ds.instance(i)).tolist() == expected
         ht.learn_row(num, nom, y)
         counts[y] += 1
     assert ht.n_splits == 0
@@ -466,7 +459,7 @@ def test_ht_numeric_candidate_ties_go_to_first_cut_and_lower_column():
 def _tree_shape(node):
     if isinstance(node, _HTSplit):
         return (node.kind, node.col, np.float64(node.threshold).tobytes()
-                if node.threshold is not None else None, node.fallback,
+                if node.threshold is not None else None,
                 tuple(_tree_shape(child) for child in node.children))
     return node.class_counts.tobytes()
 
@@ -711,20 +704,3 @@ def test_poisson_knuth_mean_and_determinism():
     b = [poisson_knuth(1.5, rng_b) for _ in range(100)]
     assert a == b
 
-
-# --- instance-level API ----------------------------------------------------------
-
-
-def test_stream_models_accept_instances(tiny_mixed_dataset):
-    ds = tiny_mixed_dataset
-    for model in (StreamingNaiveBayes(ds.schema), HoeffdingTree(ds.schema),
-                  WindowKNN(ds.schema, WindowKnnConfig(window_size=4, k=1)),
-                  OzaBoost(ds.schema, BoostConfig(n_members=2, seed=1))):
-        inst = ds.instance(0)
-        label = model.predict(inst)
-        assert label in ds.schema.class_labels
-        scores = model.predict_scores(inst)
-        assert len(scores) == 2
-        model.learn(inst)
-        assert model.predict(Instance((1.0, "red"), "a")) in \
-            ds.schema.class_labels
