@@ -65,11 +65,11 @@ def _run(args) -> None:
                             sample=args.knn_sample or None)
             ds = prepare(raw, cfg)
             t0 = time.perf_counter()
-            res = cross_validate(ds, lambda: make_batch_model(cfg), cfg.folds,
-                                 cfg.seed)
+            cm = cross_validate(ds, lambda: make_batch_model(cfg), cfg.folds,
+                                cfg.seed)
             dt = time.perf_counter() - t0
-            cells.append(f"{res.accuracy * 100:9.2f}%")
-            print(f"  [{algo} {vid}: {res.accuracy * 100:.2f}% in {dt:.0f}s]",
+            cells.append(f"{cm.accuracy * 100:9.2f}%")
+            print(f"  [{algo} {vid}: {cm.accuracy * 100:.2f}% in {dt:.0f}s]",
                   file=sys.stderr)
         print(f"{algo:<10}" + "".join(cells))
 

@@ -15,7 +15,6 @@ sqrt(sum((x - y)^2)) + #nominal mismatches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -23,7 +22,6 @@ import numpy as np
 from .dataset import AttributeSchema, DataError, Dataset
 from .nbcore import ClassConditionalStats
 from .preprocess import (
-    Normalizer,
     apply_normalizer,
     fit_normalizer,
     one_hot_encode,
@@ -86,18 +84,9 @@ class NaiveBayes(BatchModel):
 
 # C4.5's default confidence factor CF for pessimistic pruning (Quinlan 1993)
 PRUNING_CONFIDENCE = 0.25
-
-
-@dataclass(frozen=True)
-class TreeConfig:
-    min_leaf_instances: int = 2
-    pruning: str = "pessimistic"  # or "none"
-
-    def __post_init__(self):
-        if self.min_leaf_instances < 1:
-            raise ValueError("min_leaf_instances must be >= 1")
-        if self.pruning not in ("none", "pessimistic"):
-            raise ValueError(f"unknown pruning mode {self.pruning!r}")
+# instances a split must leave in at least two branches (C4.5's and Weka
+# J48's -M 2)
+TREE_MIN_LEAF = 2
 
 
 class _TreeNode:
@@ -158,17 +147,13 @@ def _pessimistic_extra_errors(n: float, e: float) -> float:
 class DecisionTree(BatchModel):
     """C4.5-style tree: multiway nominal splits, binary numeric threshold
     splits at class-boundary midpoints, gain-ratio selection (info gain when
-    the split info is zero), optional pessimistic pruning by subtree
-    replacement. A split is admissible only when at least two branches hold
-    min_leaf_instances instances and its information gain is positive.
+    the split info is zero), pessimistic pruning by subtree replacement. A
+    split is admissible only when at least two branches hold TREE_MIN_LEAF
+    instances and its information gain is positive.
 
     At prediction, a nominal value with no branch (unseen at the node) falls
     back to the node's majority class.
     """
-
-    def __init__(self, config: TreeConfig = TreeConfig()):
-        super().__init__()
-        self.config = config
 
     def _fit(self, train: Dataset) -> None:
         self.n_classes = len(train.schema.class_labels)
@@ -178,8 +163,7 @@ class DecisionTree(BatchModel):
             for p in train.schema.nominal_positions
         ]
         self.root = self._grow(num, nom, y)
-        if self.config.pruning == "pessimistic":
-            self._prune()
+        self._prune()
 
     def _grow(self, num, nom, y):
         holder: list = [None]
@@ -191,7 +175,7 @@ class DecisionTree(BatchModel):
             container[slot] = node
             if (counts > 0).sum() <= 1:
                 continue  # pure
-            if len(idx) < self.config.min_leaf_instances:
+            if len(idx) < TREE_MIN_LEAF:
                 continue
             best = self._best_split(num, nom, y, idx, counts)
             if best is None:
@@ -205,7 +189,6 @@ class DecisionTree(BatchModel):
         return holder[0]
 
     def _best_split(self, num, nom, y, idx, counts):
-        cfg = self.config
         n = len(idx)
         h_parent = _entropy(counts)
         y_sub = y[idx]
@@ -220,7 +203,7 @@ class DecisionTree(BatchModel):
                                 minlength=d * self.n_classes
                                 ).reshape(d, self.n_classes)
             sizes = table.sum(axis=1)
-            if (sizes > 0).sum() < 2 or (sizes >= cfg.min_leaf_instances).sum() < 2:
+            if (sizes > 0).sum() < 2 or (sizes >= TREE_MIN_LEAF).sum() < 2:
                 continue
             gain = h_parent - float((sizes / n) @ entropy_rows(table))
             if gain <= 1e-12:
@@ -246,9 +229,8 @@ class DecisionTree(BatchModel):
         return best
 
     def _best_numeric_cut(self, vals, y_sub, counts, h_parent):
-        cfg = self.config
         n = len(vals)
-        if n < 2 * cfg.min_leaf_instances:
+        if n < 2 * TREE_MIN_LEAF:
             return None
         order = np.argsort(vals, kind="stable")
         sv = vals[order]
@@ -261,8 +243,8 @@ class DecisionTree(BatchModel):
         run_max = np.maximum.reduceat(sy, run_starts)
         pure = np.where(run_min == run_max, run_min, -1)
         boundary = (pure[:-1] == -1) | (pure[1:] == -1) | (pure[:-1] != pure[1:])
-        ok = boundary & (chg + 1 >= cfg.min_leaf_instances) \
-            & (n - chg - 1 >= cfg.min_leaf_instances)
+        ok = boundary & (chg + 1 >= TREE_MIN_LEAF) \
+            & (n - chg - 1 >= TREE_MIN_LEAF)
         cand = chg[ok]
         if not len(cand):
             return None
@@ -353,15 +335,6 @@ class DecisionTree(BatchModel):
 KNN_QUERY_BLOCK = 256
 
 
-@dataclass(frozen=True)
-class KnnConfig:
-    k: int = 3
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-
-
 def mixed_distances(q_num, q_nom, t_num, t_nom) -> np.ndarray:
     """(n_queries, n_train) distances: sqrt(numeric sq. dist) + nominal
     mismatch count."""
@@ -403,14 +376,16 @@ class KNN(BatchModel):
     ascending class index.
     """
 
-    def __init__(self, config: KnnConfig = KnnConfig()):
+    def __init__(self, k: int):
         super().__init__()
-        self.config = config
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        self.k = k
 
     def _fit(self, train: Dataset) -> None:
-        if self.config.k > len(train):
+        if self.k > len(train):
             raise TrainingError(
-                f"k={self.config.k} exceeds training size {len(train)}")
+                f"k={self.k} exceeds training size {len(train)}")
         self.t_num = train.numeric
         self.t_nom = train.nominal
         self.t_labels = train.labels.astype(np.int64)
@@ -424,7 +399,7 @@ class KNN(BatchModel):
                                    self.t_num, self.t_nom)
             for i in range(stop - start):
                 codes[start + i] = knn_vote(dist[i], self._order,
-                                            self.t_labels, self.config.k)
+                                            self.t_labels, self.k)
         return codes
 
 
@@ -437,16 +412,8 @@ MLP_LEARNING_RATE = 0.3
 MLP_MOMENTUM = 0.2
 # slope of the unipolar sigmoid 1 / (1 + exp(-slope * z))
 MLP_SIGMOID_SLOPE = 1.0
-
-
-@dataclass(frozen=True)
-class MlpConfig:
-    epochs: int = 10
-    seed: int = 1
-
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+# passes of per-instance SGD over the training set
+MLP_EPOCHS = 10
 
 
 def _sigmoid(z: np.ndarray, slope: float) -> np.ndarray:
@@ -485,27 +452,26 @@ class MLP(BatchModel):
     all-numeric (normalize + one-hot encode first).
     """
 
-    def __init__(self, config: MlpConfig = MlpConfig()):
+    def __init__(self, seed: int):
         super().__init__()
-        self.config = config
+        self.seed = seed
 
     def _fit(self, train: Dataset) -> None:
         if train.nominal.shape[1]:
             raise TrainingError("MLP requires an all-numeric dataset")
-        cfg = self.config
         x = train.numeric
         y = train.labels
         n, d = x.shape
         c = len(train.schema.class_labels)
         h = math.ceil((d + c) / 2)
-        rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(self.seed)
         params = (rng.uniform(-0.5, 0.5, (d, h)), rng.uniform(-0.5, 0.5, h),
                   rng.uniform(-0.5, 0.5, (h, c)), rng.uniform(-0.5, 0.5, c))
         velocity = tuple(np.zeros_like(p) for p in params)
         targets = np.zeros((n, c))
         targets[np.arange(n), y] = 1.0
 
-        for _ in range(cfg.epochs):
+        for _ in range(MLP_EPOCHS):
             for i in rng.permutation(n):
                 grads = mlp_gradients(params, x[i], targets[i],
                                       MLP_SIGMOID_SLOPE)
@@ -671,35 +637,30 @@ class LinearSVM(BatchModel):
 class Pipeline(BatchModel):
     """Fits per-fold preprocessing on the training split, then the model.
 
-    Optional stages, applied in order: class-stratified training subsample,
-    min-max normalization, one-hot encoding. The normalizer is fitted on the
-    training split only and transforms every later input, so no test data
-    reaches its fitting.
+    Stages, applied in order: an optional class-stratified training
+    subsample, min-max normalization, optional one-hot encoding. The
+    normalizer is fitted on the training split only and transforms every
+    later input, so no test data reaches its fitting.
     """
 
-    def __init__(self, model: BatchModel, normalize: bool = False,
-                 encode: bool = False, subsample: int | None = None,
-                 seed: int = 1):
+    def __init__(self, model: BatchModel, encode: bool = False,
+                 subsample: int | None = None, seed: int = 1):
         super().__init__()
         self.model = model
-        self.normalize = normalize
         self.encode = encode
         self.subsample = subsample
         self.seed = seed
-        self._normalizer: Normalizer | None = None
 
     def _fit(self, train: Dataset) -> None:
         ds = train
         if self.subsample is not None and len(ds) > self.subsample:
             idx = stratified_sample(ds.labels, self.subsample, self.seed)
             ds = ds.subset(idx, note=f"stratified subsample {self.subsample}")
-        if self.normalize:
-            self._normalizer = fit_normalizer(ds)
+        self._normalizer = fit_normalizer(ds)
         self.model.fit(self._transform(ds))
 
     def _transform(self, ds: Dataset) -> Dataset:
-        if self._normalizer is not None:
-            ds = apply_normalizer(self._normalizer, ds)
+        ds = apply_normalizer(self._normalizer, ds)
         if self.encode:
             ds = one_hot_encode(ds)
         return ds

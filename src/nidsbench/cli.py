@@ -23,9 +23,7 @@ from .batch_learners import (
     KNN,
     MLP,
     DecisionTree,
-    KnnConfig,
     LinearSVM,
-    MlpConfig,
     NaiveBayes,
     Pipeline,
     TrainingError,
@@ -59,12 +57,10 @@ from .preprocess import (
     variant,
 )
 from .stream_learners import (
-    BoostConfig,
     HoeffdingTree,
     OzaBoost,
     StreamingNaiveBayes,
     WindowKNN,
-    WindowKnnConfig,
 )
 
 EXIT_OK = 0
@@ -87,6 +83,8 @@ DEFAULT_URLS = {
 STREAM_NORMALIZE_WARMUP = 1000
 
 SVG_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+# an SVG polyline takes every SVG_EVERY-th point of a series, and its last
+SVG_EVERY = 100
 
 
 @dataclass(frozen=True)
@@ -164,13 +162,11 @@ def make_batch_model(cfg: RunConfig):
     if cfg.algo == "j48":
         return DecisionTree()
     if cfg.algo == "knn":
-        return Pipeline(KNN(KnnConfig(k=cfg.k)), normalize=True,
-                        subsample=cfg.sample, seed=cfg.seed)
+        return Pipeline(KNN(cfg.k), subsample=cfg.sample, seed=cfg.seed)
     if cfg.algo == "mlp":
-        return Pipeline(MLP(MlpConfig(seed=cfg.seed)), normalize=True,
-                        encode=True)
+        return Pipeline(MLP(cfg.seed), encode=True)
     if cfg.algo == "svm":
-        return Pipeline(LinearSVM(), normalize=True, encode=True)
+        return Pipeline(LinearSVM(), encode=True)
     raise ValueError(f"unknown batch algorithm {cfg.algo!r}")
 
 
@@ -180,9 +176,9 @@ def make_stream_model(schema, cfg: RunConfig):
     if cfg.algo == "ht":
         return HoeffdingTree(schema)
     if cfg.algo == "wknn":
-        return WindowKNN(schema, WindowKnnConfig(k=cfg.k))
+        return WindowKNN(schema, cfg.k)
     if cfg.algo == "ozaboost":
-        return OzaBoost(schema, BoostConfig(seed=cfg.seed))
+        return OzaBoost(schema, cfg.seed)
     raise ValueError(f"unknown stream algorithm {cfg.algo!r}")
 
 
@@ -217,18 +213,17 @@ def _write_run(cfg: RunConfig, input_path: Path, confusion,
 def run_batch(cfg: RunConfig) -> str:
     t0 = time.perf_counter()
     ds, path = _load_prepared(cfg)
-    result = cross_validate(ds, lambda: make_batch_model(cfg), cfg.folds,
-                            cfg.seed)
-    _write_run(cfg, path, result.confusion, {
+    cm = cross_validate(ds, lambda: make_batch_model(cfg), cfg.folds, cfg.seed)
+    _write_run(cfg, path, cm, {
         "params": {"folds": cfg.folds, "seed": cfg.seed, "k": cfg.k,
                    "sample": cfg.sample, "attrs": cfg.attrs},
-        "accuracy": result.accuracy, "error": result.error,
+        "accuracy": cm.accuracy, "error": cm.error,
         "runtime_seconds": time.perf_counter() - t0, "drift_indices": [],
     })
     return (f"batch {cfg.algo} on {cfg.data} {cfg.variant}: "
-            f"accuracy={result.accuracy * 100:.2f}% "
-            f"error={result.error * 100:.2f}% "
-            f"({result.confusion.total} instances, {cfg.folds} folds, "
+            f"accuracy={cm.accuracy * 100:.2f}% "
+            f"error={cm.error * 100:.2f}% "
+            f"({cm.total} instances, {cfg.folds} folds, "
             f"seed {cfg.seed})")
 
 
@@ -258,10 +253,10 @@ def run_stream(cfg: RunConfig) -> str:
 # SVG emission
 
 
-def _svg_polyline(series: np.ndarray, color: str, x0, y0, w, h, n_max,
-                  every: int) -> str:
+def _svg_polyline(series: np.ndarray, color: str, x0, y0, w, h,
+                  n_max) -> str:
     pts = []
-    idx = list(range(0, len(series), every))
+    idx = list(range(0, len(series), SVG_EVERY))
     if idx[-1] != len(series) - 1:
         idx.append(len(series) - 1)
     for i in idx:
@@ -273,7 +268,7 @@ def _svg_polyline(series: np.ndarray, color: str, x0, y0, w, h, n_max,
 
 
 def emit_svg_series(named_series: list[tuple[str, np.ndarray]],
-                    path: str | Path, every: int = 100) -> Path:
+                    path: str | Path) -> Path:
     """Standalone SVG line chart of faded accuracy vs instance index."""
     if not named_series or any(len(s) == 0 for _, s in named_series):
         raise ValueError("need at least one non-empty trace")
@@ -306,7 +301,7 @@ def emit_svg_series(named_series: list[tuple[str, np.ndarray]],
     for i, (name, series) in enumerate(named_series):
         color = SVG_PALETTE[i % len(SVG_PALETTE)]
         parts.append(_svg_polyline(np.asarray(series, dtype=float), color,
-                                   ml, mt, w, h, n_max, every))
+                                   ml, mt, w, h, n_max))
         ly = mt + 16 + 18 * i
         parts.append(f'<line x1="{ml + w + 10}" y1="{ly}" x2="{ml + w + 34}" '
                      f'y2="{ly}" stroke="{color}" stroke-width="2"/>')
@@ -319,9 +314,9 @@ def emit_svg_series(named_series: list[tuple[str, np.ndarray]],
 
 
 def emit_svg_curve(traces: list[tuple[str, PrequentialTrace]],
-                   path: str | Path, every: int = 100) -> Path:
+                   path: str | Path) -> Path:
     """SVG chart of one or more prequential traces (shared alpha assumed)."""
-    return emit_svg_series([(name, t.faded) for name, t in traces], path, every)
+    return emit_svg_series([(name, t.faded) for name, t in traces], path)
 
 
 def emit_report(out_dir: str | Path) -> list[Path]:

@@ -83,17 +83,9 @@ def assign_stratified_folds(labels: Sequence[int] | np.ndarray, n_folds: int,
     return assignment
 
 
-@dataclass(frozen=True)
-class CrossValidationResult:
-    confusion: ConfusionMatrix
-    accuracy: float
-    error: float
-    fold_accuracies: tuple[float, ...]
-
-
 def cross_validate(ds: Dataset, model_factory: Callable[[], object],
-                   n_folds: int, seed: int) -> CrossValidationResult:
-    """Evaluate a fresh model per fold; aggregate one confusion matrix.
+                   n_folds: int, seed: int) -> ConfusionMatrix:
+    """Evaluate a fresh model per fold; return the summed confusion matrix.
 
     The factory is invoked exactly once per fold and each model is fitted on
     the training folds only, so any preprocessing the model performs inside
@@ -102,7 +94,6 @@ def cross_validate(ds: Dataset, model_factory: Callable[[], object],
     assignment = assign_stratified_folds(ds.labels, n_folds, seed)
     c = len(ds.schema.class_labels)
     counts = np.zeros((c, c), dtype=np.int64)
-    fold_accs = []
     for fold in range(n_folds):
         test_mask = assignment == fold
         train = ds.subset(np.flatnonzero(~test_mask), note=f"train fold {fold}")
@@ -111,9 +102,7 @@ def cross_validate(ds: Dataset, model_factory: Callable[[], object],
         model.fit(train)
         predicted = model.predict_dataset(test)
         np.add.at(counts, (test.labels, predicted), 1)
-        fold_accs.append(float((predicted == test.labels).mean()))
-    cm = ConfusionMatrix(ds.schema.class_labels, counts)
-    return CrossValidationResult(cm, cm.accuracy, cm.error, tuple(fold_accs))
+    return ConfusionMatrix(ds.schema.class_labels, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +139,15 @@ class PrequentialTrace:
 
 
 def prequential_run(stream: Dataset, model, alpha: float) -> PrequentialTrace:
-    """Predict, record, then train on every instance in stream order."""
+    """Predict, record, then train on every instance in stream order.
+
+    The stream must be coded against the model's schema; any other schema
+    raises DataError.
+    """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
+    if stream.schema != model.schema:
+        raise DataError("stream schema differs from the model's schema")
     n = len(stream)
     if n == 0:
         raise DataError("empty stream")
@@ -178,18 +173,22 @@ def prequential_run(stream: Dataset, model, alpha: float) -> PrequentialTrace:
     return PrequentialTrace(alpha, correct, faded, cumulative, cm)
 
 
-def annotate_drifts(trace: PrequentialTrace, drop_threshold: float = 0.02,
-                    window: int = 500) -> list[int]:
+# a drop episode: faded accuracy more than DRIFT_DROP below its maximum over
+# the preceding DRIFT_WINDOW instances
+DRIFT_DROP = 0.02
+DRIFT_WINDOW = 500
+
+
+def annotate_drifts(trace: PrequentialTrace) -> list[int]:
     """1-based indices of faded-accuracy drop episodes.
 
     An instance is in a drop when its faded accuracy sits more than
-    drop_threshold below the maximum over the preceding `window` instances
+    DRIFT_DROP below the maximum over the preceding DRIFT_WINDOW instances
     (scanning starts once a full window exists). Overlapping or nearby drops
-    (gap < window) merge into one episode, annotated at its lowest point, so
-    returned indices are sorted and pairwise more than `window` apart.
+    (at most DRIFT_WINDOW apart) merge into one episode, annotated at its lowest point, so
+    returned indices are sorted and pairwise more than DRIFT_WINDOW apart.
     """
-    if drop_threshold <= 0:
-        raise ValueError("drop_threshold must be positive")
+    window = DRIFT_WINDOW
     faded = trace.faded
     n = len(faded)
     if n <= window:
@@ -197,7 +196,7 @@ def annotate_drifts(trace: PrequentialTrace, drop_threshold: float = 0.02,
     windows = np.lib.stride_tricks.sliding_window_view(faded, window)
     roll_max = windows.max(axis=1)  # roll_max[t] = max(faded[t : t + window])
     pos = np.arange(window, n)
-    in_drop = faded[pos] < roll_max[: n - window] - drop_threshold
+    in_drop = faded[pos] < roll_max[: n - window] - DRIFT_DROP
     drops = pos[in_drop]
     if not len(drops):
         return []

@@ -53,14 +53,20 @@ class ClassConditionalStats:
         n = np.maximum(self.class_counts, 1)[:, None]
         return np.maximum(self.m2 / n, VARIANCE_FLOOR)
 
-    def add_log_likelihoods(self, scores: np.ndarray, num_rows: np.ndarray,
-                            nom_rows: np.ndarray) -> None:
-        """Add each observed class's log likelihood of the rows to `scores`.
+    def log_scores(self, num_rows: np.ndarray, nom_rows: np.ndarray) -> np.ndarray:
+        """(n, C) unnormalized log posteriors: log prior + sum log likelihood.
 
-        `scores` is (n, C) and updated in place: first the Gaussian terms of
-        the numeric attributes, then one Laplace add-one term per nominal
-        attribute. Classes never observed get +0.0.
+        To the log prior are added first the Gaussian terms of the numeric
+        attributes, then one Laplace add-one term per nominal attribute.
+        Classes never observed score -inf; with no observations at all every
+        class scores 0 (a flat tie).
         """
+        total = self.total
+        if total == 0:
+            return np.zeros((len(num_rows), len(self.class_counts)))
+        with np.errstate(divide="ignore"):
+            scores = np.tile(np.log(self.class_counts / total),
+                             (len(num_rows), 1))
         seen = self.class_counts > 0
         if self.mean.shape[1]:
             var = self.variances()
@@ -71,20 +77,6 @@ class ClassConditionalStats:
             numer = table[nom_rows[:, j]] + 1.0
             denom = np.maximum(self.class_counts + len(table), 1.0)
             scores += np.where(seen, np.log(numer) - np.log(denom), 0.0)
-
-    def log_scores(self, num_rows: np.ndarray, nom_rows: np.ndarray) -> np.ndarray:
-        """(n, C) unnormalized log posteriors: log prior + sum log likelihood.
-
-        Classes never observed score -inf; with no observations at all every
-        class scores 0 (a flat tie).
-        """
-        total = self.total
-        if total == 0:
-            return np.zeros((len(num_rows), len(self.class_counts)))
-        with np.errstate(divide="ignore"):
-            scores = np.tile(np.log(self.class_counts / total),
-                             (len(num_rows), 1))
-        self.add_log_likelihoods(scores, num_rows, nom_rows)
-        scores[:, self.class_counts == 0] = -np.inf
+        scores[:, ~seen] = -np.inf
         return scores
 

@@ -8,7 +8,7 @@ is the 12-attribute list used throughout the benchmark.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 

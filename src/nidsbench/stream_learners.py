@@ -11,7 +11,6 @@ predict class index 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,8 +42,12 @@ def hoeffding_bound(value_range: float, delta: float, n: int) -> float:
     return math.sqrt(value_range * value_range * math.log(1.0 / delta) / (2.0 * n))
 
 
-def poisson_knuth(lam: float, rng: np.random.Generator, cap: int = 20) -> int:
-    """Inverse-transform Poisson draw, capped at `cap`.
+# the largest count poisson_knuth returns
+POISSON_CAP = 20
+
+
+def poisson_knuth(lam: float, rng: np.random.Generator) -> int:
+    """Inverse-transform Poisson draw, capped at POISSON_CAP.
 
     For lambdas large enough that exp(-lam) underflows the loop simply runs
     into the cap, which is the intended behavior.
@@ -59,8 +62,8 @@ def poisson_knuth(lam: float, rng: np.random.Generator, cap: int = 20) -> int:
         p *= rng.random()
         if p <= limit:
             return k - 1
-        if k > cap:
-            return cap
+        if k > POISSON_CAP:
+            return POISSON_CAP
 
 
 class StreamModel:
@@ -108,21 +111,10 @@ class StreamingNaiveBayes(StreamModel):
 # (Domingos & Hulten, KDD 2000)
 HT_DELTA = 1e-7
 HT_TIE_THRESHOLD = 0.05
-
-
-@dataclass(frozen=True)
-class HoeffdingConfig:
-    grace_period: int = 200
-    leaf_prediction: str = "majority"  # or "naive-bayes"
-    numeric_bins: int = 10
-
-    def __post_init__(self):
-        if self.grace_period < 1:
-            raise ValueError("grace_period must be >= 1")
-        if self.leaf_prediction not in ("majority", "naive-bayes"):
-            raise ValueError(f"unknown leaf prediction {self.leaf_prediction!r}")
-        if self.numeric_bins < 1:
-            raise ValueError("numeric_bins must be >= 1")
+# instances a leaf learns between split attempts (VFDT's n_min)
+HT_GRACE_PERIOD = 200
+# equal-width candidate cuts per numeric attribute in a split attempt
+HT_NUMERIC_BINS = 10
 
 
 class _HTLeaf:
@@ -161,17 +153,17 @@ class _HTSplit:
 class HoeffdingTree(StreamModel):
     """Incremental decision tree with Hoeffding-bound split decisions.
 
-    Leaves keep the naive-Bayes statistics (`nbcore.ClassConditionalStats`:
-    per-class nominal value counts and Gaussian summaries of numeric
-    attributes), and naive-Bayes leaves score with them. Every grace_period
-    learned instances a leaf compares the two best information gains and
-    splits when their gap exceeds the Hoeffding bound at confidence
-    HT_DELTA (or the bound has shrunk below HT_TIE_THRESHOLD). Numeric
-    candidate thresholds are `numeric_bins` equal-width cuts between the
-    observed min and max, with left/right class mass estimated from the
-    Gaussians (Pfahringer, Holmes & Kirkby, PAKDD 2008). New children start
-    from the split's estimated class distributions, so prediction quality
-    carries over.
+    A leaf predicts its majority class. Leaves keep the naive-Bayes
+    statistics (`nbcore.ClassConditionalStats`: per-class nominal value
+    counts and Gaussian summaries of numeric attributes) for the split
+    search. Every HT_GRACE_PERIOD learned instances a leaf compares the two
+    best information gains and splits when their gap exceeds the Hoeffding
+    bound at confidence HT_DELTA (or the bound has shrunk below
+    HT_TIE_THRESHOLD). Numeric candidate thresholds are HT_NUMERIC_BINS
+    equal-width cuts between the observed min and max, with left/right
+    class mass estimated from the Gaussians (Pfahringer, Holmes & Kirkby,
+    PAKDD 2008). New children start from the split's estimated class
+    distributions, so prediction quality carries over.
 
     Ties: each numeric column offers its first cut of the highest gain.
     The candidates, nominal attributes first and then numeric ones, each in
@@ -179,10 +171,8 @@ class HoeffdingTree(StreamModel):
     earlier candidate wins.
     """
 
-    def __init__(self, schema: AttributeSchema,
-                 config: HoeffdingConfig = HoeffdingConfig()):
+    def __init__(self, schema: AttributeSchema):
         super().__init__(schema)
-        self.config = config
         self.root: _HTLeaf | _HTSplit = _HTLeaf(schema)
         self.n_splits = 0
 
@@ -200,23 +190,13 @@ class HoeffdingTree(StreamModel):
 
     def predict_code(self, num_row, nom_row):
         leaf, _, _ = self._route(num_row, nom_row)
-        if self.config.leaf_prediction == "naive-bayes" and leaf.stats.total:
-            return int(np.argmax(self._leaf_nb_scores(leaf, num_row, nom_row)))
         return int(np.argmax(leaf.class_counts))
-
-    def _leaf_nb_scores(self, leaf, num_row, nom_row):
-        """Log prior from the startup-inclusive counts + NB log likelihood."""
-        total = leaf.class_counts.sum()
-        with np.errstate(divide="ignore"):
-            scores = np.log(leaf.class_counts / max(total, 1e-300))[None]
-        leaf.stats.add_log_likelihoods(scores, num_row[None], nom_row[None])
-        return scores[0]
 
     def learn_row(self, num_row, nom_row, label_code):
         leaf, parent, slot = self._route(num_row, nom_row)
         leaf.learn(num_row, nom_row, label_code)
         seen = leaf.stats.total
-        if seen - leaf.last_eval >= self.config.grace_period:
+        if seen - leaf.last_eval >= HT_GRACE_PERIOD:
             leaf.last_eval = seen
             self._attempt_split(leaf, parent, slot)
 
@@ -259,7 +239,7 @@ class HoeffdingTree(StreamModel):
         """Each numeric column's best (gain, split) candidate, in column order.
 
         Scores every eligible column (finite observed min < max) in one
-        array pass. Cut i of b = `numeric_bins` is
+        array pass. Cut i of b = HT_NUMERIC_BINS is
         t = lo + i * (hi - lo) / (b + 1); each observed class c sends the
         Gaussian mass n_c * (1 + erf((t - mu_c) / (sigma_c * sqrt 2))) / 2
         to the left, or all of n_c when mu_c <= t if its variance sits at
@@ -276,7 +256,7 @@ class HoeffdingTree(StreamModel):
         lo, hi = lo[cols], hi[cols]
         counts = leaf.stats.class_counts
         seen = np.flatnonzero(counts > 0)
-        bins = self.config.numeric_bins
+        bins = HT_NUMERIC_BINS
         t = lo + np.arange(1, bins + 1)[:, None] * (hi - lo) / (bins + 1)
         # (bins, cols, seen classes): the class axis last, so that each
         # row of the masses sums and scores like a one-cut class vector
@@ -306,14 +286,8 @@ class HoeffdingTree(StreamModel):
 # sliding-window k-NN
 
 
-@dataclass(frozen=True)
-class WindowKnnConfig:
-    window_size: int = 5000
-    k: int = 3
-
-    def __post_init__(self):
-        if not self.window_size >= self.k >= 1:
-            raise ValueError("need window_size >= k >= 1")
+# the most recent labeled instances WindowKNN keeps
+WKNN_WINDOW = 5000
 
 
 class WindowKNN(StreamModel):
@@ -324,11 +298,13 @@ class WindowKNN(StreamModel):
     predicts class index 0.
     """
 
-    def __init__(self, schema: AttributeSchema,
-                 config: WindowKnnConfig = WindowKnnConfig()):
+    def __init__(self, schema: AttributeSchema, k: int):
         super().__init__(schema)
-        self.config = config
-        w = config.window_size
+        w = WKNN_WINDOW
+        if not w >= k >= 1:
+            raise ValueError(f"need WKNN_WINDOW={w} >= k >= 1, got k={k}")
+        self.k = k
+        self.window = w
         self._num = np.zeros((w, len(schema.numeric_positions)))
         self._nom = np.zeros((w, len(schema.nominal_positions)), dtype=np.int32)
         self._labels = np.zeros(w, dtype=np.int64)
@@ -344,7 +320,7 @@ class WindowKNN(StreamModel):
         dist = mixed_distances(num_row.reshape(1, -1), nom_row.reshape(1, -1),
                                self._num[:m], self._nom[:m])[0]
         return knn_vote(dist, self._seq[:m], self._labels[:m],
-                        min(self.config.k, m))
+                        min(self.k, m))
 
     def learn_row(self, num_row, nom_row, label_code):
         i = self._write
@@ -353,27 +329,22 @@ class WindowKNN(StreamModel):
         self._labels[i] = label_code
         self._seq[i] = self._counter
         self._counter += 1
-        self._write = (self._write + 1) % self.config.window_size
-        self.size = min(self.size + 1, self.config.window_size)
+        self._write = (self._write + 1) % self.window
+        self.size = min(self.size + 1, self.window)
 
 
 # ---------------------------------------------------------------------------
 # online boosting
 
 
-@dataclass(frozen=True)
-class BoostConfig:
-    n_members: int = 10
-    seed: int = 1
-
-    def __post_init__(self):
-        if self.n_members < 1:
-            raise ValueError("n_members must be >= 1")
+# Hoeffding-tree members of an OzaBoost ensemble
+BOOST_MEMBERS = 10
 
 
 class OzaBoost(StreamModel):
     """Online boosting over StreamModel members.
 
+    The members are BOOST_MEMBERS Hoeffding trees unless `members` are given.
     Each arriving instance carries weight lambda (starting at 1); every member
     trains on it Poisson(lambda) times (capped), then lambda is rescaled down
     if the member now classifies the instance correctly and up otherwise,
@@ -382,16 +353,15 @@ class OzaBoost(StreamModel):
     members that never saw mass vote with weight 0.
     """
 
-    def __init__(self, schema: AttributeSchema,
-                 config: BoostConfig = BoostConfig(),
-                 member_factory=None):
+    def __init__(self, schema: AttributeSchema, seed: int,
+                 members: list[StreamModel] | None = None):
         super().__init__(schema)
-        self.config = config
-        factory = member_factory or (lambda: HoeffdingTree(schema))
-        self.members = [factory() for _ in range(config.n_members)]
-        self.lam_sc = np.zeros(config.n_members)
-        self.lam_sw = np.zeros(config.n_members)
-        self._rng = np.random.default_rng(config.seed)
+        if members is None:
+            members = [HoeffdingTree(schema) for _ in range(BOOST_MEMBERS)]
+        self.members = members
+        self.lam_sc = np.zeros(len(members))
+        self.lam_sw = np.zeros(len(members))
+        self._rng = np.random.default_rng(seed)
 
     def member_weights(self) -> np.ndarray:
         mass = self.lam_sc + self.lam_sw

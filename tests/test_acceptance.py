@@ -33,12 +33,11 @@ from nidsbench.evaluation import (
     prequential_run,
 )
 from nidsbench.preprocess import ATTACK_CATEGORIES, apply_variant, variant
+import nidsbench.stream_learners as stream_learners
 from nidsbench.stream_learners import (
-    BoostConfig,
     OzaBoost,
     StreamingNaiveBayes,
     WindowKNN,
-    WindowKnnConfig,
     hoeffding_bound,
 )
 
@@ -282,9 +281,10 @@ def test_criterion6_streaming_equals_batch_nb_statistics():
             "counts/means/M2/nominal tables compared")
 
 
-def test_criterion6_prequential_replay_bit_exact():
+def test_criterion6_prequential_replay_bit_exact(monkeypatch):
     stream = gen_drift_stream(5_000, 2_500, seed=3)
-    model = WindowKNN(stream.schema, WindowKnnConfig(window_size=300, k=3))
+    monkeypatch.setattr(stream_learners, "WKNN_WINDOW", 300)
+    model = WindowKNN(stream.schema, 3)
     trace = prequential_run(stream, model, 0.95)
     s = b = 0.0
     replay = np.zeros(len(trace))
@@ -304,7 +304,7 @@ def test_criterion6_faded_two_step_value():
 
 def test_criterion6_ozaboost_lambda_mass_identity():
     stream = gen_drift_stream(2_000, 1_000, seed=9)
-    model = OzaBoost(stream.schema, BoostConfig(n_members=5, seed=2))
+    model = OzaBoost(stream.schema, 2)
     trace = prequential_run(stream, model, 0.95)
     # member 0 always receives lambda = 1 per instance: exact identity
     mass0 = model.lam_sc[0] + model.lam_sw[0]
@@ -349,11 +349,12 @@ def test_criterion6_v1_collapse_equals_v2():
             f"{len(labels)} labels checked")
 
 
-def test_criterion6_synthetic_drift_detected():
+def test_criterion6_synthetic_drift_detected(monkeypatch):
     stream = gen_drift_stream(8_000, 4_000, seed=5)
-    model = WindowKNN(stream.schema, WindowKnnConfig(window_size=500, k=3))
+    monkeypatch.setattr(stream_learners, "WKNN_WINDOW", 500)
+    model = WindowKNN(stream.schema, 3)
     trace = prequential_run(stream, model, 0.95)
-    found = annotate_drifts(trace, drop_threshold=0.02, window=500)
+    found = annotate_drifts(trace)
     ok = len(found) == 1 and abs(found[0] - 4_001) <= 500
     _report("criterion 6 (synthetic drift within +/- window of switch)", ok,
             f"found={found} switch=4001")

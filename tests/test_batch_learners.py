@@ -8,17 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nidsbench.batch_learners as batch_learners
 from nidsbench.batch_learners import (
     KNN,
     MLP,
     DecisionTree,
-    KnnConfig,
     LinearSVM,
-    MlpConfig,
     NaiveBayes,
     Pipeline,
     TrainingError,
-    TreeConfig,
     mixed_distances,
     mlp_forward,
     mlp_gradients,
@@ -107,7 +105,15 @@ def test_tree_pure_training_set_is_single_leaf():
     assert predict_labels(tree, (99.0,)) == ["a"]
 
 
-def test_tree_xor_style_set_matches_gain_oracle():
+def _unpruned_tree(monkeypatch, min_leaf=batch_learners.TREE_MIN_LEAF):
+    """A DecisionTree that grows without pruning, with TREE_MIN_LEAF set to
+    min_leaf."""
+    monkeypatch.setattr(batch_learners, "TREE_MIN_LEAF", min_leaf)
+    monkeypatch.setattr(DecisionTree, "_prune", lambda self: None)
+    return DecisionTree()
+
+
+def test_tree_xor_style_set_matches_gain_oracle(monkeypatch):
     # Asymmetric two-attribute xor-ish set: counts (a,a)x3 -> c0, (a,b)x1 -> c1,
     # (b,a)x2 -> c1, (b,b)x2 -> c0. Attribute A carries more gain than B; the
     # grown tree splits A at the root, then B on both branches: depth 2, 100%.
@@ -119,7 +125,7 @@ def test_tree_xor_style_set_matches_gain_oracle():
     gain_b = _nominal_gain_oracle([r[1] for r in rows], labels)
     assert gain_a > gain_b > 0
 
-    tree = DecisionTree(TreeConfig(min_leaf_instances=1, pruning="none")).fit(ds)
+    tree = _unpruned_tree(monkeypatch, min_leaf=1).fit(ds)
     assert tree.root.kind == "nom"
     assert ds.schema.attributes[ds.schema.nominal_positions[tree.root.col]] \
         .name == "A"
@@ -127,11 +133,11 @@ def test_tree_xor_style_set_matches_gain_oracle():
     assert (tree.predict_dataset(ds) == ds.labels).all()
 
 
-def test_tree_numeric_threshold_at_boundary_midpoint():
+def test_tree_numeric_threshold_at_boundary_midpoint(monkeypatch):
     ds = build_dataset([("x", "numeric")],
                        [(1.0,), (2.0,), (10.0,), (11.0,)],
                        ["a", "a", "b", "b"])
-    tree = DecisionTree(TreeConfig(pruning="none")).fit(ds)
+    tree = _unpruned_tree(monkeypatch).fit(ds)
     assert tree.root.kind == "num"
     assert tree.root.threshold == pytest.approx(6.0)  # midpoint of 2 and 10
     assert predict_labels(tree, (5.0,), (7.0,)) == ["a", "b"]
@@ -148,11 +154,12 @@ def test_tree_fully_grown_is_perfect_on_distinct_data(data):
     perm = np.random.default_rng(data.draw(st.integers(0, 999))).permutation(n)
     rows = [(float(perm[i]), float(extra[i])) for i in range(n)]
     ds = build_dataset([("uid", "numeric"), ("noise", "numeric")], rows, labels)
-    tree = DecisionTree(TreeConfig(min_leaf_instances=1, pruning="none")).fit(ds)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        tree = _unpruned_tree(monkeypatch, min_leaf=1).fit(ds)
     assert (tree.predict_dataset(ds) == ds.labels).all()
 
 
-def test_tree_pruning_collapses_noise_splits():
+def test_tree_pruning_collapses_noise_splits(monkeypatch):
     # one dominant class with a few scattered exceptions: the pessimistic
     # estimate favors the collapsed leaf
     rng = np.random.default_rng(5)
@@ -160,20 +167,19 @@ def test_tree_pruning_collapses_noise_splits():
     labels = ["a"] * 57 + ["b"] * 3
     ds = build_dataset([("x", "numeric")], [(float(v),) for v in values],
                        labels)
-    grown = DecisionTree(TreeConfig(pruning="none",
-                                    min_leaf_instances=1)).fit(ds)
-    pruned = DecisionTree(TreeConfig(pruning="pessimistic",
-                                     min_leaf_instances=1)).fit(ds)
+    monkeypatch.setattr(batch_learners, "TREE_MIN_LEAF", 1)
+    pruned = DecisionTree().fit(ds)
+    grown = _unpruned_tree(monkeypatch, min_leaf=1).fit(ds)
     assert pruned.n_leaves() < grown.n_leaves()
 
 
-def test_tree_unseen_nominal_value_falls_back_to_majority():
+def test_tree_unseen_nominal_value_falls_back_to_majority(monkeypatch):
     # zzz is in the domain, but no training row has it: the root split has
     # no branch for it
     ds = build_dataset([("c", "nominal", ("p", "q", "zzz"))],
                        [("p",), ("p",), ("p",), ("q",), ("q",)],
                        ["a", "a", "a", "b", "b"])
-    tree = DecisionTree(TreeConfig(min_leaf_instances=1, pruning="none")).fit(ds)
+    tree = _unpruned_tree(monkeypatch, min_leaf=1).fit(ds)
     assert tree.root.kind == "nom"
     assert predict_labels(tree, ("zzz",)) == ["a"]
 
@@ -185,21 +191,21 @@ def test_knn_k1_identical_instance_wins():
     ds = build_dataset([("x", "numeric"), ("c", "nominal")],
                        [(0.0, "p"), (5.0, "q"), (9.0, "p")],
                        ["a", "b", "c"])
-    model = KNN(KnnConfig(k=1)).fit(ds)
+    model = KNN(1).fit(ds)
     assert predict_labels(model, (5.0, "q")) == ["b"]
 
 
 def test_knn_three_point_hand_distances():
     ds = build_dataset([("x", "numeric")], [(0.0,), (1.0,), (4.0,)],
                        ["a", "b", "b"])
-    model = KNN(KnnConfig(k=3)).fit(ds)
+    model = KNN(3).fit(ds)
     # query 0.5: distances 0.5, 0.5, 3.5 -> votes a=1, b=2
     assert predict_labels(model, (0.5,)) == ["b"]
 
 
 def test_knn_vote_tie_broken_by_summed_distance():
     ds = build_dataset([("x", "numeric")], [(0.0,), (1.0,)], ["a", "b"])
-    model = KNN(KnnConfig(k=2)).fit(ds)
+    model = KNN(2).fit(ds)
     # 0.4: summed distance 0.4 < 0.6; 0.5: a full tie goes to class 0
     assert predict_labels(model, (0.4,), (0.6,), (0.5,)) == ["a", "b", "a"]
 
@@ -207,14 +213,14 @@ def test_knn_vote_tie_broken_by_summed_distance():
 def test_knn_neighbor_distance_tie_prefers_lower_index():
     ds = build_dataset([("x", "numeric")], [(0.0,), (0.0,), (0.0,)],
                        ["b", "a", "a"])
-    model = KNN(KnnConfig(k=1)).fit(ds)
+    model = KNN(1).fit(ds)
     assert predict_labels(model, (0.0,)) == ["b"]
 
 
 def test_knn_mixed_distance_includes_nominal_mismatch():
     ds = build_dataset([("x", "numeric"), ("c", "nominal")],
                        [(0.0, "p"), (0.8, "q")], ["a", "b"])
-    model = KNN(KnnConfig(k=1)).fit(ds)
+    model = KNN(1).fit(ds)
     # query (0.0, "q"): d(a) = 0 + 1 = 1.0; d(b) = 0.8 + 0 = 0.8
     assert predict_labels(model, (0.0, "q")) == ["b"]
 
@@ -223,23 +229,24 @@ def test_knn_k_equal_to_train_size_predicts_majority():
     ds = build_dataset([("x", "numeric")],
                        [(float(i),) for i in range(7)],
                        ["a"] * 4 + ["b"] * 3)
-    model = KNN(KnnConfig(k=7)).fit(ds)
+    model = KNN(7).fit(ds)
     assert predict_labels(model, (0.0,), (3.5,), (100.0,)) == ["a"] * 3
 
 
 def test_knn_k_larger_than_train_errors():
     ds = build_dataset([("x", "numeric")], [(0.0,), (1.0,)], ["a", "b"])
     with pytest.raises(TrainingError, match="exceeds"):
-        KNN(KnnConfig(k=3)).fit(ds)
+        KNN(3).fit(ds)
 
 
 # --- MLP --------------------------------------------------------------------
 
 
-def test_mlp_zero_weights_output_half_and_class_zero():
+def test_mlp_zero_weights_output_half_and_class_zero(monkeypatch):
     ds = build_dataset([("x", "numeric"), ("y", "numeric")],
                        [(0.2, 0.4), (0.9, 0.1)], ["u", "v"])
-    model = MLP(MlpConfig(epochs=1)).fit(ds)
+    monkeypatch.setattr(batch_learners, "MLP_EPOCHS", 1)
+    model = MLP(1).fit(ds)
     h = model.params[0].shape[1]
     model.params = (np.zeros((2, h)), np.zeros(h), np.zeros((h, 2)),
                     np.zeros(2))
@@ -296,25 +303,27 @@ def test_mlp_gradient_check_random_networks(d, h, c, seed):
         assert np.abs(a - n).max() / denom < 1e-4
 
 
-def test_mlp_learns_linearly_separable_data():
+def test_mlp_learns_linearly_separable_data(monkeypatch):
     rng = np.random.default_rng(0)
     x = rng.random((120, 2))
     labels = ["pos" if a + b > 1.0 else "neg" for a, b in x]
     ds = build_dataset([("a", "numeric"), ("b", "numeric")],
                        [tuple(map(float, r)) for r in x], labels)
-    model = MLP(MlpConfig(epochs=40, seed=1)).fit(ds)
+    monkeypatch.setattr(batch_learners, "MLP_EPOCHS", 40)
+    model = MLP(1).fit(ds)
     acc = (model.predict_dataset(ds) == ds.labels).mean()
     assert acc > 0.95
 
 
-def test_mlp_deterministic_with_fixed_seed():
+def test_mlp_deterministic_with_fixed_seed(monkeypatch):
     rng = np.random.default_rng(2)
     x = rng.random((50, 3))
     labels = ["p" if r[0] > 0.5 else "q" for r in x]
     ds = build_dataset([(f"f{i}", "numeric") for i in range(3)],
                        [tuple(map(float, r)) for r in x], labels)
-    a = MLP(MlpConfig(epochs=5, seed=9)).fit(ds)
-    b = MLP(MlpConfig(epochs=5, seed=9)).fit(ds)
+    monkeypatch.setattr(batch_learners, "MLP_EPOCHS", 5)
+    a = MLP(9).fit(ds)
+    b = MLP(9).fit(ds)
     for pa, pb in zip(a.params, b.params):
         assert np.array_equal(pa, pb)
 
@@ -322,7 +331,7 @@ def test_mlp_deterministic_with_fixed_seed():
 def test_mlp_rejects_nominal_input():
     ds = build_dataset([("c", "nominal")], [("p",), ("q",)], ["a", "b"])
     with pytest.raises(TrainingError, match="all-numeric"):
-        MLP().fit(ds)
+        MLP(1).fit(ds)
 
 
 # --- linear SVM -------------------------------------------------------------
@@ -408,7 +417,7 @@ def test_svm_separates_shifted_clusters():
 
 def test_pipeline_fits_preprocessing_inside_fold(tiny_mixed_dataset):
     ds = tiny_mixed_dataset
-    model = Pipeline(NaiveBayes(), normalize=True, encode=True).fit(ds)
+    model = Pipeline(NaiveBayes(), encode=True).fit(ds)
     assert (model.predict_dataset(ds) == ds.labels).all()
 
 
@@ -416,7 +425,7 @@ def test_pipeline_subsample_reduces_training_set():
     rows = [(float(i),) for i in range(100)]
     labels = ["a"] * 50 + ["b"] * 50
     ds = build_dataset([("x", "numeric")], rows, labels)
-    inner = KNN(KnnConfig(k=1))
+    inner = KNN(1)
     Pipeline(inner, subsample=20, seed=1).fit(ds)
     assert len(inner.t_labels) == 20
 
@@ -424,12 +433,10 @@ def test_pipeline_subsample_reduces_training_set():
 _SCHEMA_CHECKED = {
     "nb": NaiveBayes,
     "j48": DecisionTree,
-    "knn": lambda: KNN(KnnConfig(k=1)),
-    "pipeline knn": lambda: Pipeline(KNN(KnnConfig(k=1)), normalize=True,
-                                     subsample=4),
-    "pipeline mlp": lambda: Pipeline(MLP(), normalize=True, encode=True),
-    "pipeline svm": lambda: Pipeline(LinearSVM(), normalize=True,
-                                     encode=True),
+    "knn": lambda: KNN(1),
+    "pipeline knn": lambda: Pipeline(KNN(1), subsample=4),
+    "pipeline mlp": lambda: Pipeline(MLP(1), encode=True),
+    "pipeline svm": lambda: Pipeline(LinearSVM(), encode=True),
 }
 
 
@@ -495,7 +502,7 @@ def test_nb_predictions_do_not_depend_on_column_order(seed):
 @given(st.integers(0, 2**32 - 1))
 def test_knn_predictions_do_not_depend_on_column_order(seed):
     train, query, train_p, query_p, k = _column_orders(seed)
-    a, b = KNN(KnnConfig(k=k)).fit(train), KNN(KnnConfig(k=k)).fit(train_p)
+    a, b = KNN(k).fit(train), KNN(k).fit(train_p)
     da = np.sort(mixed_distances(query.numeric, query.nominal,
                                  a.t_num, a.t_nom), axis=1)
     db = np.sort(mixed_distances(query_p.numeric, query_p.nominal,

@@ -18,9 +18,11 @@ from nidsbench.cli import (
     resolve_data,
     run_command,
 )
-from nidsbench.dataset import DataError, load_dataset
+import nidsbench.cli as cli
+import nidsbench.stream_learners as stream_learners
+from nidsbench.dataset import DataError
 from nidsbench.evaluation import gen_drift_stream, prequential_run
-from nidsbench.stream_learners import WindowKNN, WindowKnnConfig
+from nidsbench.stream_learners import WindowKNN
 
 from conftest import kdd_line
 
@@ -148,7 +150,7 @@ def test_batch_run_writes_artifacts(mini_kdd, tmp_path, capsys):
     assert digest == hashlib.sha256(mini_kdd.read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("algo", ["j48", "knn"])
+@pytest.mark.parametrize("algo", ["j48", "knn", "mlp"])
 def test_batch_other_algorithms_run(mini_kdd, tmp_path, algo):
     out = tmp_path / "out"
     code = run_command(["batch", "--algo", algo, "--data", str(mini_kdd),
@@ -314,11 +316,12 @@ def test_fetch_requires_digest(tmp_path):
 # --- SVG emission -----------------------------------------------------------------
 
 
-def test_svg_structure_and_per_trace_polylines(tmp_path):
+def test_svg_structure_and_per_trace_polylines(tmp_path, monkeypatch):
     stream = gen_drift_stream(2_000, 1_000, seed=1)
+    monkeypatch.setattr(stream_learners, "WKNN_WINDOW", 200)
     traces = []
     for k in (1, 3):
-        model = WindowKNN(stream.schema, WindowKnnConfig(window_size=200, k=k))
+        model = WindowKNN(stream.schema, k)
         traces.append((f"wknn-{k}", prequential_run(stream, model, 0.95)))
     path = emit_svg_curve(traces, tmp_path / "curve.svg")
     svg = path.read_text()
@@ -344,11 +347,13 @@ def test_svg_rejects_empty():
         emit_svg_series([("x", np.zeros(0))], "/tmp/never.svg")
 
 
-def test_svg_dip_position_reflects_drift(tmp_path):
+def test_svg_dip_position_reflects_drift(tmp_path, monkeypatch):
     stream = gen_drift_stream(6_000, 3_000, seed=2)
-    model = WindowKNN(stream.schema, WindowKnnConfig(window_size=400, k=3))
+    monkeypatch.setattr(stream_learners, "WKNN_WINDOW", 400)
+    monkeypatch.setattr(cli, "SVG_EVERY", 50)
+    model = WindowKNN(stream.schema, 3)
     trace = prequential_run(stream, model, 0.95)
-    path = emit_svg_curve([("wknn", trace)], tmp_path / "dip.svg", every=50)
+    path = emit_svg_curve([("wknn", trace)], tmp_path / "dip.svg")
     line = [seg for seg in path.read_text().splitlines()
             if "<polyline" in seg][0]
     pts = [tuple(map(float, p.split(",")))

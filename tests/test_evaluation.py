@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nidsbench.batch_learners import BatchModel
-from nidsbench.dataset import Attribute, AttributeSchema, DataError, Dataset
+import nidsbench.stream_learners as stream_learners
+from nidsbench.dataset import DataError
 from nidsbench.evaluation import (
     ConfusionMatrix,
     PrequentialTrace,
@@ -20,7 +21,8 @@ from nidsbench.evaluation import (
     write_confusion_csv,
     write_trace_csv,
 )
-from nidsbench.stream_learners import StreamModel, WindowKNN, WindowKnnConfig
+from nidsbench.stream_learners import StreamingNaiveBayes, StreamModel, \
+    WindowKNN
 
 from conftest import build_dataset
 
@@ -105,10 +107,10 @@ def _unique_dataset(n, n_classes=3):
 
 def test_cv_perfect_oracle_scores_one():
     ds = _unique_dataset(30)
-    res = cross_validate(ds, lambda: _Memorizer(ds), 5, seed=1)
-    assert res.accuracy == 1.0
-    assert res.error == 0.0
-    assert res.confusion.total == 30
+    cm = cross_validate(ds, lambda: _Memorizer(ds), 5, seed=1)
+    assert cm.accuracy == 1.0
+    assert cm.error == 0.0
+    assert cm.total == 30
 
 
 def test_cv_constant_classifier_scores_majority_frequency():
@@ -233,9 +235,10 @@ def test_prequential_is_predict_then_train():
     assert model.calls == ["predict", "learn"] * 6
 
 
-def test_prequential_trace_replay_is_bit_exact():
+def test_prequential_trace_replay_is_bit_exact(monkeypatch):
     stream = gen_drift_stream(3_000, 1_500, seed=2)
-    model = WindowKNN(stream.schema, WindowKnnConfig(window_size=100, k=3))
+    monkeypatch.setattr(stream_learners, "WKNN_WINDOW", 100)
+    model = WindowKNN(stream.schema, 3)
     trace = prequential_run(stream, model, 0.95)
     s = b = 0.0
     replay = np.zeros(len(trace))
@@ -244,12 +247,24 @@ def test_prequential_trace_replay_is_bit_exact():
     assert np.array_equal(replay, trace.faded)
 
 
-def test_prequential_confusion_totals():
+def test_prequential_confusion_totals(monkeypatch):
     stream = gen_drift_stream(400, 200, seed=3)
-    model = WindowKNN(stream.schema, WindowKnnConfig(window_size=50, k=1))
+    monkeypatch.setattr(stream_learners, "WKNN_WINDOW", 50)
+    model = WindowKNN(stream.schema, 1)
     trace = prequential_run(stream, model, 0.95)
     assert trace.confusion.total == 400
     assert trace.confusion.accuracy == pytest.approx(trace.cumulative[-1])
+
+
+def test_prequential_rejects_stream_coded_against_another_domain(
+        domain_swapped_pair):
+    # the stream's codes name other symbols than the model's: running it
+    # would answer [a, b] for the true labels [b, a] without an error
+    train, test = domain_swapped_pair
+    model = StreamingNaiveBayes(train.schema)
+    prequential_run(train, model, 0.95)
+    with pytest.raises(DataError, match="differs from the model's schema"):
+        prequential_run(test, model, 0.95)
 
 
 def test_prequential_rejects_bad_alpha():
@@ -335,18 +350,14 @@ def test_annotate_output_sorted_with_window_spacing():
     assert ann[1] - ann[0] > 500
 
 
-def test_annotate_synthetic_switch_detected_within_window():
+def test_annotate_synthetic_switch_detected_within_window(monkeypatch):
     stream = gen_drift_stream(8_000, 4_000, seed=7)
-    model = WindowKNN(stream.schema, WindowKnnConfig(window_size=500, k=3))
+    monkeypatch.setattr(stream_learners, "WKNN_WINDOW", 500)
+    model = WindowKNN(stream.schema, 3)
     trace = prequential_run(stream, model, 0.95)
     ann = annotate_drifts(trace)
     assert len(ann) == 1
     assert abs(ann[0] - 4_001) <= 500  # switch first affects instance 4001
-
-
-def test_annotate_requires_positive_threshold():
-    with pytest.raises(ValueError):
-        annotate_drifts(_trace_from_faded(np.ones(1_000)), drop_threshold=0.0)
 
 
 # --- synthetic drift stream ----------------------------------------------------------

@@ -22,7 +22,7 @@ from nidsbench.preprocess import (
 
 from conftest import build_dataset, kdd_file
 
-from nidsbench.dataset import kdd99_schema, load_dataset
+from nidsbench.dataset import load_dataset
 
 ALL_LABELS = ("normal",) + tuple(sorted(ATTACK_CATEGORIES))
 

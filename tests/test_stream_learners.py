@@ -7,19 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nidsbench.stream_learners as stream_learners
 from nidsbench.batch_learners import NaiveBayes, entropy_rows
 from nidsbench.dataset import Attribute, AttributeSchema, Dataset
 from nidsbench.evaluation import gen_drift_stream, prequential_run
 from nidsbench.nbcore import VARIANCE_FLOOR
 from nidsbench.stream_learners import (
-    BoostConfig,
-    HoeffdingConfig,
     HoeffdingTree,
     OzaBoost,
     StreamingNaiveBayes,
     StreamModel,
     WindowKNN,
-    WindowKnnConfig,
     _HTSplit,
     hoeffding_bound,
     poisson_knuth,
@@ -183,14 +181,6 @@ def test_ht_numeric_split_learns_threshold_concept():
     assert trace.correct[-5_000:].mean() > 0.95
 
 
-def test_ht_naive_bayes_leaves_work():
-    stream = _depth1_concept_stream(3_000, 5)
-    model = HoeffdingTree(stream.schema,
-                          HoeffdingConfig(leaf_prediction="naive-bayes"))
-    trace = prequential_run(stream, model, 0.95)
-    assert trace.correct[-1_000:].mean() > 0.95
-
-
 def test_ht_predict_does_not_mutate():
     stream = _depth1_concept_stream(500, 2)
     model = HoeffdingTree(stream.schema)
@@ -207,9 +197,10 @@ def test_ht_predict_does_not_mutate():
         assert np.array_equal(model.root.class_counts, leaf_counts_before)
 
 
-def test_ht_grace_period_batches_split_checks():
+def test_ht_grace_period_batches_split_checks(monkeypatch):
     stream = _depth1_concept_stream(399, 4)
-    model = HoeffdingTree(stream.schema, HoeffdingConfig(grace_period=400))
+    monkeypatch.setattr(stream_learners, "HT_GRACE_PERIOD", 400)
+    model = HoeffdingTree(stream.schema)
     for i in range(len(stream)):
         model.learn_row(stream.numeric[i], stream.nominal[i],
                         int(stream.labels[i]))
@@ -241,48 +232,21 @@ _MIXED_STREAMS = dict(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 120),
 
 @settings(max_examples=25, deadline=None)
 @given(**_MIXED_STREAMS)
-def test_ht_unsplit_naive_bayes_leaf_equals_streaming_nb(seed, n, n_classes,
-                                                         n_num, domain_sizes):
-    # Metamorphic: a Hoeffding tree that never reaches its grace period is
-    # one naive-Bayes leaf, so it must score bit for bit like streaming NB.
-    ds = _mixed_stream(seed, n, n_classes, n_num, domain_sizes)
-    ht = HoeffdingTree(ds.schema, HoeffdingConfig(
-        grace_period=n + 1, leaf_prediction="naive-bayes"))
-    nb = StreamingNaiveBayes(ds.schema)
-    for i in range(n):
-        num, nom, y = ds.numeric[i], ds.nominal[i], int(ds.labels[i])
-        assert ht.predict_code(num, nom) == nb.predict_code(num, nom)
-        if i:  # the log scores each argmaxes once a row has been learned
-            assert ht._leaf_nb_scores(ht.root, num, nom).tobytes() == \
-                nb.stats.log_scores(num[None], nom[None])[0].tobytes()
-        ht.learn_row(num, nom, y)
-        nb.learn_row(num, nom, y)
-    assert ht.n_splits == 0
-
-
-@settings(max_examples=25, deadline=None)
-@given(**_MIXED_STREAMS)
 def test_ht_unsplit_majority_leaf_predicts_running_majority(
         seed, n, n_classes, n_num, domain_sizes):
     # Metamorphic: below the grace period a majority-leaf tree is a
     # majority-class learner; ties go to the lowest class index.
     ds = _mixed_stream(seed, n, n_classes, n_num, domain_sizes)
-    ht = HoeffdingTree(ds.schema, HoeffdingConfig(grace_period=n + 1))
+    ht = HoeffdingTree(ds.schema)
     counts = [0] * n_classes
-    for i in range(n):
-        num, nom, y = ds.numeric[i], ds.nominal[i], int(ds.labels[i])
-        assert ht.predict_code(num, nom) == counts.index(max(counts))
-        ht.learn_row(num, nom, y)
-        counts[y] += 1
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(stream_learners, "HT_GRACE_PERIOD", n + 1)
+        for i in range(n):
+            num, nom, y = ds.numeric[i], ds.nominal[i], int(ds.labels[i])
+            assert ht.predict_code(num, nom) == counts.index(max(counts))
+            ht.learn_row(num, nom, y)
+            counts[y] += 1
     assert ht.n_splits == 0
-
-
-def test_hoeffding_config_validation():
-    HoeffdingConfig(numeric_bins=1)
-    for bad in (dict(grace_period=0), dict(leaf_prediction="knn"),
-                dict(numeric_bins=0), dict(numeric_bins=-3)):
-        with pytest.raises(ValueError):
-            HoeffdingConfig(**bad)
 
 
 # --- Hoeffding-tree numeric split search ---------------------------------------
@@ -300,7 +264,7 @@ def _oracle_numeric_candidates(tree, leaf):
     counts = leaf.stats.class_counts
     n_total = counts.sum()
     parent_h = float(entropy_rows(counts[None])[0])
-    bins = tree.config.numeric_bins
+    bins = stream_learners.HT_NUMERIC_BINS
     var = leaf.stats.variances()
     found = []
     for col in range(len(leaf.vmin)):
@@ -336,14 +300,14 @@ def _oracle_numeric_candidates(tree, leaf):
     return found
 
 
-def _leaf_state(counts, mean, m2, vmin, vmax, bins=10):
+def _leaf_state(counts, mean, m2, vmin, vmax):
     """A tree and a leaf holding the given statistics ((C, cols) arrays)."""
     mean = np.asarray(mean, dtype=float)
     n_classes, n_num = mean.shape
     schema = AttributeSchema(
         tuple(Attribute(f"x{j}", "numeric") for j in range(n_num)),
         tuple(f"c{k}" for k in range(n_classes)))
-    tree = HoeffdingTree(schema, HoeffdingConfig(numeric_bins=bins))
+    tree = HoeffdingTree(schema)
     leaf = tree.root
     leaf.stats.class_counts[:] = counts
     leaf.class_counts[:] = counts
@@ -370,6 +334,8 @@ _GRID = (-1.0, 0.0, 0.25, 0.5, 1.0, 3.0)
 
 @st.composite
 def _leaf_states(draw):
+    """(tree, leaf, bin count): a leaf state and an HT_NUMERIC_BINS to
+    search it with."""
     n_classes = draw(st.integers(2, 5))
     n_num = draw(st.integers(1, 4))
     value = st.sampled_from(_GRID) | st.floats(-5.0, 5.0)
@@ -392,16 +358,18 @@ def _leaf_states(draw):
             hi = lo + draw(st.sampled_from((0.5, 1.0, 4.0)) | st.floats(1e-6, 10.0))
         vmin.append(lo)
         vmax.append(hi)
-    return _leaf_state(counts, mean, m2, vmin, vmax,
-                       bins=draw(st.integers(1, 12)))
+    return (*_leaf_state(counts, mean, m2, vmin, vmax),
+            draw(st.integers(1, 12)))
 
 
 @settings(max_examples=300, deadline=None)
 @given(_leaf_states())
 def test_ht_numeric_candidates_equal_the_scalar_formula(state):
-    tree, leaf = state
-    _assert_same_candidates(tree._numeric_candidates(leaf),
-                            _oracle_numeric_candidates(tree, leaf))
+    tree, leaf, bins = state
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(stream_learners, "HT_NUMERIC_BINS", bins)
+        _assert_same_candidates(tree._numeric_candidates(leaf),
+                                _oracle_numeric_candidates(tree, leaf))
 
 
 # each case: the `_leaf_state` arguments (class counts, (class, column)
@@ -481,9 +449,9 @@ def _threshold_stream(seed, n):
 
 def test_ht_with_the_scalar_search_grows_the_same_tree(monkeypatch):
     ds = _threshold_stream(1, 6_000)
-    config = HoeffdingConfig(grace_period=50)
-    fast = HoeffdingTree(ds.schema, config)
-    slow = HoeffdingTree(ds.schema, config)
+    monkeypatch.setattr(stream_learners, "HT_GRACE_PERIOD", 50)
+    fast = HoeffdingTree(ds.schema)
+    slow = HoeffdingTree(ds.schema)
     monkeypatch.setattr(slow, "_numeric_candidates",
                         lambda leaf: _oracle_numeric_candidates(slow, leaf))
     for num, nom, y in _stream_rows(ds):
@@ -497,9 +465,11 @@ def test_ht_with_the_scalar_search_grows_the_same_tree(monkeypatch):
 # --- windowed k-NN --------------------------------------------------------------
 
 
-def test_wknn_single_slot_window_predicts_previous_label(tiny_mixed_dataset):
+def test_wknn_single_slot_window_predicts_previous_label(tiny_mixed_dataset,
+                                                         monkeypatch):
     ds = tiny_mixed_dataset
-    model = WindowKNN(ds.schema, WindowKnnConfig(window_size=1, k=1))
+    monkeypatch.setattr(stream_learners, "WKNN_WINDOW", 1)
+    model = WindowKNN(ds.schema, 1)
     assert model.predict_code(ds.numeric[0], ds.nominal[0]) == 0  # empty
     prev = None
     for num, nom, y in zip(ds.numeric, ds.nominal, ds.labels):
@@ -509,11 +479,12 @@ def test_wknn_single_slot_window_predicts_previous_label(tiny_mixed_dataset):
         prev = int(y)
 
 
-def test_wknn_evicts_oldest_instance():
+def test_wknn_evicts_oldest_instance(monkeypatch):
     ds = build_dataset([("x", "numeric")],
                        [(0.0,), (100.0,), (101.0,)],
                        ["a", "b", "b"])
-    model = WindowKNN(ds.schema, WindowKnnConfig(window_size=2, k=1))
+    monkeypatch.setattr(stream_learners, "WKNN_WINDOW", 2)
+    model = WindowKNN(ds.schema, 1)
     for num, nom, y in zip(ds.numeric, ds.nominal, ds.labels):
         model.learn_row(num, nom, int(y))
     # the a-instance at x=0 was evicted; nearest remaining is b
@@ -521,19 +492,24 @@ def test_wknn_evicts_oldest_instance():
     assert model.size == 2
 
 
-def test_wknn_state_never_exceeds_window():
+def test_wknn_state_never_exceeds_window(monkeypatch):
     rng = np.random.default_rng(0)
     schema = AttributeSchema((Attribute("x", "numeric"),), ("a", "b"))
-    model = WindowKNN(schema, WindowKnnConfig(window_size=5, k=3))
+    monkeypatch.setattr(stream_learners, "WKNN_WINDOW", 5)
+    model = WindowKNN(schema, 3)
     for i in range(50):
         model.learn_row(np.array([rng.random()]), np.zeros(0, dtype=np.int32),
                         int(rng.integers(0, 2)))
         assert model.size <= 5
 
 
-def test_wknn_config_validation():
-    with pytest.raises(ValueError):
-        WindowKnnConfig(window_size=2, k=3)
+def test_wknn_config_validation(monkeypatch):
+    schema = _two_class_schema()
+    monkeypatch.setattr(stream_learners, "WKNN_WINDOW", 2)
+    assert WindowKNN(schema, 2).k == 2
+    for k in (0, 3):  # the window must hold k >= 1 instances
+        with pytest.raises(ValueError):
+            WindowKNN(schema, k)
 
 
 # --- OzaBoost --------------------------------------------------------------------
@@ -560,13 +536,8 @@ def _two_class_schema():
 
 def test_ozaboost_single_step_lambda_update():
     schema = _two_class_schema()
-    spies = []
-
-    def factory():
-        spies.append(_FixedModel(schema, fixed_code=0))
-        return spies[-1]
-
-    boost = OzaBoost(schema, BoostConfig(n_members=2, seed=1), factory)
+    spies = [_FixedModel(schema, fixed_code=0) for _ in range(2)]
+    boost = OzaBoost(schema, 1, spies)
     # label 0: member 1 correct -> sc 0->1, lambda 1 -> 1*(1+0)/(2*1) = 0.5
     # member 2 also correct -> sc 0->0.5, lambda 0.5 -> 0.5*(0.5)/(2*0.5)=0.25
     boost.learn_row(np.array([0.0]), np.zeros(0, dtype=np.int32), 0)
@@ -583,8 +554,8 @@ def test_ozaboost_single_step_lambda_update():
 def test_ozaboost_member_one_mass_equals_steps():
     schema = _two_class_schema()
     rng = np.random.default_rng(3)
-    boost = OzaBoost(schema, BoostConfig(n_members=4, seed=2),
-                     lambda: _FixedModel(schema, int(rng.integers(0, 2))))
+    boost = OzaBoost(schema, 2, [_FixedModel(schema, int(rng.integers(0, 2)))
+                                 for _ in range(4)])
     n = 137
     for i in range(n):
         boost.learn_row(np.array([float(i)]), np.zeros(0, dtype=np.int32),
@@ -596,13 +567,7 @@ def test_ozaboost_lambda_mass_conservation_against_replay():
     """Each member's sc+sw must equal the lambda mass routed to it, replayed
     by an independent simulation of the update rule."""
     schema = _two_class_schema()
-    members = []
-
-    def factory():
-        members.append(_FixedModel(schema, len(members) % 2))
-        return members[-1]
-
-    boost = OzaBoost(schema, BoostConfig(n_members=3, seed=5), factory)
+    boost = OzaBoost(schema, 5, [_FixedModel(schema, m % 2) for m in range(3)])
     rng = np.random.default_rng(10)
     n_steps = 200
     labels = rng.integers(0, 2, n_steps)
@@ -634,8 +599,7 @@ def test_ozaboost_lambda_mass_conservation_against_replay():
 
 def test_ozaboost_single_member_equals_member_vote():
     schema = _two_class_schema()
-    boost = OzaBoost(schema, BoostConfig(n_members=1, seed=1),
-                     lambda: _FixedModel(schema, 1))
+    boost = OzaBoost(schema, 1, [_FixedModel(schema, 1)])
     num = np.array([0.0])
     nom = np.zeros(0, dtype=np.int32)
     assert boost.predict_code(num, nom) == 0  # no mass yet -> class 0
@@ -645,13 +609,7 @@ def test_ozaboost_single_member_equals_member_vote():
 
 def test_ozaboost_weighted_vote_prefers_accurate_members():
     schema = _two_class_schema()
-    members = []
-
-    def factory():
-        members.append(_FixedModel(schema, len(members)))
-        return members[-1]
-
-    boost = OzaBoost(schema, BoostConfig(n_members=2, seed=1), factory)
+    boost = OzaBoost(schema, 1, [_FixedModel(schema, m) for m in range(2)])
     num = np.array([0.0])
     nom = np.zeros(0, dtype=np.int32)
     for _ in range(20):
@@ -665,7 +623,8 @@ def test_ozaboost_deterministic_with_seed():
     stream = gen_drift_stream(2_000, 1_000, seed=4)
 
     def run():
-        model = OzaBoost(stream.schema, BoostConfig(n_members=3, seed=7))
+        model = OzaBoost(stream.schema, 7,
+                         [HoeffdingTree(stream.schema) for _ in range(3)])
         trace = prequential_run(stream, model, 0.95)
         return trace.correct.copy(), model.lam_sc.copy(), model.lam_sw.copy()
 
@@ -678,7 +637,8 @@ def test_ozaboost_deterministic_with_seed():
 
 def test_ozaboost_on_stationary_concept_beats_cold_start():
     stream = _depth1_concept_stream(5_000, 9)
-    model = OzaBoost(stream.schema, BoostConfig(n_members=5, seed=1))
+    model = OzaBoost(stream.schema, 1,
+                     [HoeffdingTree(stream.schema) for _ in range(5)])
     trace = prequential_run(stream, model, 0.95)
     assert trace.correct[-1_000:].mean() > 0.98
 
@@ -690,8 +650,8 @@ def test_poisson_knuth_cap_and_zero():
     rng = np.random.default_rng(0)
     assert poisson_knuth(0.0, rng) == 0
     assert poisson_knuth(-1.0, rng) == 0
-    draws = [poisson_knuth(1e9, rng, cap=20) for _ in range(50)]
-    assert set(draws) == {20}
+    draws = [poisson_knuth(1e9, rng) for _ in range(50)]
+    assert set(draws) == {stream_learners.POISSON_CAP}
 
 
 def test_poisson_knuth_mean_and_determinism():
