@@ -113,10 +113,7 @@ class _TreeNode:
 # Sums only the positive terms: with zeros included, numpy's pairwise sum
 # groups eight or more terms differently, and C4.5 splits move.
 def _entropy(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total <= 0:
-        return 0.0
-    p = counts[counts > 0] / total
+    p = counts[counts > 0] / counts.sum()
     return float(-(p * np.log2(p)).sum())
 
 
@@ -130,13 +127,10 @@ def entropy_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def _pessimistic_extra_errors(n: float, e: float) -> float:
-    """Upper-confidence extra error count for a leaf with n instances, e errors."""
-    if n <= 0:
-        return 0.0
+    """Upper-confidence extra error count for a node with n >= 1 instances
+    and e <= n - 1 errors (its majority class holds at least one)."""
     if e == 0:
         return n * (1.0 - PRUNING_CONFIDENCE ** (1.0 / n))
-    if e + 0.5 >= n:
-        return max(n - e, 0.0)
     z = NormalDist().inv_cdf(1.0 - PRUNING_CONFIDENCE)
     f = (e + 0.5) / n
     r = (f + z * z / (2 * n)
@@ -157,7 +151,8 @@ class DecisionTree(BatchModel):
 
     def _fit(self, train: Dataset) -> None:
         self.n_classes = len(train.schema.class_labels)
-        num, nom, y = train.numeric, train.nominal, train.labels.astype(np.int64)
+        num, nom = train.numeric, train.nominal
+        y = train.labels.astype(np.int32)
         self._nom_domain_sizes = [
             len(train.schema.attributes[p].domain)
             for p in train.schema.nominal_positions
@@ -166,10 +161,17 @@ class DecisionTree(BatchModel):
         self._prune()
 
     def _grow(self, num, nom, y):
+        # Row i of `order` lists the node's rows by ascending value of numeric
+        # column i, ties by row index. The root sorts once; a child keeps its
+        # rows in the parent's order (a stable partition), which is exactly
+        # the stable argsort of the child's own values.
+        order = np.ascontiguousarray(
+            np.argsort(num, axis=0, kind="stable").T, dtype=np.int32)
+        which = np.empty(len(y), dtype=np.int32)  # row -> branch at a split
         holder: list = [None]
-        stack = [(np.arange(len(y)), holder, 0)]
+        stack = [(np.arange(len(y)), order, holder, 0)]
         while stack:
-            idx, container, slot = stack.pop()
+            idx, order, container, slot = stack.pop()
             counts = np.bincount(y[idx], minlength=self.n_classes)
             node = _TreeNode(counts)
             container[slot] = node
@@ -177,18 +179,31 @@ class DecisionTree(BatchModel):
                 continue  # pure
             if len(idx) < TREE_MIN_LEAF:
                 continue
-            best = self._best_split(num, nom, y, idx, counts)
+            best = self._best_split(num, nom, y, idx, order, counts)
             if best is None:
                 continue
-            kind, col, threshold, parts = best
-            node.kind, node.col, node.threshold = kind, col, threshold
-            node.children = [None] * len(parts)
-            for slot_i, part in enumerate(parts):
+            node.kind, node.col, node.threshold = best
+            if node.kind == "num":
+                branch = num[idx, node.col] > node.threshold
+                node.children = [None] * 2
+            else:
+                branch = nom[idx, node.col]
+                node.children = [None] * self._nom_domain_sizes[node.col]
+            which[idx] = branch
+            row_branch = which[order]
+            for slot_i in range(len(node.children)):
+                part = idx[branch == slot_i]
                 if len(part):
-                    stack.append((part, node.children, slot_i))
+                    part_order = order[row_branch == slot_i].reshape(
+                        len(order), len(part))
+                    stack.append((part, part_order, node.children, slot_i))
         return holder[0]
 
-    def _best_split(self, num, nom, y, idx, counts):
+    def _best_split(self, num, nom, y, idx, order, counts):
+        """(kind, col, threshold) of the split with the highest gain ratio,
+        nominal columns first, then numeric, each in column order; a later
+        split wins only with a strictly higher ratio. None if no split is
+        admissible."""
         n = len(idx)
         h_parent = _entropy(counts)
         y_sub = y[idx]
@@ -212,61 +227,86 @@ class DecisionTree(BatchModel):
             key = gain / split_info if split_info > 1e-12 else gain
             if best is None or key > best_key:
                 best_key = key
-                parts = [idx[codes == k] for k in range(d)]
-                best = ("nom", col, None, parts)
+                best = ("nom", col, None)
 
-        for col in range(num.shape[1]):
-            found = self._best_numeric_cut(num[idx, col], y_sub, counts, h_parent)
-            if found is None:
-                continue
-            gain, split_info, threshold = found
+        for col, gain, split_info, threshold in self._numeric_cuts(
+                num, y, order, counts, h_parent):
             key = gain / split_info if split_info > 1e-12 else gain
             if best is None or key > best_key:
                 best_key = key
-                vals = num[idx, col]
-                parts = [idx[vals <= threshold], idx[vals > threshold]]
-                best = ("num", col, threshold, parts)
+                best = ("num", col, threshold)
         return best
 
-    def _best_numeric_cut(self, vals, y_sub, counts, h_parent):
-        n = len(vals)
-        if n < 2 * TREE_MIN_LEAF:
-            return None
-        order = np.argsort(vals, kind="stable")
-        sv = vals[order]
-        sy = y_sub[order]
-        chg = np.flatnonzero(sv[1:] != sv[:-1])
-        if not len(chg):
-            return None
-        run_starts = np.concatenate(([0], chg + 1))
-        run_min = np.minimum.reduceat(sy, run_starts)
-        run_max = np.maximum.reduceat(sy, run_starts)
-        pure = np.where(run_min == run_max, run_min, -1)
-        boundary = (pure[:-1] == -1) | (pure[1:] == -1) | (pure[:-1] != pure[1:])
-        ok = boundary & (chg + 1 >= TREE_MIN_LEAF) \
-            & (n - chg - 1 >= TREE_MIN_LEAF)
-        cand = chg[ok]
-        if not len(cand):
-            return None
-        # left-side class counts at each candidate cut, via one searchsorted
-        # per class over that class's sorted positions
-        left = np.empty((len(cand), self.n_classes))
-        for c in range(self.n_classes):
-            pos_c = np.flatnonzero(sy == c)
-            left[:, c] = np.searchsorted(pos_c, cand, side="right")
-        right = counts[None, :] - left
-        n_left = (cand + 1).astype(np.float64)
-        both = entropy_rows(np.vstack([left, right]))
-        m = len(cand)
-        gains = h_parent - (n_left * both[:m] + (n - n_left) * both[m:]) / n
-        best_i = int(np.argmax(gains))
-        gain = float(gains[best_i])
-        if gain <= 1e-12:
-            return None
-        pos = cand[best_i]
-        threshold = (sv[pos] + sv[pos + 1]) / 2.0
-        split_info = _entropy(np.array([pos + 1, n - pos - 1], dtype=np.float64))
-        return gain, split_info, threshold
+    def _numeric_cuts(self, num, y, order, counts, h_parent):
+        """Each numeric column's best admissible cut at a node, in column
+        order, as (col, gain, split_info, threshold); columns without one
+        are left out.
+
+        `order` holds the node's rows sorted by each column (see `_grow`).
+        A cut between two runs of equal values is a candidate when the runs
+        do not hold one and the same class, and both sides keep
+        TREE_MIN_LEAF rows. Every column's candidates are scored together,
+        and a column's cut is its first best one.
+        """
+        n_num, n = order.shape
+        if n_num == 0 or n < 2 * TREE_MIN_LEAF:
+            return []
+        sv = num[order, np.arange(n_num)[:, None]]
+        step = sv[:, 1:] != sv[:, :-1]  # [col, i]: a run of equal values ends
+        del sv
+        sy = y[order]
+        # runs numbered across all columns
+        starts = np.ones((n_num, n), dtype=bool)
+        starts[:, 1:] = step
+        run = np.cumsum(starts, dtype=np.int32).reshape(n_num, n)
+        run -= 1
+        n_runs = int(run[-1, -1]) + 1
+        # a run's class, or -1 when its classes differ
+        mixed = np.zeros(n_runs, dtype=bool)
+        mixed[run[:, 1:][~step & (sy[:, 1:] != sy[:, :-1])]] = True
+        pure = np.where(mixed, -1, sy[starts])
+        del starts, mixed
+        boundary = np.zeros(n_runs, dtype=bool)  # run r vs run r + 1
+        boundary[:-1] = (pure[:-1] == -1) | (pure[1:] == -1) \
+            | (pure[:-1] != pure[1:])
+        # the cut after sorted position i leaves i + 1 rows on the left
+        lo, hi = TREE_MIN_LEAF - 1, n - TREE_MIN_LEAF
+        cols, pos = np.nonzero(step[:, lo:hi] & boundary[run[:, lo:hi]])
+        del step, run, pure, boundary
+        if not len(cols):
+            return []
+        pos += lo
+        opens = np.empty(len(cols), dtype=bool)  # a column's first candidate
+        opens[0] = True
+        np.not_equal(cols[1:], cols[:-1], out=opens[1:])
+        first = np.flatnonzero(opens)
+        seg = np.cumsum(opens, dtype=np.int32) - 1  # candidate -> its column's
+        # left-side class counts at each candidate cut, from the running
+        # count of each class present. Absent classes stay zero columns:
+        # numpy's pairwise sum groups eight or more terms by position, so
+        # dropping them would move the entropies' last bits.
+        sy = sy[cols[first]]
+        left = np.zeros((len(cols), self.n_classes))
+        for c in np.flatnonzero(counts):
+            left[:, c] = np.cumsum(sy == c, axis=1, dtype=np.int32)[seg, pos]
+        del sy
+        h_left = entropy_rows(left)
+        h_right = entropy_rows(np.subtract(counts, left, out=left))
+        n_left = (pos + 1).astype(np.float64)
+        gains = h_parent - (n_left * h_left + (n - n_left) * h_right) / n
+        top = np.flatnonzero(gains == np.maximum.reduceat(gains, first)[seg])
+        cuts = []
+        for i in top[np.searchsorted(top, first)]:
+            gain = float(gains[i])
+            if gain <= 1e-12:
+                continue
+            col, p = int(cols[i]), int(pos[i])
+            below, above = num[order[col, p:p + 2], col]
+            threshold = (below + above) / 2.0
+            split_info = _entropy(np.array([p + 1, n - p - 1],
+                                           dtype=np.float64))
+            cuts.append((col, gain, split_info, threshold))
+        return cuts
 
     def _prune(self) -> None:
         stack = [(self.root, False)]

@@ -56,6 +56,7 @@ from .preprocess import (
     select_attributes,
     variant,
 )
+from . import stream_learners
 from .stream_learners import (
     HoeffdingTree,
     OzaBoost,
@@ -526,6 +527,10 @@ def _dispatch(argv: list[str]) -> None:
     elif args.command == "batch":
         print(run_batch(_config_from_args(args)))
     elif args.command == "stream":
+        window = stream_learners.WKNN_WINDOW
+        if args.algo == "wknn" and args.k > window:
+            parser.error(f"argument --k: need k <= WKNN_WINDOW={window} "
+                         f"for wknn, got {args.k}")
         print(run_stream(_config_from_args(args)))
     elif args.command == "report":
         for p in emit_report(args.out):

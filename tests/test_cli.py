@@ -12,6 +12,7 @@ import pytest
 from nidsbench.cli import (
     EXIT_DATA,
     EXIT_OK,
+    EXIT_RUNTIME,
     EXIT_USAGE,
     emit_svg_curve,
     emit_svg_series,
@@ -69,6 +70,28 @@ def test_out_of_range_flag_is_usage_error(tmp_path, capsys, argv):
                                "--out", str(tmp_path)])
     assert code == EXIT_USAGE
     assert "error: argument --" in capsys.readouterr().err
+
+
+def test_wknn_k_above_the_window_is_usage_error(mini_kdd, tmp_path,
+                                                monkeypatch, capsys):
+    def no_read(*args):
+        raise AssertionError("the data file was read")
+
+    monkeypatch.setattr(stream_learners, "WKNN_WINDOW", 50)
+    argv = ["--data", str(mini_kdd), "--out", str(tmp_path)]
+    with pytest.MonkeyPatch.context() as no_load:
+        no_load.setattr(cli, "load_dataset", no_read)
+        assert run_command(["stream", "--algo", "wknn", "--k", "51"] + argv) \
+            == EXIT_USAGE
+    assert "error: argument --k: need k <= WKNN_WINDOW=50" in \
+        capsys.readouterr().err
+    assert run_command(["stream", "--algo", "wknn", "--k", "50"] + argv) \
+        == EXIT_OK
+    # batch k-NN has no window: its k is checked against the training set
+    assert run_command(["batch", "--algo", "knn", "--k", "51"] + argv) \
+        == EXIT_OK
+    assert run_command(["batch", "--algo", "knn", "--k", "6000"] + argv) \
+        == EXIT_RUNTIME
 
 
 def test_unparsable_file_is_data_error(tmp_path, capsys):
