@@ -62,7 +62,7 @@ def _run(args) -> None:
             cfg = RunConfig(variant=vid, algo="knn" if knn else algo,
                             k=int(algo[3:]) if knn else RunConfig.k,
                             folds=args.folds, seed=args.seed,
-                            sample=args.knn_sample or None)
+                            sample=(args.knn_sample or None) if knn else None)
             ds = prepare(raw, cfg)
             t0 = time.perf_counter()
             cm = cross_validate(ds, lambda: make_batch_model(cfg), cfg.folds,

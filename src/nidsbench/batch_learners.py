@@ -47,12 +47,6 @@ class BatchModel:
         self._fit(train)
         return self
 
-    def _fit(self, train: Dataset) -> None:
-        raise NotImplementedError
-
-    def _predict_codes(self, num: np.ndarray, nom: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
     def predict_dataset(self, ds: Dataset) -> np.ndarray:
         if ds.schema != self.schema:
             raise DataError("dataset schema differs from the fitted schema")
@@ -108,13 +102,6 @@ class _TreeNode:
 
     def to_leaf(self):
         self.col = self.kind = self.threshold = self.children = None
-
-
-# Sums only the positive terms: with zeros included, numpy's pairwise sum
-# groups eight or more terms differently, and C4.5 splits move.
-def _entropy(counts: np.ndarray) -> float:
-    p = counts[counts > 0] / counts.sum()
-    return float(-(p * np.log2(p)).sum())
 
 
 def entropy_rows(rows: np.ndarray) -> np.ndarray:
@@ -176,9 +163,7 @@ class DecisionTree(BatchModel):
             node = _TreeNode(counts)
             container[slot] = node
             if (counts > 0).sum() <= 1:
-                continue  # pure
-            if len(idx) < TREE_MIN_LEAF:
-                continue
+                continue  # pure; _best_split rejects splits of too few rows
             best = self._best_split(num, nom, y, idx, order, counts)
             if best is None:
                 continue
@@ -205,7 +190,10 @@ class DecisionTree(BatchModel):
         split wins only with a strictly higher ratio. None if no split is
         admissible."""
         n = len(idx)
-        h_parent = _entropy(counts)
+        # The parent entropy and a nominal split info sum only the positive
+        # terms: with zeros included, numpy's pairwise sum groups eight or
+        # more terms differently, and C4.5 splits move.
+        h_parent = float(entropy_rows(counts[counts > 0][None])[0])
         y_sub = y[idx]
         best = None
         best_key = 0.0
@@ -223,7 +211,7 @@ class DecisionTree(BatchModel):
             gain = h_parent - float((sizes / n) @ entropy_rows(table))
             if gain <= 1e-12:
                 continue
-            split_info = _entropy(sizes)
+            split_info = float(entropy_rows(sizes[sizes > 0][None])[0])
             key = gain / split_info if split_info > 1e-12 else gain
             if best is None or key > best_key:
                 best_key = key
@@ -295,17 +283,16 @@ class DecisionTree(BatchModel):
         n_left = (pos + 1).astype(np.float64)
         gains = h_parent - (n_left * h_left + (n - n_left) * h_right) / n
         top = np.flatnonzero(gains == np.maximum.reduceat(gains, first)[seg])
+        chosen = top[np.searchsorted(top, first)]  # each column's first best
+        chosen = chosen[gains[chosen] > 1e-12]
+        sizes = n_left[chosen]
+        split_infos = entropy_rows(np.column_stack((sizes, n - sizes)))
         cuts = []
-        for i in top[np.searchsorted(top, first)]:
-            gain = float(gains[i])
-            if gain <= 1e-12:
-                continue
+        for i, split_info in zip(chosen, split_infos):
             col, p = int(cols[i]), int(pos[i])
             below, above = num[order[col, p:p + 2], col]
             threshold = (below + above) / 2.0
-            split_info = _entropy(np.array([p + 1, n - p - 1],
-                                           dtype=np.float64))
-            cuts.append((col, gain, split_info, threshold))
+            cuts.append((col, float(gains[i]), float(split_info), threshold))
         return cuts
 
     def _prune(self) -> None:
@@ -450,36 +437,30 @@ class KNN(BatchModel):
 # SGD step size and momentum: the defaults of Weka's MultilayerPerceptron
 MLP_LEARNING_RATE = 0.3
 MLP_MOMENTUM = 0.2
-# slope of the unipolar sigmoid 1 / (1 + exp(-slope * z))
-MLP_SIGMOID_SLOPE = 1.0
 # passes of per-instance SGD over the training set
 MLP_EPOCHS = 10
 
 
-def _sigmoid(z: np.ndarray, slope: float) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-slope * z))
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """The unipolar (logistic) sigmoid 1 / (1 + exp(-z))."""
+    return 1.0 / (1.0 + np.exp(-z))
 
 
-def mlp_forward(params, x, slope):
+def mlp_forward(params, x):
     w1, b1, w2, b2 = params
-    hidden = _sigmoid(x @ w1 + b1, slope)
-    out = _sigmoid(hidden @ w2 + b2, slope)
+    hidden = _sigmoid(x @ w1 + b1)
+    out = _sigmoid(hidden @ w2 + b2)
     return hidden, out
 
 
-def mlp_loss(params, x, target, slope) -> float:
-    _, out = mlp_forward(params, x, slope)
-    return 0.5 * float(((out - target) ** 2).sum())
-
-
-def mlp_gradients(params, x, target, slope):
+def mlp_gradients(params, x, target):
     """Backpropagated gradients of the half squared error for one instance."""
     w1, b1, w2, b2 = params
-    hidden, out = mlp_forward(params, x, slope)
-    delta_out = (out - target) * slope * out * (1.0 - out)
+    hidden, out = mlp_forward(params, x)
+    delta_out = (out - target) * out * (1.0 - out)
     g_w2 = np.outer(hidden, delta_out)
     g_b2 = delta_out
-    delta_hid = (w2 @ delta_out) * slope * hidden * (1.0 - hidden)
+    delta_hid = (w2 @ delta_out) * hidden * (1.0 - hidden)
     g_w1 = np.outer(x, delta_hid)
     g_b1 = delta_hid
     return g_w1, g_b1, g_w2, g_b2
@@ -513,8 +494,7 @@ class MLP(BatchModel):
 
         for _ in range(MLP_EPOCHS):
             for i in rng.permutation(n):
-                grads = mlp_gradients(params, x[i], targets[i],
-                                      MLP_SIGMOID_SLOPE)
+                grads = mlp_gradients(params, x[i], targets[i])
                 for p, v, g in zip(params, velocity, grads):
                     v *= MLP_MOMENTUM
                     v -= MLP_LEARNING_RATE * g
@@ -528,7 +508,7 @@ class MLP(BatchModel):
     def _predict_codes(self, num, nom):
         # argmax of the normalized outputs: the division can round two
         # outputs equal, and the tie then goes to the lower class index
-        _, out = mlp_forward(self.params, num, MLP_SIGMOID_SLOPE)
+        _, out = mlp_forward(self.params, num)
         return np.argmax(out / out.sum(axis=1, keepdims=True), axis=1)
 
 

@@ -48,13 +48,13 @@ from .evaluation import (
     write_trace_csv,
 )
 from .preprocess import (
+    VARIANT_LABELS,
     SelectionSpec,
     apply_normalizer,
     apply_variant,
     fit_normalizer,
     oner_rank,
     select_attributes,
-    variant,
 )
 from . import stream_learners
 from .stream_learners import (
@@ -71,7 +71,7 @@ EXIT_RUNTIME = 3
 
 BATCH_ALGOS = ("nb", "j48", "knn", "mlp", "svm")
 STREAM_ALGOS = ("snb", "ht", "wknn", "ozaboost")
-VARIANTS = ("v1", "v2", "v3")
+VARIANTS = tuple(VARIANT_LABELS)
 
 DEFAULT_URLS = {
     "kdd99-10": "http://kdd.ics.uci.edu/databases/kddcup99/"
@@ -141,7 +141,7 @@ def prepare(raw: Dataset, cfg: RunConfig) -> Dataset:
     """A run's learner input: relabel per the variant, select per --attrs and,
     for wknn, min-max normalize with a normalizer fitted on the first
     STREAM_NORMALIZE_WARMUP rows."""
-    ds = apply_variant(raw, variant(cfg.variant))
+    ds = apply_variant(raw, cfg.variant)
     spec = _selection(cfg.attrs)
     if spec is not None:
         ds = select_attributes(ds, spec)
@@ -451,7 +451,7 @@ def build_parser() -> ArgParser:
     _add_run(p, BATCH_ALGOS)
     p.add_argument("--folds", type=folds_arg, default=RunConfig.folds)
     p.add_argument("--sample", type=sample_arg, default=RunConfig.sample,
-                   help="stratified training subsample size (knn)")
+                   help="stratified training subsample size (knn only)")
 
     p = sub.add_parser("stream", help="prequential evaluation run")
     _add_data(p, stream=True)
@@ -525,6 +525,8 @@ def _dispatch(argv: list[str]) -> None:
             name = ds.schema.attributes[idx - 1].name
             print(f"{rank:>4}  {idx:>4}  {name:<28}  {acc * 100:7.3f}%")
     elif args.command == "batch":
+        if args.sample is not None and args.algo != "knn":
+            parser.error("--sample applies to --algo knn only")
         print(run_batch(_config_from_args(args)))
     elif args.command == "stream":
         window = stream_learners.WKNN_WINDOW

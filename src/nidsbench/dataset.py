@@ -1,8 +1,8 @@
 """KDD99-family schema, record parsing, dataset loading and fetching.
 
 Records are plain comma-separated lines: 41 feature fields followed by a
-class label that may carry a trailing period ("smurf."). The parser turns a
-line into an `Instance`; `dataset_from_instances` is the one coder of
+class label that may carry a trailing period ("smurf."). The loader parses
+each line into an `Instance`; `dataset_from_instances` is the one coder of
 nominal symbols and class labels, and stores a Dataset column-major (numeric
 matrix + nominal code matrix + label codes) for the learners. Codes mean
 something only together with the schema they were made against, so a
@@ -20,7 +20,7 @@ import urllib.request
 import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -103,18 +103,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def class_counts(self) -> dict[str, int]:
-        counts = np.bincount(self.labels, minlength=len(self.schema.class_labels))
-        return {lab: int(c) for lab, c in zip(self.schema.class_labels, counts)}
-
-    def instance(self, i: int) -> Instance:
-        values: list = [None] * self.schema.n_attributes
-        for j, pos in enumerate(self.schema.numeric_positions):
-            values[pos] = float(self.numeric[i, j])
-        for j, pos in enumerate(self.schema.nominal_positions):
-            values[pos] = self.schema.attributes[pos].domain[self.nominal[i, j]]
-        return Instance(tuple(values), self.schema.class_labels[self.labels[i]])
-
     def subset(self, indices: np.ndarray | Sequence[int], note: str = "") -> "Dataset":
         idx = np.asarray(indices)
         prov = self.provenance + (f"; {note}" if note else "")
@@ -123,26 +111,6 @@ class Dataset:
 
     def with_provenance(self, note: str) -> "Dataset":
         return replace(self, provenance=self.provenance + f"; {note}")
-
-    def equals(self, other: "Dataset") -> bool:
-        return (self.schema == other.schema
-                and np.array_equal(self.numeric, other.numeric)
-                and np.array_equal(self.nominal, other.nominal)
-                and np.array_equal(self.labels, other.labels))
-
-    def to_lines(self) -> Iterator[str]:
-        """Serialize back to the comma-separated record format (no label dot)."""
-        num_pos = self.schema.numeric_positions
-        nom_pos = self.schema.nominal_positions
-        domains = [self.schema.attributes[p].domain for p in nom_pos]
-        for i in range(len(self)):
-            fields = [""] * self.schema.n_attributes
-            for j, pos in enumerate(num_pos):
-                fields[pos] = repr(float(self.numeric[i, j]))
-            for j, pos in enumerate(nom_pos):
-                fields[pos] = domains[j][self.nominal[i, j]]
-            fields.append(self.schema.class_labels[self.labels[i]])
-            yield ",".join(fields)
 
 
 # The canonical 41-attribute connection-record layout. The seven symbolic
@@ -176,8 +144,10 @@ def kdd99_schema() -> AttributeSchema:
 
 
 def _parse_fields(fields: list[str], schema: AttributeSchema,
-                  line_no: int | None = None) -> Instance:
-    ctx = f"line {line_no}: " if line_no is not None else ""
+                  line_no: int) -> Instance:
+    """One record's fields as an Instance; the label's single trailing "."
+    (as in the official files) is stripped, and nothing else normalized."""
+    ctx = f"line {line_no}: "
     expected = schema.n_attributes + 1
     if len(fields) != expected:
         raise ParseError(f"{ctx}expected {expected} fields, got {len(fields)}")
@@ -207,19 +177,15 @@ def _parse_fields(fields: list[str], schema: AttributeSchema,
     return Instance(tuple(values), label)
 
 
-def parse_kdd_line(line: str, schema: AttributeSchema,
-                   line_no: int | None = None) -> Instance:
-    """Parse one comma-separated record into an Instance.
+def dataset_from_instances(schema: AttributeSchema,
+                           instances: Iterable[Instance], n: int,
+                           provenance: str = "") -> Dataset:
+    """Assemble a Dataset of `n` instances, accumulating nominal domains and
+    class labels.
 
-    The label's single trailing "." (as in the official files) is stripped;
-    no other normalization is applied.
+    Domains and class labels not already present in `schema` are added in
+    first-seen order, then frozen into the returned dataset's schema.
     """
-    return _parse_fields(line.rstrip("\r\n").split(","), schema, line_no)
-
-
-def _code_instances(schema: AttributeSchema, instances: Iterable[Instance],
-                    n: int, provenance: str) -> Dataset:
-    """`dataset_from_instances` for `n` instances, coded into preallocated arrays."""
     num_pos = schema.numeric_positions
     nom_pos = schema.nominal_positions
     domain_codes: list[dict[str, int]] = [
@@ -242,18 +208,6 @@ def _code_instances(schema: AttributeSchema, instances: Iterable[Instance],
         attrs[p] = replace(attrs[p], domain=tuple(domain_codes[j]))
     frozen = AttributeSchema(tuple(attrs), tuple(label_codes))
     return Dataset(frozen, numeric, nominal, labels, provenance)
-
-
-def dataset_from_instances(schema: AttributeSchema,
-                           instances: Iterable[Instance],
-                           provenance: str = "") -> Dataset:
-    """Assemble a Dataset, accumulating nominal domains and class labels.
-
-    Domains and class labels not already present in `schema` are added in
-    first-seen order, then frozen into the returned dataset's schema.
-    """
-    instances = list(instances)
-    return _code_instances(schema, instances, len(instances), provenance)
 
 
 def _read_text(path: Path) -> str:
@@ -307,7 +261,7 @@ def load_dataset(path: str | Path, schema: AttributeSchema | None = None) -> Dat
             fields = fields[:-1]  # NSL-KDD difficulty column
         return _parse_fields(fields, schema, line_no)
 
-    distinct = _code_instances(
+    distinct = dataset_from_instances(
         schema, (parse(ln, no) for ln, no in first_line_no.items()),
         len(first_line_no), f"loaded {path}")
     del first_line_no  # free the line text before the expanded rows are allocated
@@ -315,9 +269,19 @@ def load_dataset(path: str | Path, schema: AttributeSchema | None = None) -> Dat
 
 
 def write_dataset(ds: Dataset, path: str | Path) -> None:
+    """Serialize back to the comma-separated record format (no label dot)."""
+    num_pos = ds.schema.numeric_positions
+    nom_pos = ds.schema.nominal_positions
+    domains = [ds.schema.attributes[p].domain for p in nom_pos]
     with open(path, "w") as fh:
-        for line in ds.to_lines():
-            fh.write(line + "\n")
+        for i in range(len(ds)):
+            fields = [""] * ds.schema.n_attributes
+            for j, pos in enumerate(num_pos):
+                fields[pos] = repr(float(ds.numeric[i, j]))
+            for j, pos in enumerate(nom_pos):
+                fields[pos] = domains[j][ds.nominal[i, j]]
+            fields.append(ds.schema.class_labels[ds.labels[i]])
+            fh.write(",".join(fields) + "\n")
 
 
 def sha256_file(path: str | Path) -> str:

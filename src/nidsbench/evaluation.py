@@ -1,6 +1,6 @@
 """Evaluation harnesses: stratified cross-validation for batch models and
 prequential (test-then-train) runs with fading-factor forgetting for stream
-models, plus metrics, drift annotation and a synthetic drift stream.
+models, plus metrics, drift annotation and the trace and confusion CSVs.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dataset import Attribute, AttributeSchema, DataError, Dataset, NOMINAL, NUMERIC
+from .dataset import DataError, Dataset
 
 
 @dataclass(frozen=True)
@@ -214,36 +214,6 @@ def annotate_drifts(trace: PrequentialTrace) -> list[int]:
         seg = faded[lo:hi + 1]
         out.append(int(lo + np.argmin(seg)) + 1)  # 1-based
     return out
-
-
-def gen_drift_stream(n: int, switch_at: int, seed: int) -> Dataset:
-    """Synthetic stream with one abrupt concept inversion.
-
-    One nominal attribute fully determines the class; from position
-    `switch_at` (0-based) onward the mapping is inverted. A second nominal
-    attribute and one numeric attribute carry seeded noise.
-    """
-    if not 0 < switch_at < n:
-        raise ValueError("need 0 < switch_at < n")
-    rng = np.random.default_rng(seed)
-    signal = rng.integers(0, 2, n).astype(np.int32)
-    noise_sym = rng.integers(0, 2, n).astype(np.int32)
-    noise_num = rng.random(n)
-    labels = signal.copy()
-    labels[switch_at:] = 1 - labels[switch_at:]
-    schema = AttributeSchema(
-        (
-            Attribute("signal", NOMINAL, ("a", "b")),
-            Attribute("noise_sym", NOMINAL, ("x", "y")),
-            Attribute("noise_num", NUMERIC),
-        ),
-        ("c0", "c1"),
-    )
-    return Dataset(schema, noise_num.reshape(-1, 1),
-                   np.column_stack([signal, noise_sym]).astype(np.int32),
-                   labels.astype(np.int32),
-                   provenance=f"synthetic drift stream n={n} switch={switch_at} "
-                              f"seed={seed}")
 
 
 # ---------------------------------------------------------------------------

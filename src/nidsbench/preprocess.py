@@ -43,28 +43,20 @@ BINARY_LABELS = ("normal", "attack")
 DEFAULT_KEEP_INDICES = (1, 2, 5, 6, 9, 23, 24, 29, 32, 33, 34, 36)
 
 
-@dataclass(frozen=True)
-class PreprocessVariant:
-    """One relabeling scheme. target_labels is None for the keep-raw variant."""
-
-    id: str
-    target_labels: tuple[str, ...] | None
-
-
-def variant(vid: str) -> PreprocessVariant:
-    vid = vid.lower()
-    if vid == "v1":
-        return PreprocessVariant("v1", FIVE_CLASS_LABELS)
-    if vid == "v2":
-        return PreprocessVariant("v2", BINARY_LABELS)
-    if vid == "v3":
-        return PreprocessVariant("v3", None)
-    raise ValueError(f"unknown preprocessing variant {vid!r}")
+# each relabeling variant's class labels; None keeps the raw labels
+VARIANT_LABELS: dict[str, tuple[str, ...] | None] = {
+    "v1": FIVE_CLASS_LABELS,
+    "v2": BINARY_LABELS,
+    "v3": None,
+}
 
 
-def apply_variant(ds: Dataset, v: PreprocessVariant) -> Dataset:
-    """Relabel classes per the variant; features and order are untouched."""
-    if v.id == "v3":
+def apply_variant(ds: Dataset, vid: str) -> Dataset:
+    """Relabel classes per variant `vid`; features and order are untouched."""
+    if vid not in VARIANT_LABELS:
+        raise ValueError(f"unknown preprocessing variant {vid!r}")
+    targets = VARIANT_LABELS[vid]
+    if targets is None:
         return ds.with_provenance("variant v3 (raw labels)")
     mapping = np.empty(len(ds.schema.class_labels), dtype=np.int32)
     for code, label in enumerate(ds.schema.class_labels):
@@ -73,12 +65,12 @@ def apply_variant(ds: Dataset, v: PreprocessVariant) -> Dataset:
         else:
             if label not in ATTACK_CATEGORIES:
                 raise DataError(
-                    f"unknown attack label {label!r} under variant {v.id}")
-            target = ATTACK_CATEGORIES[label] if v.id == "v1" else "attack"
-        mapping[code] = v.target_labels.index(target)
-    schema = AttributeSchema(ds.schema.attributes, v.target_labels)
+                    f"unknown attack label {label!r} under variant {vid}")
+            target = ATTACK_CATEGORIES[label] if vid == "v1" else "attack"
+        mapping[code] = targets.index(target)
+    schema = AttributeSchema(ds.schema.attributes, targets)
     return Dataset(schema, ds.numeric, ds.nominal, mapping[ds.labels],
-                   ds.provenance + f"; variant {v.id}")
+                   ds.provenance + f"; variant {vid}")
 
 
 @dataclass(frozen=True)

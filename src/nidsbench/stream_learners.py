@@ -67,18 +67,12 @@ def poisson_knuth(lam: float, rng: np.random.Generator) -> int:
 
 
 class StreamModel:
-    """predict-then-train contract over a fixed schema."""
+    """predict-then-train contract over a fixed schema (see the module
+    docstring): subclasses implement `predict_code` and `learn_row`."""
 
     def __init__(self, schema: AttributeSchema):
         self.schema = schema
         self.n_classes = len(schema.class_labels)
-
-    def predict_code(self, num_row: np.ndarray, nom_row: np.ndarray) -> int:
-        raise NotImplementedError
-
-    def learn_row(self, num_row: np.ndarray, nom_row: np.ndarray,
-                  label_code: int) -> None:
-        raise NotImplementedError
 
 
 class StreamingNaiveBayes(StreamModel):

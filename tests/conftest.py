@@ -5,9 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from nidsbench.batch_learners import mlp_forward
 from nidsbench.dataset import (
+    NOMINAL,
+    NUMERIC,
     Attribute,
     AttributeSchema,
+    Dataset,
     Instance,
     dataset_from_instances,
     kdd99_schema,
@@ -30,14 +34,29 @@ def build_dataset(attrs, rows, labels, class_labels=()):
     schema = AttributeSchema(tuple(Attribute(*a) for a in attrs),
                              tuple(class_labels))
     instances = [Instance(tuple(r), lab) for r, lab in zip(rows, labels)]
-    return dataset_from_instances(schema, instances)
+    return dataset_from_instances(schema, instances, len(instances))
 
 
 def code_rows(schema, *rows):
     """Value rows coded against `schema` by the program's one coder (each
     labeled with the schema's first class)."""
     return dataset_from_instances(
-        schema, [Instance(tuple(r), schema.class_labels[0]) for r in rows])
+        schema, (Instance(tuple(r), schema.class_labels[0]) for r in rows),
+        len(rows))
+
+
+def label_names(ds):
+    """Each row's class label, in row order."""
+    return [ds.schema.class_labels[c] for c in ds.labels]
+
+
+def assert_same_dataset(a, b):
+    """a and b have the same schema, numeric values, nominal codes and
+    labels."""
+    assert a.schema == b.schema
+    assert np.array_equal(a.numeric, b.numeric)
+    assert np.array_equal(a.nominal, b.nominal)
+    assert np.array_equal(a.labels, b.labels)
 
 
 def predict_labels(model, *rows):
@@ -45,6 +64,42 @@ def predict_labels(model, *rows):
     its fitted schema and sent through `predict_dataset`, as the CLI does."""
     codes = model.predict_dataset(code_rows(model.schema, *rows))
     return [model.schema.class_labels[c] for c in codes]
+
+
+def gen_drift_stream(n: int, switch_at: int, seed: int) -> Dataset:
+    """Synthetic stream with one abrupt concept inversion.
+
+    One nominal attribute fully determines the class; from position
+    `switch_at` (0-based) onward the mapping is inverted. A second nominal
+    attribute and one numeric attribute carry seeded noise.
+    """
+    if not 0 < switch_at < n:
+        raise ValueError("need 0 < switch_at < n")
+    rng = np.random.default_rng(seed)
+    signal = rng.integers(0, 2, n).astype(np.int32)
+    noise_sym = rng.integers(0, 2, n).astype(np.int32)
+    noise_num = rng.random(n)
+    labels = signal.copy()
+    labels[switch_at:] = 1 - labels[switch_at:]
+    schema = AttributeSchema(
+        (
+            Attribute("signal", NOMINAL, ("a", "b")),
+            Attribute("noise_sym", NOMINAL, ("x", "y")),
+            Attribute("noise_num", NUMERIC),
+        ),
+        ("c0", "c1"),
+    )
+    return Dataset(schema, noise_num.reshape(-1, 1),
+                   np.column_stack([signal, noise_sym]).astype(np.int32),
+                   labels.astype(np.int32),
+                   provenance=f"synthetic drift stream n={n} switch={switch_at} "
+                              f"seed={seed}")
+
+
+def mlp_loss(params, x, target) -> float:
+    """Half squared error of the MLP's outputs for one instance."""
+    _, out = mlp_forward(params, x)
+    return 0.5 * float(((out - target) ** 2).sum())
 
 
 def kdd_line(label: str, rng: np.random.Generator, dotted: bool = True) -> str:

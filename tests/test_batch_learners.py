@@ -22,13 +22,12 @@ from nidsbench.batch_learners import (
     mixed_distances,
     mlp_forward,
     mlp_gradients,
-    mlp_loss,
 )
 from nidsbench.cli import RunConfig, prepare
 from nidsbench.dataset import DataError, kdd99_schema, load_dataset
 from nidsbench.nbcore import ClassConditionalStats
 
-from conftest import build_dataset, code_rows, predict_labels
+from conftest import build_dataset, code_rows, mlp_loss, predict_labels
 
 
 # --- naive Bayes ------------------------------------------------------------
@@ -226,8 +225,9 @@ def _oracle_numeric_cut(vals, y_sub, counts, h_parent, n_classes):
         return None
     pos = cand[best_i]
     threshold = (sv[pos] + sv[pos + 1]) / 2.0
-    split_info = batch_learners._entropy(
-        np.array([pos + 1, n - pos - 1], dtype=np.float64))
+    # the split info's scalar formula (both sides hold rows), as the reference
+    p = np.array([pos + 1, n - pos - 1], dtype=np.float64) / n
+    split_info = float(-(p * np.log2(p)).sum())
     return gain, split_info, threshold
 
 
@@ -417,12 +417,12 @@ def test_mlp_zero_weights_output_half_and_class_zero(monkeypatch):
     h = model.params[0].shape[1]
     model.params = (np.zeros((2, h)), np.zeros(h), np.zeros((h, 2)),
                     np.zeros(2))
-    _, out = mlp_forward(model.params, np.array([3.0, -1.0]), 1.0)
+    _, out = mlp_forward(model.params, np.array([3.0, -1.0]))
     assert np.allclose(out, 0.5)
     assert predict_labels(model, (3.0, -1.0)) == ["u"]  # tie -> index 0
 
 
-def _finite_difference_grads(params, x, target, slope, step):
+def _finite_difference_grads(params, x, target, step):
     grads = []
     for p_idx, p in enumerate(params):
         g = np.zeros_like(p)
@@ -431,9 +431,9 @@ def _finite_difference_grads(params, x, target, slope, step):
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + step
-            up = mlp_loss(params, x, target, slope)
+            up = mlp_loss(params, x, target)
             flat[i] = orig - step
-            down = mlp_loss(params, x, target, slope)
+            down = mlp_loss(params, x, target)
             flat[i] = orig
             gf[i] = (up - down) / (2 * step)
         grads.append(g)
@@ -446,8 +446,8 @@ def test_mlp_gradient_matches_central_differences_2_2_2():
               rng.normal(size=(2, 2)), rng.normal(size=2))
     x = rng.normal(size=2)
     target = np.array([1.0, 0.0])
-    analytic = mlp_gradients(params, x, target, slope=1.0)
-    numeric = _finite_difference_grads(params, x, target, 1.0, step=1e-6)
+    analytic = mlp_gradients(params, x, target)
+    numeric = _finite_difference_grads(params, x, target, step=1e-6)
     for a, n in zip(analytic, numeric):
         assert np.abs(a - n).max() / max(np.abs(n).max(), 1.0) < 1e-6
 
@@ -462,9 +462,8 @@ def test_mlp_gradient_check_random_networks(d, h, c, seed):
     x = rng.normal(size=d)
     target = np.zeros(c)
     target[rng.integers(0, c)] = 1.0
-    slope = 1.0
-    analytic = mlp_gradients(params, x, target, slope)
-    numeric = _finite_difference_grads(params, x, target, slope, step=1e-5)
+    analytic = mlp_gradients(params, x, target)
+    numeric = _finite_difference_grads(params, x, target, step=1e-5)
     for a, n in zip(analytic, numeric):
         denom = max(np.abs(n).max(), 1e-3)
         assert np.abs(a - n).max() / denom < 1e-4

@@ -22,10 +22,10 @@ from nidsbench.cli import (
 import nidsbench.cli as cli
 import nidsbench.stream_learners as stream_learners
 from nidsbench.dataset import DataError
-from nidsbench.evaluation import gen_drift_stream, prequential_run
+from nidsbench.evaluation import prequential_run
 from nidsbench.stream_learners import WindowKNN
 
-from conftest import kdd_line
+from conftest import gen_drift_stream, kdd_line
 
 
 def test_no_arguments_is_usage_error(capsys):
@@ -92,6 +92,21 @@ def test_wknn_k_above_the_window_is_usage_error(mini_kdd, tmp_path,
         == EXIT_OK
     assert run_command(["batch", "--algo", "knn", "--k", "6000"] + argv) \
         == EXIT_RUNTIME
+
+
+@pytest.mark.parametrize("algo", ["nb", "j48", "mlp", "svm"])
+def test_sample_with_an_algorithm_other_than_knn_is_usage_error(
+        mini_kdd, tmp_path, monkeypatch, capsys, algo):
+    def no_read(*args):
+        raise AssertionError("the data file was read")
+
+    monkeypatch.setattr(cli, "load_dataset", no_read)
+    assert run_command(["batch", "--algo", algo, "--sample", "100",
+                        "--folds", "2", "--data", str(mini_kdd),
+                        "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert "error: --sample applies to --algo knn only" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_unparsable_file_is_data_error(tmp_path, capsys):

@@ -17,16 +17,22 @@ from nidsbench.dataset import (
     DataError,
     IntegrityError,
     ParseError,
+    _parse_fields,
     dataset_from_instances,
     fetch_dataset,
     kdd99_schema,
     load_dataset,
-    parse_kdd_line,
     sha256_file,
     write_dataset,
 )
 
-from conftest import build_dataset, kdd_file, kdd_line
+from conftest import (
+    assert_same_dataset,
+    build_dataset,
+    kdd_file,
+    kdd_line,
+    label_names,
+)
 
 
 def test_kdd_schema_shape():
@@ -37,60 +43,63 @@ def test_kdd_schema_shape():
     assert schema.attributes[1].name == "protocol_type"
 
 
-def test_parse_line_field_by_field():
+def _load_lines(tmp_path, *lines):
+    """The dataset `load_dataset` reads from a file of these lines."""
+    path = tmp_path / "lines.csv"
+    path.write_text("".join(line + "\n" for line in lines))
+    return load_dataset(path)
+
+
+def test_parse_line_field_by_field(tmp_path):
     schema = kdd99_schema()
-    rng = np.random.default_rng(3)
-    line = kdd_line("normal", rng)
-    inst = parse_kdd_line(line, schema)
+    line = kdd_line("normal", np.random.default_rng(3))
+    ds = _load_lines(tmp_path, line)
     fields = line.split(",")
-    assert inst.label == "normal"
-    for pos, attr in enumerate(schema.attributes):
-        if attr.kind == "numeric":
-            assert inst.values[pos] == float(fields[pos])
-        else:
-            assert inst.values[pos] == fields[pos]
+    assert label_names(ds) == ["normal"]
+    for j, pos in enumerate(schema.numeric_positions):
+        assert ds.numeric[0, j] == float(fields[pos])
+    for j, pos in enumerate(schema.nominal_positions):
+        assert ds.schema.attributes[pos].domain[ds.nominal[0, j]] == fields[pos]
 
 
-def test_parse_strips_single_trailing_dot():
-    schema = kdd99_schema()
+def test_parse_strips_single_trailing_dot(tmp_path):
     line = kdd_line("smurf", np.random.default_rng(0))
-    assert parse_kdd_line(line, schema).label == "smurf"
+    assert label_names(_load_lines(tmp_path, line)) == ["smurf"]
     # only one dot is stripped, nothing else is normalized
-    assert parse_kdd_line(line + ".", schema).label == "smurf."
+    assert label_names(_load_lines(tmp_path, line + ".")) == ["smurf."]
 
 
-def test_parse_wrong_field_count():
-    schema = kdd99_schema()
-    line = ",".join(kdd_line("normal", np.random.default_rng(0)).split(",")[:-1])
-    with pytest.raises(ParseError, match="expected 42 fields"):
-        parse_kdd_line(line, schema, line_no=7)
+def test_parse_wrong_field_count(tmp_path):
+    good = kdd_line("normal", np.random.default_rng(0))
+    short = ",".join(good.split(",")[:-1])
+    with pytest.raises(ParseError, match="line 2: expected 42 fields"):
+        _load_lines(tmp_path, good, short)
 
 
-def test_parse_bad_numeric_field_reports_position():
-    schema = kdd99_schema()
-    fields = kdd_line("normal", np.random.default_rng(0)).split(",")
+def test_parse_bad_numeric_field_reports_position(tmp_path):
+    good = kdd_line("normal", np.random.default_rng(0))
+    fields = good.split(",")
     fields[0] = "zzz"
     with pytest.raises(ParseError, match=r"line 3.*field 1.*zzz"):
-        parse_kdd_line(",".join(fields), schema, line_no=3)
+        _load_lines(tmp_path, good, good, ",".join(fields))
 
 
-def test_parse_rejects_non_finite_and_empty():
-    schema = kdd99_schema()
+def test_parse_rejects_non_finite_and_empty(tmp_path):
     fields = kdd_line("normal", np.random.default_rng(0)).split(",")
     fields[0] = "nan"
-    with pytest.raises(ParseError, match="non-finite"):
-        parse_kdd_line(",".join(fields), schema)
+    with pytest.raises(ParseError, match="line 1: field 1.*non-finite"):
+        _load_lines(tmp_path, ",".join(fields))
     fields[0] = ""
-    with pytest.raises(ParseError):
-        parse_kdd_line(",".join(fields), schema)
+    with pytest.raises(ParseError, match="line 1: field 1"):
+        _load_lines(tmp_path, ",".join(fields))
     fields[0] = "0"
     fields[2] = ""  # nominal service
-    with pytest.raises(ParseError, match="empty value"):
-        parse_kdd_line(",".join(fields), schema)
+    with pytest.raises(ParseError, match="line 1: field 3.*empty value"):
+        _load_lines(tmp_path, ",".join(fields))
     fields[2] = "http"
     fields[-1] = "."
-    with pytest.raises(ParseError, match="empty class label"):
-        parse_kdd_line(",".join(fields), schema)
+    with pytest.raises(ParseError, match="line 1: empty class label"):
+        _load_lines(tmp_path, ",".join(fields))
 
 
 def test_load_dataset_counts_and_order(tmp_path):
@@ -98,8 +107,8 @@ def test_load_dataset_counts_and_order(tmp_path):
     path = kdd_file(tmp_path / "mini.csv", labels)
     ds = load_dataset(path)
     assert len(ds) == 5
-    assert ds.class_counts() == {"normal": 2, "smurf": 2, "neptune": 1}
-    assert [ds.instance(i).label for i in range(5)] == labels
+    assert ds.schema.class_labels == ("normal", "smurf", "neptune")
+    assert label_names(ds) == labels
 
 
 def test_load_dataset_skips_blank_lines(tmp_path):
@@ -140,7 +149,7 @@ def test_load_dataset_crlf_loads_like_lf(tmp_path):
     crlf = tmp_path / "crlf.csv"
     crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
     a, b = load_dataset(path), load_dataset(crlf)
-    assert a.equals(b)
+    assert_same_dataset(a, b)
     assert a.numeric.tobytes() == b.numeric.tobytes()
 
 
@@ -203,7 +212,8 @@ def test_load_dataset_equals_per_line_parse(tmp_path_factory, records, rows):
     path.write_bytes("".join(text).encode())
     got = load_dataset(path, _SMALL_SCHEMA)
     want = dataset_from_instances(
-        _SMALL_SCHEMA, [parse_kdd_line(r, _SMALL_SCHEMA) for r in kept])
+        _SMALL_SCHEMA, (_parse_fields(r.split(","), _SMALL_SCHEMA, no)
+                        for no, r in enumerate(kept, 1)), len(kept))
     assert got.schema == want.schema
     assert got.numeric.shape == want.numeric.shape
     assert got.numeric.tobytes() == want.numeric.tobytes()
@@ -220,14 +230,15 @@ def test_load_dataset_drops_nsl_difficulty_column(tmp_path):
     ds = load_dataset(path)
     assert len(ds) == 2
     assert ds.schema.n_attributes == 41
-    assert set(ds.class_counts()) == {"normal", "neptune"}
+    assert set(ds.schema.class_labels) == {"normal", "neptune"}
 
 
 def test_nominal_domains_accumulate_first_seen(tmp_path):
     path = kdd_file(tmp_path / "mini.csv", ["normal"] * 6, seed=5)
     ds = load_dataset(path)
     proto = ds.schema.attributes[1]
-    first = ds.instance(0).values[1]
+    first = path.read_text().split(",")[1]
+    assert ds.nominal[0, 0] == 0
     assert proto.domain[0] == first
 
 
@@ -235,7 +246,7 @@ def test_deterministic_parse(tmp_path):
     path = kdd_file(tmp_path / "mini.csv", ["normal", "smurf"] * 10, seed=9)
     a = load_dataset(path)
     b = load_dataset(path)
-    assert a.equals(b)
+    assert_same_dataset(a, b)
 
 
 def test_round_trip_serialization(tmp_path):
@@ -244,7 +255,7 @@ def test_round_trip_serialization(tmp_path):
     out = tmp_path / "roundtrip.csv"
     write_dataset(ds, out)
     again = load_dataset(out)
-    assert ds.equals(again)
+    assert_same_dataset(ds, again)
 
 
 @settings(max_examples=30)
@@ -259,14 +270,7 @@ def test_round_trip_property(tmp_path_factory, rows):
     fresh = AttributeSchema(tuple(Attribute(a.name, a.kind)
                                   for a in ds.schema.attributes))
     again = load_dataset(path, fresh)
-    assert ds.equals(again)
-
-
-def test_instance_invariant_checks():
-    ds = build_dataset([("x", "numeric")], [(1.0,), (2.0,)], ["a", "b"])
-    inst = ds.instance(1)
-    assert inst.values == (2.0,)
-    assert inst.label == "b"
+    assert_same_dataset(ds, again)
 
 
 def test_schema_rejects_duplicate_names():
@@ -279,7 +283,8 @@ def test_subset_preserves_schema_and_provenance():
                        ["a", "b", "a"])
     sub = ds.subset([2, 0], note="picked")
     assert len(sub) == 2
-    assert sub.instance(0).values == (3.0,)
+    assert sub.numeric.tolist() == [[3.0], [1.0]]
+    assert label_names(sub) == ["a", "a"]
     assert "picked" in sub.provenance
 
 

@@ -15,7 +15,6 @@ from nidsbench.evaluation import (
     assign_stratified_folds,
     cross_validate,
     faded_update,
-    gen_drift_stream,
     metrics,
     prequential_run,
     write_confusion_csv,
@@ -24,7 +23,7 @@ from nidsbench.evaluation import (
 from nidsbench.stream_learners import StreamingNaiveBayes, StreamModel, \
     WindowKNN
 
-from conftest import build_dataset
+from conftest import assert_same_dataset, build_dataset, gen_drift_stream
 
 
 # --- stratified folds ---------------------------------------------------------
@@ -360,13 +359,13 @@ def test_annotate_synthetic_switch_detected_within_window(monkeypatch):
     assert abs(ann[0] - 4_001) <= 500  # switch first affects instance 4001
 
 
-# --- synthetic drift stream ----------------------------------------------------------
+# --- synthetic drift stream (the conftest fixture) ----------------------------------
 
 
 def test_gen_drift_stream_deterministic():
     a = gen_drift_stream(1_000, 400, seed=5)
     b = gen_drift_stream(1_000, 400, seed=5)
-    assert a.equals(b)
+    assert_same_dataset(a, b)
 
 
 def test_gen_drift_stream_concept_inversion():

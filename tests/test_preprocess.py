@@ -9,6 +9,7 @@ from nidsbench.dataset import DataError
 from nidsbench.preprocess import (
     ATTACK_CATEGORIES,
     DEFAULT_KEEP_INDICES,
+    VARIANT_LABELS,
     SelectionSpec,
     apply_normalizer,
     apply_variant,
@@ -17,10 +18,9 @@ from nidsbench.preprocess import (
     oner_rank,
     select_attributes,
     stratified_sample,
-    variant,
 )
 
-from conftest import build_dataset, kdd_file
+from conftest import build_dataset, kdd_file, label_names
 
 from nidsbench.dataset import load_dataset
 
@@ -39,11 +39,11 @@ def test_attack_category_map_covers_22_attacks():
 
 
 def test_variant_targets():
-    assert variant("v1").target_labels == ("normal", "dos", "probe", "u2r", "r2l")
-    assert variant("v2").target_labels == ("normal", "attack")
-    assert variant("v3").target_labels is None
-    with pytest.raises(ValueError):
-        variant("v4")
+    assert VARIANT_LABELS["v1"] == ("normal", "dos", "probe", "u2r", "r2l")
+    assert VARIANT_LABELS["v2"] == ("normal", "attack")
+    assert VARIANT_LABELS["v3"] is None
+    with pytest.raises(ValueError, match="unknown preprocessing variant"):
+        apply_variant(_label_dataset(["normal"]), "v4")
 
 
 def _label_dataset(labels):
@@ -53,30 +53,26 @@ def _label_dataset(labels):
 
 def test_apply_variant_examples():
     ds = _label_dataset(["smurf", "normal", "satan"])
-    v2 = apply_variant(ds, variant("v2"))
-    assert [v2.instance(i).label for i in range(3)] == ["attack", "normal",
-                                                        "attack"]
-    v1 = apply_variant(ds, variant("v1"))
-    assert [v1.instance(i).label for i in range(3)] == ["dos", "normal",
-                                                        "probe"]
-    v3 = apply_variant(ds, variant("v3"))
-    assert [v3.instance(i).label for i in range(3)] == ["smurf", "normal",
-                                                        "satan"]
+    assert label_names(apply_variant(ds, "v2")) == ["attack", "normal",
+                                                    "attack"]
+    assert label_names(apply_variant(ds, "v1")) == ["dos", "normal", "probe"]
+    assert label_names(apply_variant(ds, "v3")) == ["smurf", "normal",
+                                                    "satan"]
 
 
 def test_apply_variant_unknown_attack():
     ds = _label_dataset(["zero_day"])
     with pytest.raises(DataError, match="zero_day"):
-        apply_variant(ds, variant("v1"))
+        apply_variant(ds, "v1")
     with pytest.raises(DataError, match="zero_day"):
-        apply_variant(ds, variant("v2"))
-    assert apply_variant(ds, variant("v3")).instance(0).label == "zero_day"
+        apply_variant(ds, "v2")
+    assert label_names(apply_variant(ds, "v3")) == ["zero_day"]
 
 
 def test_apply_variant_preserves_features_and_order():
     ds = _label_dataset(["smurf", "normal", "perl", "phf"])
     for vid in ("v1", "v2", "v3"):
-        out = apply_variant(ds, variant(vid))
+        out = apply_variant(ds, vid)
         assert len(out) == len(ds)
         assert np.array_equal(out.numeric, ds.numeric)
         assert np.array_equal(out.nominal, ds.nominal)
@@ -86,11 +82,9 @@ def test_apply_variant_preserves_features_and_order():
 @given(st.lists(st.sampled_from(ALL_LABELS), min_size=1, max_size=50))
 def test_v1_collapse_equals_v2(labels):
     ds = _label_dataset(labels)
-    v1 = apply_variant(ds, variant("v1"))
-    v2 = apply_variant(ds, variant("v2"))
-    collapsed = ["normal" if v1.instance(i).label == "normal" else "attack"
-                 for i in range(len(ds))]
-    assert collapsed == [v2.instance(i).label for i in range(len(ds))]
+    collapsed = ["normal" if lab == "normal" else "attack"
+                 for lab in label_names(apply_variant(ds, "v1"))]
+    assert collapsed == label_names(apply_variant(ds, "v2"))
 
 
 def test_selection_spec_validation():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import nidsbench.stream_learners as stream_learners
 from nidsbench.batch_learners import NaiveBayes, entropy_rows
 from nidsbench.dataset import Attribute, AttributeSchema, Dataset
-from nidsbench.evaluation import gen_drift_stream, prequential_run
+from nidsbench.evaluation import prequential_run
 from nidsbench.nbcore import VARIANCE_FLOOR
 from nidsbench.stream_learners import (
     HoeffdingTree,
@@ -23,7 +23,7 @@ from nidsbench.stream_learners import (
     poisson_knuth,
 )
 
-from conftest import build_dataset
+from conftest import build_dataset, gen_drift_stream
 
 
 # --- hoeffding bound ----------------------------------------------------------
