@@ -292,6 +292,11 @@ class DecisionTree(BatchModel):
             col, p = int(cols[i]), int(pos[i])
             below, above = num[order[col, p:p + 2], col]
             threshold = (below + above) / 2.0
+            if not threshold < above:
+                # the midpoint of two adjacent floats can round up to
+                # `above` (or overflow to inf) and send every row left, so
+                # the cut falls back to `below`, as Weka's C4.5 does
+                threshold = below
             cuts.append((col, float(gains[i]), float(split_info), threshold))
         return cuts
 

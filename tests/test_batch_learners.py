@@ -186,6 +186,25 @@ def test_tree_unseen_nominal_value_falls_back_to_majority(monkeypatch):
     assert predict_labels(tree, ("zzz",)) == ["a"]
 
 
+def test_tree_cut_between_adjacent_floats_separates_them(monkeypatch):
+    # the midpoint of these two adjacent floats rounds up to 1000.0, and the
+    # cut `x > 1000.0` would send both rows left: the same node again, grown
+    # forever. The cut is checked first, so such a cut fails here instead of
+    # hanging in fit.
+    below, above = np.nextafter(1000.0, 0.0), 1000.0
+    assert (below + above) / 2.0 == above
+    ds = build_dataset([("x", "numeric")], [(below,), (above,)], ["a", "b"])
+    tree = _unpruned_tree(monkeypatch, min_leaf=1)
+    tree.n_classes = 2
+    order = np.argsort(ds.numeric, axis=0, kind="stable").T.astype(np.int32)
+    cuts = tree._numeric_cuts(ds.numeric, ds.labels, order,
+                              np.array([1, 1]), 1.0)
+    assert [(col, threshold) for col, _, _, threshold in cuts] == [(0, below)]
+    tree.fit(ds)
+    assert tree.n_leaves() == 2
+    assert predict_labels(tree, (below,), (above,)) == ["a", "b"]
+
+
 def _oracle_numeric_cut(vals, y_sub, counts, h_parent, n_classes):
     """One numeric column's best cut at a node, searched on its own: a stable
     argsort of the node's values, the candidate cuts between runs of equal
@@ -225,6 +244,8 @@ def _oracle_numeric_cut(vals, y_sub, counts, h_parent, n_classes):
         return None
     pos = cand[best_i]
     threshold = (sv[pos] + sv[pos + 1]) / 2.0
+    if threshold == sv[pos + 1]:  # rounded up: every row would go left
+        threshold = sv[pos]
     # the split info's scalar formula (both sides hold rows), as the reference
     p = np.array([pos + 1, n - pos - 1], dtype=np.float64) / n
     split_info = float(-(p * np.log2(p)).sum())
