@@ -9,7 +9,11 @@ ties (see their docstrings).
 
 Mixed-distance convention used by k-NN (batch and windowed): euclidean over
 numeric attributes plus a 0/1 overlap term per nominal attribute, i.e.
-sqrt(sum((x - y)^2)) + #nominal mismatches.
+sqrt(sum((x - y)^2)) + #nominal mismatches. Both score one query at a time
+against training rows stored column-major, through the one
+`mixed_distances`, which sums the squares in a fixed column order, so a
+distance is exact where it must be (0 for a copy of the query, bit-equal for
+equal rows) and the same on every CPU.
 """
 
 from __future__ import annotations
@@ -363,35 +367,37 @@ class DecisionTree(BatchModel):
 # ---------------------------------------------------------------------------
 # k nearest neighbors
 
-# test queries per mixed_distances call in batch prediction
-KNN_QUERY_BLOCK = 256
+def mixed_distances(q_num, q_nom, t_cols, t_nom) -> np.ndarray:
+    """Distances from one query row to every training row: the euclidean
+    distance over the numeric attributes plus the nominal mismatch count.
 
-
-def mixed_distances(q_num, q_nom, t_num, t_nom) -> np.ndarray:
-    """(n_queries, n_train) distances: sqrt(numeric sq. dist) + nominal
-    mismatch count."""
-    qs = (q_num * q_num).sum(axis=1)
-    ts = (t_num * t_num).sum(axis=1)
-    sq = qs[:, None] + ts[None, :] - 2.0 * (q_num @ t_num.T)
-    np.maximum(sq, 0.0, out=sq)
-    dist = np.sqrt(sq)
-    for j in range(q_nom.shape[1]):
-        dist += q_nom[:, j][:, None] != t_nom[:, j][None, :]
+    The training rows come column-major: `t_cols` is (n_num, n_train) and
+    `t_nom` is (n_nom, n_train). The squared differences are added column
+    after column, in column order, with elementwise IEEE operations only, so
+    a distance does not depend on the BLAS, the SIMD path or where its row
+    sits, a self-distance is exactly 0 and equal rows get bit-equal
+    distances. (With a single training row numpy adds that row's squares
+    pairwise instead; one row has no tie to break.)
+    """
+    diff = t_cols - q_num[:, None]
+    diff *= diff
+    dist = np.sqrt(np.add.reduce(diff, axis=0))
+    for j in range(len(q_nom)):
+        dist += t_nom[j] != q_nom[j]
     return dist
 
 
-def knn_vote(dist: np.ndarray, tie_order: np.ndarray, labels: np.ndarray,
-             k: int) -> int:
+def knn_vote(dist: np.ndarray, labels: np.ndarray, k: int) -> int:
     """The class code winning the majority vote among the k nearest of one
     query.
 
-    Equal distances are resolved toward the lower `tie_order` value; equal
-    vote counts toward the class with the smaller summed neighbor distance,
-    then the lower class index.
+    Among equal distances the lower index wins; equal vote counts go to the
+    class with the smaller summed neighbor distance, then the lower class
+    index.
     """
     kth = np.partition(dist, k - 1)[k - 1]
     cand = np.flatnonzero(dist <= kth)
-    nb = cand[np.lexsort((tie_order[cand], dist[cand]))[:k]]
+    nb = cand[np.argsort(dist[cand], kind="stable")[:k]]
     votes = np.bincount(labels[nb])
     tied = np.flatnonzero(votes == votes.max())
     if len(tied) > 1:
@@ -403,9 +409,11 @@ def knn_vote(dist: np.ndarray, tie_order: np.ndarray, labels: np.ndarray,
 class KNN(BatchModel):
     """Brute-force k-NN over the mixed distance, majority vote.
 
-    Prediction refines the plain majority at exact vote ties: tied classes
-    are separated by smaller summed neighbor distance first, then by
-    ascending class index.
+    The training rows are kept column-major and each test row is scored
+    against all of them by `mixed_distances`; among equal distances the
+    earlier training row wins. Prediction refines the plain majority at
+    exact vote ties: tied classes are separated by smaller summed neighbor
+    distance first, then by ascending class index.
     """
 
     def __init__(self, k: int):
@@ -418,21 +426,15 @@ class KNN(BatchModel):
         if self.k > len(train):
             raise TrainingError(
                 f"k={self.k} exceeds training size {len(train)}")
-        self.t_num = train.numeric
-        self.t_nom = train.nominal
+        self.t_cols = np.ascontiguousarray(train.numeric.T)
+        self.t_nom = np.ascontiguousarray(train.nominal.T)
         self.t_labels = train.labels.astype(np.int64)
-        self._order = np.arange(len(train))
 
     def _predict_codes(self, num, nom):
-        codes = np.empty(len(num), dtype=np.int64)
-        for start in range(0, len(num), KNN_QUERY_BLOCK):
-            stop = min(start + KNN_QUERY_BLOCK, len(num))
-            dist = mixed_distances(num[start:stop], nom[start:stop],
-                                   self.t_num, self.t_nom)
-            for i in range(stop - start):
-                codes[start + i] = knn_vote(dist[i], self._order,
-                                            self.t_labels, self.k)
-        return codes
+        return np.array([
+            knn_vote(mixed_distances(q_num, q_nom, self.t_cols, self.t_nom),
+                     self.t_labels, self.k)
+            for q_num, q_nom in zip(num, nom)], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -287,9 +287,12 @@ WKNN_WINDOW = 5000
 class WindowKNN(StreamModel):
     """k-NN over a FIFO window of the most recent labeled instances.
 
-    Distance and tie rules match the batch k-NN; the tie order among equal
-    distances is insertion order (older instances win). An empty window
-    predicts class index 0.
+    Distance and tie rules match the batch k-NN. The window is stored
+    column-major in a ring of twice its length: the instance at ring
+    position i is written to slots i and i + WKNN_WINDOW, so the live window
+    is always the contiguous slice `[start, start + size)`, oldest first,
+    and the lower index that wins a distance tie is the older instance. An
+    empty window predicts class index 0.
     """
 
     def __init__(self, schema: AttributeSchema, k: int):
@@ -299,32 +302,34 @@ class WindowKNN(StreamModel):
             raise ValueError(f"need WKNN_WINDOW={w} >= k >= 1, got k={k}")
         self.k = k
         self.window = w
-        self._num = np.zeros((w, len(schema.numeric_positions)))
-        self._nom = np.zeros((w, len(schema.nominal_positions)), dtype=np.int32)
-        self._labels = np.zeros(w, dtype=np.int64)
-        self._seq = np.zeros(w, dtype=np.int64)
+        self._num = np.zeros((len(schema.numeric_positions), 2 * w))
+        self._nom = np.zeros((len(schema.nominal_positions), 2 * w),
+                             dtype=np.int32)
+        self._labels = np.zeros(2 * w, dtype=np.int64)
         self.size = 0
         self._write = 0
-        self._counter = 0
+
+    def _live(self) -> slice:
+        """The ring slots of the window's instances, oldest first."""
+        start = (self._write - self.size) % self.window
+        return slice(start, start + self.size)
 
     def predict_code(self, num_row, nom_row):
         m = self.size
         if m == 0:
             return 0
-        dist = mixed_distances(num_row.reshape(1, -1), nom_row.reshape(1, -1),
-                               self._num[:m], self._nom[:m])[0]
-        return knn_vote(dist, self._seq[:m], self._labels[:m],
-                        min(self.k, m))
+        live = self._live()
+        dist = mixed_distances(num_row, nom_row, self._num[:, live],
+                               self._nom[:, live])
+        return knn_vote(dist, self._labels[live], min(self.k, m))
 
     def learn_row(self, num_row, nom_row, label_code):
-        i = self._write
-        self._num[i] = num_row
-        self._nom[i] = nom_row
-        self._labels[i] = label_code
-        self._seq[i] = self._counter
-        self._counter += 1
-        self._write = (self._write + 1) % self.window
-        self.size = min(self.size + 1, self.window)
+        i, w = self._write, self.window
+        self._num[:, i] = self._num[:, i + w] = num_row
+        self._nom[:, i] = self._nom[:, i + w] = nom_row
+        self._labels[i] = self._labels[i + w] = label_code
+        self._write = (i + 1) % w
+        self.size = min(self.size + 1, w)
 
 
 # ---------------------------------------------------------------------------

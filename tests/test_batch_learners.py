@@ -405,6 +405,41 @@ def test_knn_neighbor_distance_tie_prefers_lower_index():
     assert predict_labels(model, (0.0,)) == ["b"]
 
 
+def test_mixed_distance_of_a_copy_is_exactly_zero():
+    # 200 wide-range rows, each twice: the expanded form |q|^2 + |t|^2 - 2q.t
+    # left 38 of these self-distances nonzero (up to 4.3e-5)
+    rng = np.random.default_rng(0)
+    rows = rng.random((200, 10)) * 1000.0
+    nom = rng.integers(0, 3, (200, 2)).astype(np.int32)
+    t_cols = np.ascontiguousarray(np.hstack([rows.T, rows.T]))
+    t_nom = np.ascontiguousarray(np.hstack([nom.T, nom.T]))
+    for i in range(200):
+        dist = mixed_distances(rows[i], nom[i], t_cols, t_nom)
+        assert dist[i] == 0.0 and dist[200 + i] == 0.0
+        assert np.array_equal(dist[:200], dist[200:])
+
+
+def test_knn_duplicated_wide_range_rows_tie_to_the_earlier_row():
+    rng = np.random.default_rng(1)
+    rows = [tuple(r) for r in (rng.random((30, 10)) * 1000.0).tolist()]
+    attrs = [(f"x{j}", "numeric") for j in range(10)]
+    # each row twice, the earlier copy labeled a and the later one b
+    model = KNN(1).fit(build_dataset(attrs, rows + rows,
+                                     ["a"] * 30 + ["b"] * 30))
+    assert predict_labels(model, *rows) == ["a"] * 30
+
+
+def test_knn_tie_at_the_kth_distance_goes_to_the_earliest_rows():
+    # n rows at distance 1 from the query, the first labeled b, then two
+    # copies of the query labeled a and b: the third neighbor is row 0
+    for n in range(1, 70):
+        xs = [1.0] * n + [0.0, 0.0]
+        model = KNN(3).fit(build_dataset([("x", "numeric")],
+                                         [(x,) for x in xs],
+                                         ["b"] + ["a"] * n + ["b"]))
+        assert predict_labels(model, (0.0,)) == ["b"], n
+
+
 def test_knn_mixed_distance_includes_nominal_mismatch():
     ds = build_dataset([("x", "numeric"), ("c", "nominal")],
                        [(0.0, "p"), (0.8, "q")], ["a", "b"])
@@ -664,10 +699,9 @@ def _column_orders(seed):
 
 
 # Summing the same terms in another order moves a naive-Bayes log score by a
-# few ulps. The expanded k-NN distance sqrt(|q|^2 + |t|^2 - 2 q.t) rounds a
-# near-zero square to ~1e-14, which the square root lifts to ~1e-7.
-NB_TOL = 1e-9
-KNN_TOL = 1e-6
+# few ulps. The k-NN distance adds its squared numeric differences in column
+# order, so permuting the columns moves only its last bits in the same way.
+ORDER_TOL = 1e-9
 
 
 @settings(max_examples=25, deadline=None)
@@ -677,12 +711,18 @@ def test_nb_predictions_do_not_depend_on_column_order(seed):
     a, b = NaiveBayes().fit(train), NaiveBayes().fit(train_p)
     sa = a.stats.log_scores(query.numeric, query.nominal)
     sb = b.stats.log_scores(query_p.numeric, query_p.nominal)
-    assert np.allclose(sa, sb, rtol=0.0, atol=NB_TOL)
+    assert np.allclose(sa, sb, rtol=0.0, atol=ORDER_TOL)
     top2 = np.sort(sa, axis=1)[:, -2:]
-    clear = top2[:, 1] - top2[:, 0] > NB_TOL
+    clear = top2[:, 1] - top2[:, 0] > ORDER_TOL
     assert clear.any()
     assert np.array_equal(a.predict_dataset(query)[clear],
                           b.predict_dataset(query_p)[clear])
+
+
+def _sorted_distances(model, query):
+    return np.sort([mixed_distances(q_num, q_nom, model.t_cols, model.t_nom)
+                    for q_num, q_nom in zip(query.numeric, query.nominal)],
+                   axis=1)
 
 
 @settings(max_examples=25, deadline=None)
@@ -690,12 +730,9 @@ def test_nb_predictions_do_not_depend_on_column_order(seed):
 def test_knn_predictions_do_not_depend_on_column_order(seed):
     train, query, train_p, query_p, k = _column_orders(seed)
     a, b = KNN(k).fit(train), KNN(k).fit(train_p)
-    da = np.sort(mixed_distances(query.numeric, query.nominal,
-                                 a.t_num, a.t_nom), axis=1)
-    db = np.sort(mixed_distances(query_p.numeric, query_p.nominal,
-                                 b.t_num, b.t_nom), axis=1)
-    assert np.allclose(da, db, rtol=0.0, atol=KNN_TOL)
-    clear = da[:, k] - da[:, k - 1] > KNN_TOL
+    da, db = _sorted_distances(a, query), _sorted_distances(b, query_p)
+    assert np.allclose(da, db, rtol=0.0, atol=ORDER_TOL)
+    clear = da[:, k] - da[:, k - 1] > ORDER_TOL
     assert clear.any()
     assert np.array_equal(a.predict_dataset(query)[clear],
                           b.predict_dataset(query_p)[clear])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nidsbench.stream_learners as stream_learners
-from nidsbench.batch_learners import NaiveBayes, entropy_rows
+from nidsbench.batch_learners import KNN, NaiveBayes, entropy_rows
 from nidsbench.dataset import Attribute, AttributeSchema, Dataset
 from nidsbench.evaluation import prequential_run
 from nidsbench.nbcore import VARIANCE_FLOOR
@@ -501,6 +501,71 @@ def test_wknn_state_never_exceeds_window(monkeypatch):
         model.learn_row(np.array([rng.random()]), np.zeros(0, dtype=np.int32),
                         int(rng.integers(0, 2)))
         assert model.size <= 5
+
+
+def test_wknn_live_slice_is_the_last_rows_oldest_first(monkeypatch):
+    rng = np.random.default_rng(3)
+    num = rng.random((10, 2)) * 1000.0
+    nom = rng.integers(0, 4, (10, 1)).astype(np.int32)
+    labels = rng.integers(0, 2, 10)
+    schema = AttributeSchema((Attribute("x", "numeric"),
+                              Attribute("y", "numeric"),
+                              Attribute("c", "nominal", ("0", "1", "2", "3"))),
+                             ("a", "b"))
+    monkeypatch.setattr(stream_learners, "WKNN_WINDOW", 3)
+    model = WindowKNN(schema, 1)
+    for i in range(10):
+        model.learn_row(num[i], nom[i], int(labels[i]))
+    live = model._live()
+    assert np.array_equal(model._num[:, live], num[-3:].T)
+    assert np.array_equal(model._nom[:, live], nom[-3:].T)
+    assert np.array_equal(model._labels[live], labels[-3:])
+
+
+def test_wknn_duplicated_rows_tie_to_the_older_instance(monkeypatch):
+    rng = np.random.default_rng(4)
+    rows = rng.random((4, 10)) * 1000.0
+    schema = AttributeSchema(
+        tuple(Attribute(f"x{j}", "numeric") for j in range(10)),
+        tuple("abcdefg"))
+    no_nom = np.zeros(0, dtype=np.int32)
+    monkeypatch.setattr(stream_learners, "WKNN_WINDOW", 5)
+    model = WindowKNN(schema, 1)
+    # rows 0, 1, 2 then their copies, then row 3: the window wraps and holds
+    # r2/c, r0/d, r1/e, r2/f, r3/g, with r2/f stored in a lower ring slot
+    # than r2/c
+    for label, r in enumerate((0, 1, 2, 0, 1, 2, 3)):
+        model.learn_row(rows[r], no_nom, label)
+    assert [model.predict_code(rows[r], no_nom) for r in range(4)] \
+        == [3, 4, 2, 6]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_wknn_holding_every_row_predicts_like_batch_knn(seed):
+    rng = np.random.default_rng(seed)
+    n, k = int(rng.integers(1, 30)), int(rng.choice([1, 3, 5]))
+    k = min(k, n)
+    # n training rows, then 10 more queries; few distinct values, so that
+    # distances tie often
+    m = n + 10
+    rows = list(zip(rng.integers(0, 4, m).astype(float).tolist(),
+                    (rng.integers(0, 3, m) * 333.3).tolist(),
+                    [f"v{v}" for v in rng.integers(0, 2, m)]))
+    queries = build_dataset([("x", "numeric"), ("y", "numeric"),
+                             ("c", "nominal")], rows,
+                            [f"c{y}" for y in rng.integers(0, 3, m)],
+                            ("c0", "c1", "c2"))
+    train = queries.subset(np.arange(n))
+    batch = KNN(k).fit(train)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stream_learners, "WKNN_WINDOW", n + int(rng.integers(0, 3)))
+        window = WindowKNN(train.schema, k)
+    for num, nom, y in zip(train.numeric, train.nominal, train.labels):
+        window.learn_row(num, nom, int(y))
+    assert [window.predict_code(num, nom)
+            for num, nom in zip(queries.numeric, queries.nominal)] \
+        == batch.predict_dataset(queries).tolist()
 
 
 def test_wknn_config_validation(monkeypatch):
