@@ -1,6 +1,10 @@
 """Evaluation harnesses: stratified cross-validation for batch models and
 prequential (test-then-train) runs with fading-factor forgetting for stream
 models, plus metrics, drift annotation and the trace and confusion CSVs.
+
+A prequential run's loop only predicts, keeps the code and learns; the trace
+is derived from the codes after the loop, bit for bit what per-row
+bookkeeping records (see `prequential_run`).
 """
 
 from __future__ import annotations
@@ -139,10 +143,16 @@ class PrequentialTrace:
 
 
 def prequential_run(stream: Dataset, model, alpha: float) -> PrequentialTrace:
-    """Predict, record, then train on every instance in stream order.
+    """Predict, then train on every instance in stream order.
 
     The stream must be coded against the model's schema; any other schema
-    raises DataError.
+    raises DataError. A predicted code that is no integer in [0, C) raises
+    ValueError.
+
+    The trace is derived from the predicted codes after the loop, bit for
+    bit what per-row bookkeeping records: a cumulative accuracy is one
+    correctly rounded division of two exact doubles either way, and the
+    faded curve takes the same `faded_update` steps in the same order.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
@@ -151,26 +161,32 @@ def prequential_run(stream: Dataset, model, alpha: float) -> PrequentialTrace:
     n = len(stream)
     if n == 0:
         raise DataError("empty stream")
-    c = len(stream.schema.class_labels)
-    correct = np.zeros(n, dtype=np.uint8)
-    faded = np.zeros(n)
-    cumulative = np.zeros(n)
-    counts = np.zeros((c, c), dtype=np.int64)
     num, nom, labels = stream.numeric, stream.nominal, stream.labels
+    predict, learn = model.predict_code, model.learn_row
+    codes = []
+    for i, y in enumerate(labels.tolist()):
+        x, z = num[i], nom[i]
+        codes.append(predict(x, z))
+        learn(x, z, y)
+    preds = np.array(codes)
+    if preds.dtype.kind not in "iu":
+        raise ValueError(f"predicted class codes of dtype {preds.dtype}, "
+                         "not integers")
+    c = len(stream.schema.class_labels)
+    bad = np.flatnonzero((preds < 0) | (preds >= c))
+    if bad.size:
+        raise ValueError(f"instance {bad[0] + 1}: predicted class code "
+                         f"{preds[bad[0]]} outside [0, {c})")
+    correct = (preds == labels).astype(np.uint8)
+    cumulative = np.cumsum(correct, dtype=np.int64) / np.arange(1, n + 1)
+    faded = []
     s = b = 0.0
-    right = 0
-    for i in range(n):
-        y = int(labels[i])
-        pred = model.predict_code(num[i], nom[i])
-        a = 1 if pred == y else 0
-        correct[i] = a
-        right += a
-        s, b, faded[i] = faded_update(s, b, a, alpha)
-        cumulative[i] = right / (i + 1)
-        counts[y, pred] += 1
-        model.learn_row(num[i], nom[i], y)
+    for a in correct.tolist():
+        s, b, acc = faded_update(s, b, a, alpha)
+        faded.append(acc)
+    counts = np.bincount(labels * c + preds, minlength=c * c).reshape(c, c)
     cm = ConfusionMatrix(stream.schema.class_labels, counts)
-    return PrequentialTrace(alpha, correct, faded, cumulative, cm)
+    return PrequentialTrace(alpha, correct, np.array(faded), cumulative, cm)
 
 
 # a drop episode: faded accuracy more than DRIFT_DROP below its maximum over
@@ -223,11 +239,11 @@ def annotate_drifts(trace: PrequentialTrace) -> list[int]:
 def write_trace_csv(trace: PrequentialTrace, path: str | Path) -> Path:
     """Trace CSV: index,correct,faded_accuracy,cumulative_accuracy."""
     path = Path(path)
+    rows = zip(range(1, len(trace) + 1), trace.correct.tolist(),
+               trace.faded.tolist(), trace.cumulative.tolist())
     with open(path, "w") as fh:
         fh.write("index,correct,faded_accuracy,cumulative_accuracy\n")
-        for i in range(len(trace)):
-            fh.write(f"{i + 1},{trace.correct[i]},{float(trace.faded[i])!r},"
-                     f"{float(trace.cumulative[i])!r}\n")
+        fh.writelines(f"{i},{a},{f!r},{m!r}\n" for i, a, f, m in rows)
     return path
 
 

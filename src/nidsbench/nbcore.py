@@ -7,6 +7,11 @@ attributes keep per-class running count/mean/M2 (Welford updates); nominal
 attributes keep per-class value counts with Laplace add-one smoothing at
 scoring time. Rows arrive as coded arrays against the schema the statistics
 were built for, so every nominal code lies inside its attribute's domain.
+
+`total`, the number of instances seen, is a Python int that `update`
+increments, not a sum over `class_counts`: a Hoeffding-tree leaf tests its
+grace period with it on every row. Code that writes the count arrays
+directly sets `total` to match.
 """
 
 from __future__ import annotations
@@ -34,17 +39,16 @@ class ClassConditionalStats:
         # one (domain size, C) value-count table per nominal attribute
         self.nominal_counts = [np.zeros((len(schema.attributes[p].domain), c))
                                for p in schema.nominal_positions]
-
-    @property
-    def total(self) -> int:
-        return int(self.class_counts.sum())
+        self.total = 0  # instances seen, the sum of class_counts
 
     def update(self, num_row: np.ndarray, nom_row: np.ndarray, label: int) -> None:
+        self.total += 1
         self.class_counts[label] += 1.0
         n = self.class_counts[label]
-        delta = num_row - self.mean[label]
-        self.mean[label] += delta / n
-        self.m2[label] += delta * (num_row - self.mean[label])
+        mean, m2 = self.mean[label], self.m2[label]  # views, updated in place
+        delta = num_row - mean
+        mean += delta / n
+        m2 += delta * (num_row - mean)
         for counts, code in zip(self.nominal_counts, nom_row):
             counts[code, label] += 1.0
 

@@ -91,7 +91,7 @@ class StreamingNaiveBayes(StreamModel):
     def predict_code(self, num_row, nom_row):
         scores = self.stats.log_scores(num_row.reshape(1, -1),
                                        nom_row.reshape(1, -1))
-        return int(np.argmax(scores[0]))
+        return int(scores[0].argmax())
 
     def learn_row(self, num_row, nom_row, label_code):
         self.stats.update(num_row, nom_row, label_code)
@@ -184,7 +184,7 @@ class HoeffdingTree(StreamModel):
 
     def predict_code(self, num_row, nom_row):
         leaf, _, _ = self._route(num_row, nom_row)
-        return int(np.argmax(leaf.class_counts))
+        return int(leaf.class_counts.argmax())
 
     def learn_row(self, num_row, nom_row, label_code):
         leaf, parent, slot = self._route(num_row, nom_row)
@@ -361,6 +361,8 @@ class OzaBoost(StreamModel):
         self.lam_sc = np.zeros(len(members))
         self.lam_sw = np.zeros(len(members))
         self._rng = np.random.default_rng(seed)
+        # member_weights() as Python floats; only learn_row changes them
+        self._weights = self.member_weights().tolist()
 
     def member_weights(self) -> np.ndarray:
         mass = self.lam_sc + self.lam_sw
@@ -370,10 +372,10 @@ class OzaBoost(StreamModel):
 
     def predict_code(self, num_row, nom_row):
         votes = np.zeros(self.n_classes)
-        for m, wt in zip(self.members, self.member_weights()):
+        for m, wt in zip(self.members, self._weights):
             if wt != 0.0:
                 votes[m.predict_code(num_row, nom_row)] += wt
-        return int(np.argmax(votes))
+        return int(votes.argmax())
 
     def learn_row(self, num_row, nom_row, label_code):
         lam = 1.0
@@ -387,3 +389,4 @@ class OzaBoost(StreamModel):
             else:
                 self.lam_sw[i] += lam
                 lam *= (self.lam_sc[i] + self.lam_sw[i]) / (2.0 * self.lam_sw[i])
+        self._weights = self.member_weights().tolist()

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from nidsbench.batch_learners import BatchModel
 import nidsbench.stream_learners as stream_learners
-from nidsbench.dataset import DataError
+from nidsbench.dataset import Attribute, AttributeSchema, DataError, Dataset
 from nidsbench.evaluation import (
     ConfusionMatrix,
     PrequentialTrace,
@@ -272,6 +272,98 @@ def test_prequential_rejects_bad_alpha():
         prequential_run(ds, _Always(ds.schema, 0), 0.0)
     with pytest.raises(ValueError):
         prequential_run(ds, _Always(ds.schema, 0), 1.2)
+
+
+def _prequential_oracle(stream, model, alpha):
+    """The per-row bookkeeping that `prequential_run` derives after its loop,
+    kept as its reference: (correct, faded, cumulative, confusion counts)."""
+    n = len(stream)
+    c = len(stream.schema.class_labels)
+    correct = np.zeros(n, dtype=np.uint8)
+    faded = np.zeros(n)
+    cumulative = np.zeros(n)
+    counts = np.zeros((c, c), dtype=np.int64)
+    num, nom, labels = stream.numeric, stream.nominal, stream.labels
+    s = b = 0.0
+    right = 0
+    for i in range(n):
+        y = int(labels[i])
+        pred = model.predict_code(num[i], nom[i])
+        a = 1 if pred == y else 0
+        correct[i] = a
+        right += a
+        s, b, faded[i] = faded_update(s, b, a, alpha)
+        cumulative[i] = right / (i + 1)
+        counts[y, pred] += 1
+        model.learn_row(num[i], nom[i], y)
+    return correct, faded, cumulative, counts
+
+
+class _Scripted(StreamModel):
+    """Predicts the given codes in turn, one per learned row."""
+
+    def __init__(self, schema, codes):
+        super().__init__(schema)
+        self.codes = list(codes)
+        self.learned = 0
+
+    def predict_code(self, num_row, nom_row):
+        return self.codes[self.learned]
+
+    def learn_row(self, num_row, nom_row, label_code):
+        self.learned += 1
+
+
+def _labeled_stream(labels, n_classes):
+    """A one-attribute stream with the given class codes."""
+    schema = AttributeSchema((Attribute("x", "numeric"),),
+                             tuple(f"c{k}" for k in range(n_classes)))
+    n = len(labels)
+    return Dataset(schema, np.zeros((n, 1)), np.zeros((n, 0), dtype=np.int32),
+                   np.asarray(labels, dtype=np.int32), "scripted")
+
+
+def _assert_run_equals_oracle(labels, preds, n_classes, alpha):
+    stream = _labeled_stream(labels, n_classes)
+    trace = prequential_run(stream, _Scripted(stream.schema, preds), alpha)
+    want = _prequential_oracle(stream, _Scripted(stream.schema, preds), alpha)
+    got = (trace.correct, trace.faded, trace.cumulative,
+           trace.confusion.counts)
+    for g, w in zip(got, want):
+        assert (g.dtype, g.shape) == (w.dtype, w.shape)
+        assert g.tobytes() == w.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_prequential_run_equals_the_per_row_loop(data):
+    n_classes = data.draw(st.integers(1, 5))
+    n = data.draw(st.integers(1, 300))
+    codes = st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n)
+    labels, preds = data.draw(codes), data.draw(codes)
+    alpha = data.draw(st.just(1.0) | st.floats(1e-6, 1.0))
+    _assert_run_equals_oracle(labels, preds, n_classes, alpha)
+
+
+def test_prequential_run_equals_the_per_row_loop_at_stream_scale():
+    # more rows than the stream-ht corpus (98,804), so every cumulative
+    # quotient of that size is checked; the model is right in bursts
+    rng = np.random.default_rng(11)
+    n = 100_003
+    labels = rng.integers(0, 5, n)
+    wrong = np.repeat(rng.random(n // 100 + 1) < 0.3, 100)[:n]
+    preds = np.where(wrong & (rng.random(n) < 0.8), (labels + 1) % 5, labels)
+    _assert_run_equals_oracle(labels, preds.tolist(), 5, 0.95)
+
+
+@pytest.mark.parametrize("code, message", [
+    (2, "instance 3: .* 2 outside"), (-1, "instance 3: .* -1 outside"),
+    (0.5, "dtype float64, not integers")])
+def test_prequential_rejects_a_code_outside_the_classes(code, message):
+    stream = _labeled_stream([0, 1, 1, 0], 2)
+    model = _Scripted(stream.schema, [0, 1, code, code])
+    with pytest.raises(ValueError, match=message):
+        prequential_run(stream, model, 0.95)
 
 
 # --- metrics ----------------------------------------------------------------------

@@ -11,7 +11,7 @@ import nidsbench.stream_learners as stream_learners
 from nidsbench.batch_learners import KNN, NaiveBayes, entropy_rows
 from nidsbench.dataset import Attribute, AttributeSchema, Dataset
 from nidsbench.evaluation import prequential_run
-from nidsbench.nbcore import VARIANCE_FLOOR
+from nidsbench.nbcore import VARIANCE_FLOOR, ClassConditionalStats
 from nidsbench.stream_learners import (
     HoeffdingTree,
     OzaBoost,
@@ -167,6 +167,47 @@ def test_ht_split_carries_startup_distributions():
         assert model.predict_code(row_num, row_nom) == code
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2), st.floats(-1e6, 1e6),
+                          st.integers(0, 1)), max_size=80))
+def test_stats_total_counts_the_updates(rows):
+    schema = AttributeSchema((Attribute("x", "numeric"),
+                              Attribute("s", "nominal", ("a", "b"))),
+                             ("c0", "c1", "c2"))
+    stats = ClassConditionalStats(schema)
+    for y, x, code in rows:
+        stats.update(np.array([x]), np.array([code], dtype=np.int32), y)
+    assert stats.total == int(stats.class_counts.sum()) == len(rows)
+    assert type(stats.total) is int
+
+
+def test_ht_child_total_counts_only_its_routed_rows():
+    # a numeric split hands each child a fractional startup distribution;
+    # the grace period must count the rows the child observed, not that mass
+    rng = np.random.default_rng(5)
+    x = rng.random(5_000)
+    schema = AttributeSchema((Attribute("x", "numeric"),), ("lo", "hi"))
+    model = HoeffdingTree(schema)
+    rows = iter(zip(x.reshape(-1, 1), (x > 0.5).astype(int).tolist()))
+    nom = np.zeros(0, dtype=np.int32)
+    for num, y in rows:
+        model.learn_row(num, nom, y)
+        if model.n_splits:
+            break
+    children = model.root.children
+    assert all(leaf.stats.total == 0 for leaf in children)
+    routed = [0, 0]
+    for _, (num, y) in zip(range(150), rows):
+        routed[children.index(model._route(num, nom)[0])] += 1
+        model.learn_row(num, nom, y)
+    assert model.n_splits == 1
+    for leaf, n in zip(children, routed):
+        assert leaf.stats.total == int(leaf.stats.class_counts.sum()) == n
+        assert leaf.class_counts.sum() > n  # the startup mass on top
+    assert any(not float(c).is_integer()
+               for leaf in children for c in leaf.class_counts)
+
+
 def test_ht_numeric_split_learns_threshold_concept():
     rng = np.random.default_rng(8)
     x = rng.random(30_000)
@@ -301,7 +342,10 @@ def _oracle_numeric_candidates(tree, leaf):
 
 
 def _leaf_state(counts, mean, m2, vmin, vmax):
-    """A tree and a leaf holding the given statistics ((C, cols) arrays)."""
+    """A tree and a leaf holding the given statistics ((C, cols) arrays).
+
+    The arrays are written directly, so the instance count is set to match:
+    `_attempt_split` reads it for the Hoeffding bound."""
     mean = np.asarray(mean, dtype=float)
     n_classes, n_num = mean.shape
     schema = AttributeSchema(
@@ -310,6 +354,7 @@ def _leaf_state(counts, mean, m2, vmin, vmax):
     tree = HoeffdingTree(schema)
     leaf = tree.root
     leaf.stats.class_counts[:] = counts
+    leaf.stats.total = int(sum(counts))
     leaf.class_counts[:] = counts
     leaf.stats.mean[:] = mean
     leaf.stats.m2[:] = m2
