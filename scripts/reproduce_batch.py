@@ -13,10 +13,7 @@ import sys
 import time
 
 from nidsbench.cli import BATCH_ALGOS, VARIANTS, ArgParser, RunConfig, \
-    checked, folds_arg, list_arg, make_batch_model, prepare, resolve_data, \
-    run_guarded, seed_arg
-from nidsbench.dataset import kdd99_schema, load_dataset
-from nidsbench.evaluation import cross_validate
+    checked, evaluate_batch, folds_arg, list_arg, load, run_guarded, seed_arg
 
 
 def _algo_ok(algo: str) -> bool:
@@ -46,8 +43,7 @@ def main() -> int:
 
 
 def _run(args) -> None:
-    path = resolve_data(args.data)
-    raw = load_dataset(path, kdd99_schema())
+    raw, path = load(args.data)
     print(f"loaded {args.data}: {len(raw)} instances from {path}")
 
     variants = args.variants
@@ -63,10 +59,8 @@ def _run(args) -> None:
                             k=int(algo[3:]) if knn else RunConfig.k,
                             folds=args.folds, seed=args.seed,
                             sample=(args.knn_sample or None) if knn else None)
-            ds = prepare(raw, cfg)
             t0 = time.perf_counter()
-            cm = cross_validate(ds, lambda: make_batch_model(cfg), cfg.folds,
-                                cfg.seed)
+            cm = evaluate_batch(raw, cfg)
             dt = time.perf_counter() - t0
             cells.append(f"{cm.accuracy * 100:9.2f}%")
             print(f"  [{algo} {vid}: {cm.accuracy * 100:.2f}% in {dt:.0f}s]",

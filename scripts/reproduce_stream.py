@@ -11,10 +11,7 @@ import time
 from pathlib import Path
 
 from nidsbench.cli import STREAM_ALGOS, ArgParser, RunConfig, alpha_arg, \
-    emit_svg_curve, list_arg, make_stream_model, prepare, resolve_data, \
-    run_guarded, seed_arg
-from nidsbench.dataset import kdd99_schema, load_dataset
-from nidsbench.evaluation import annotate_drifts, prequential_run, \
+    emit_svg_curve, evaluate_stream, list_arg, load, run_guarded, seed_arg, \
     write_trace_csv
 
 
@@ -32,8 +29,7 @@ def main() -> int:
 
 
 def _run(args) -> None:
-    path = resolve_data(args.data)
-    raw = load_dataset(path, kdd99_schema())
+    raw, path = load(args.data)
     print(f"loaded {args.data}: {len(raw)} instances from {path}")
 
     out = Path(args.out)
@@ -42,14 +38,10 @@ def _run(args) -> None:
     print(f"\n{'algorithm':<10}{'cumulative':>12}{'faded mean':>12}"
           f"{'time':>8}  drift indices")
     for algo in args.algos:
-        cfg = RunConfig(command="stream", variant="v2", algo=algo,
-                        alpha=args.alpha, seed=args.seed)
-        ds = prepare(raw, cfg)
-        model = make_stream_model(ds.schema, cfg)
         t0 = time.perf_counter()
-        trace = prequential_run(ds, model, cfg.alpha)
+        trace, drifts = evaluate_stream(raw, RunConfig(
+            variant="v2", algo=algo, alpha=args.alpha, seed=args.seed))
         dt = time.perf_counter() - t0
-        drifts = annotate_drifts(trace)
         write_trace_csv(trace, out / f"{algo}_trace.csv")
         traces.append((algo, trace))
         print(f"{algo:<10}{trace.final_cumulative_accuracy * 100:11.2f}%"

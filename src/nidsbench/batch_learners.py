@@ -528,6 +528,9 @@ class MLP(BatchModel):
 SVM_C = 1.0
 SVM_TOLERANCE = 1e-3
 SVM_MAX_PASSES = 50
+# a step refreshes only its own two cached errors; the stale rest sway only
+# the choice of second multipliers, so refresh them all every this many steps
+SVM_REFRESH_EVERY = 256
 
 
 class LinearSVM(BatchModel):
@@ -541,8 +544,6 @@ class LinearSVM(BatchModel):
     pass, or after SVM_MAX_PASSES passes. A decision value of exactly 0
     predicts the +1 class.
     """
-
-    _REFRESH_EVERY = 256
 
     def _fit(self, train: Dataset) -> None:
         if train.nominal.shape[1]:
@@ -570,11 +571,11 @@ class LinearSVM(BatchModel):
         def exact_e(i):
             return float(x[i] @ w + b - y[i])
 
-        def try_step(i, j):
+        def try_step(i, j, ei):  # ei: exact_e(i), unchanged until a step
             nonlocal b, w, steps
             if i == j:
                 return 0.0
-            ei, ej = exact_e(i), exact_e(j)
+            ej = exact_e(j)
             ai, aj = alpha[i], alpha[j]
             if y[i] != y[j]:
                 lo, hi = max(0.0, aj - ai), min(c, c + aj - ai)
@@ -603,7 +604,7 @@ class LinearSVM(BatchModel):
             w += y[i] * delta_i * x[i] + y[j] * delta_j * x[j]
             alpha[i], alpha[j] = ai_new, aj_new
             steps += 1
-            if steps % self._REFRESH_EVERY == 0:
+            if steps % SVM_REFRESH_EVERY == 0:
                 e_cache[:] = x @ w + b - y
             else:
                 e_cache[i] = exact_e(i)
@@ -617,15 +618,15 @@ class LinearSVM(BatchModel):
                 return 0.0
             gap = np.abs(e_cache - ei)
             gap[i] = -1.0
-            moved = try_step(i, int(np.argmax(gap)))
+            moved = try_step(i, int(np.argmax(gap)), ei)
             if moved:
                 return moved
             for j in np.flatnonzero((alpha > 1e-12) & (alpha < c - 1e-12)):
-                moved = try_step(i, int(j))
+                moved = try_step(i, int(j), ei)
                 if moved:
                     return moved
             for j in range(n):
-                moved = try_step(i, j)
+                moved = try_step(i, j, ei)
                 if moved:
                     return moved
             return 0.0
@@ -650,11 +651,8 @@ class LinearSVM(BatchModel):
                 examine_all = True
         return w, b, alpha, passes
 
-    def decision_values(self, num: np.ndarray) -> np.ndarray:
-        return num @ self.w + self.b
-
     def _predict_codes(self, num, nom):
-        return (self.decision_values(num) >= 0.0).astype(np.int64)
+        return (num @ self.w + self.b >= 0.0).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

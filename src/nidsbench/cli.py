@@ -90,10 +90,9 @@ SVG_EVERY = 100
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything that determines a batch/stream run, seed included; the
-    defaults of the CLI's and the scripts' run options."""
+    """Everything that determines a batch/stream run (which of the two by
+    `algo`), seed included; the defaults of the CLI's and scripts' options."""
 
-    command: str = "batch"
     data: str = "nsl-kdd"
     variant: str = "v1"
     attrs: str = "selected"
@@ -152,9 +151,10 @@ def prepare(raw: Dataset, cfg: RunConfig) -> Dataset:
     return ds
 
 
-def _load_prepared(cfg: RunConfig):
-    path = resolve_data(cfg.data)
-    return prepare(load_dataset(path, kdd99_schema()), cfg), path
+def load(data: str | Path) -> tuple[Dataset, Path]:
+    """The raw dataset --data names, and the file it was read from."""
+    path = resolve_data(data)
+    return load_dataset(path, kdd99_schema()), path
 
 
 def make_batch_model(cfg: RunConfig):
@@ -183,6 +183,22 @@ def make_stream_model(schema, cfg: RunConfig):
     raise ValueError(f"unknown stream algorithm {cfg.algo!r}")
 
 
+def evaluate_batch(raw: Dataset, cfg: RunConfig):
+    """A batch run: the cross-validated confusion matrix of cfg's learner."""
+    ds = prepare(raw, cfg)
+    del raw  # freed here when the caller handed over its only reference
+    return cross_validate(ds, lambda: make_batch_model(cfg), cfg.folds,
+                          cfg.seed)
+
+
+def evaluate_stream(raw: Dataset, cfg: RunConfig):
+    """A stream run: cfg's prequential trace and the trace's drift indices."""
+    ds = prepare(raw, cfg)
+    del raw  # as in evaluate_batch
+    trace = prequential_run(ds, make_stream_model(ds.schema, cfg), cfg.alpha)
+    return trace, annotate_drifts(trace)
+
+
 def _data_tag(cfg: RunConfig) -> str:
     return cfg.data if cfg.data in DEFAULT_URLS else Path(cfg.data).stem
 
@@ -201,10 +217,9 @@ def _write_run(cfg: RunConfig, input_path: Path, confusion,
     write_confusion_csv(confusion, _artifact(cfg, "confusion.csv"))
     summary = dict(summary, dataset=cfg.data, variant=cfg.variant,
                    algorithm=cfg.algo)
-    manifest = {
-        "config": asdict(cfg),
-        "inputs": {str(input_path): sha256_file(input_path)},
-    }
+    command = "batch" if cfg.algo in BATCH_ALGOS else "stream"
+    manifest = {"config": dict(asdict(cfg), command=command),
+                "inputs": {str(input_path): sha256_file(input_path)}}
     for suffix, payload in (("summary.json", summary),
                             ("manifest.json", manifest)):
         _artifact(cfg, suffix).write_text(
@@ -213,8 +228,8 @@ def _write_run(cfg: RunConfig, input_path: Path, confusion,
 
 def run_batch(cfg: RunConfig) -> str:
     t0 = time.perf_counter()
-    ds, path = _load_prepared(cfg)
-    cm = cross_validate(ds, lambda: make_batch_model(cfg), cfg.folds, cfg.seed)
+    path = resolve_data(cfg.data)
+    cm = evaluate_batch(load(path)[0], cfg)
     _write_run(cfg, path, cm, {
         "params": {"folds": cfg.folds, "seed": cfg.seed, "k": cfg.k,
                    "sample": cfg.sample, "attrs": cfg.attrs},
@@ -230,10 +245,8 @@ def run_batch(cfg: RunConfig) -> str:
 
 def run_stream(cfg: RunConfig) -> str:
     t0 = time.perf_counter()
-    ds, path = _load_prepared(cfg)
-    model = make_stream_model(ds.schema, cfg)
-    trace = prequential_run(ds, model, cfg.alpha)
-    drifts = annotate_drifts(trace)
+    path = resolve_data(cfg.data)
+    trace, drifts = evaluate_stream(load(path)[0], cfg)
     runtime = time.perf_counter() - t0
     write_trace_csv(trace, _artifact(cfg, "trace.csv"))
     emit_svg_curve([(cfg.algo, trace)], _artifact(cfg, "curve.svg"))
@@ -420,8 +433,8 @@ def _add_run(p: argparse.ArgumentParser, algos: tuple[str, ...]):
     p.add_argument("--algo", required=True, choices=algos)
     p.add_argument("--seed", type=seed_arg, default=RunConfig.seed)
     p.add_argument("--out", default=RunConfig.out, help="output directory")
-    p.add_argument("--k", type=k_arg, default=RunConfig.k,
-                   help="neighbors for knn/wknn")
+    p.add_argument("--k", type=k_arg, default=None,
+                   help=f"neighbors for knn/wknn (default {RunConfig.k})")
 
 
 def build_parser() -> ArgParser:
@@ -466,7 +479,7 @@ def build_parser() -> ArgParser:
 def _config_from_args(args) -> RunConfig:
     given = vars(args)
     return RunConfig(**{f.name: given[f.name] for f in fields(RunConfig)
-                        if f.name in given})
+                        if given.get(f.name) is not None})
 
 
 def run_guarded(body) -> int:
@@ -497,6 +510,12 @@ def _dispatch(argv: list[str]) -> None:
     if args.command is None:
         parser.print_usage(sys.stderr)
         raise _ExitRequest(EXIT_USAGE)
+    k, window = getattr(args, "k", None), stream_learners.WKNN_WINDOW
+    if k and args.algo not in ("knn", "wknn"):
+        parser.error("argument --k: applies to --algo knn and wknn only")
+    if k and args.algo == "wknn" and k > window:
+        parser.error(f"argument --k: need k <= WKNN_WINDOW={window} for "
+                     f"wknn, got {k}")
     if args.command == "fetch":
         url = args.url or DEFAULT_URLS.get(args.data)
         if url is None:
@@ -506,7 +525,7 @@ def _dispatch(argv: list[str]) -> None:
         print(f"fetched {args.data} -> {path}")
     elif args.command == "preprocess":
         cfg = _config_from_args(args)
-        ds, _ = _load_prepared(cfg)
+        ds = prepare(load(cfg.data)[0], cfg)
         if args.normalize:
             ds = apply_normalizer(fit_normalizer(ds), ds)
         out_dir = Path(cfg.out)
@@ -519,7 +538,7 @@ def _dispatch(argv: list[str]) -> None:
         print(f"wrote {csv_path} ({len(ds)} instances) and {sidecar}")
     elif args.command == "rank":
         cfg = _config_from_args(args)
-        ds, _ = _load_prepared(cfg)
+        ds = prepare(load(cfg.data)[0], cfg)
         print("rank  attr  name                          accuracy")
         for rank, (idx, acc) in enumerate(oner_rank(ds), start=1):
             name = ds.schema.attributes[idx - 1].name
@@ -529,10 +548,6 @@ def _dispatch(argv: list[str]) -> None:
             parser.error("--sample applies to --algo knn only")
         print(run_batch(_config_from_args(args)))
     elif args.command == "stream":
-        window = stream_learners.WKNN_WINDOW
-        if args.algo == "wknn" and args.k > window:
-            parser.error(f"argument --k: need k <= WKNN_WINDOW={window} "
-                         f"for wknn, got {args.k}")
         print(run_stream(_config_from_args(args)))
     elif args.command == "report":
         for p in emit_report(args.out):

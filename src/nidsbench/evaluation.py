@@ -1,10 +1,6 @@
 """Evaluation harnesses: stratified cross-validation for batch models and
 prequential (test-then-train) runs with fading-factor forgetting for stream
 models, plus metrics, drift annotation and the trace and confusion CSVs.
-
-A prequential run's loop only predicts, keeps the code and learns; the trace
-is derived from the codes after the loop, bit for bit what per-row
-bookkeeping records (see `prequential_run`).
 """
 
 from __future__ import annotations
@@ -36,6 +32,21 @@ class ConfusionMatrix:
     @property
     def error(self) -> float:
         return 1.0 - self.accuracy
+
+
+def confusion_matrix(ds: Dataset, predicted: np.ndarray) -> ConfusionMatrix:
+    """Counts of each (label, predicted) pair of ds's class codes; a predicted
+    code that is no integer in [0, C) raises ValueError naming its instance."""
+    if predicted.dtype.kind not in "iu":
+        raise ValueError(f"predicted class codes of dtype {predicted.dtype}, "
+                         "not integers")
+    c = len(ds.schema.class_labels)
+    bad = np.flatnonzero((predicted < 0) | (predicted >= c))
+    if bad.size:
+        raise ValueError(f"instance {bad[0] + 1}: predicted class code "
+                         f"{predicted[bad[0]]} outside [0, {c})")
+    counts = np.bincount(ds.labels * c + predicted, minlength=c * c)
+    return ConfusionMatrix(ds.schema.class_labels, counts.reshape(c, c))
 
 
 @dataclass(frozen=True)
@@ -96,17 +107,16 @@ def cross_validate(ds: Dataset, model_factory: Callable[[], object],
     fit (see batch_learners.Pipeline) never sees test-fold data.
     """
     assignment = assign_stratified_folds(ds.labels, n_folds, seed)
-    c = len(ds.schema.class_labels)
-    counts = np.zeros((c, c), dtype=np.int64)
+    codes = []
     for fold in range(n_folds):
         test_mask = assignment == fold
         train = ds.subset(np.flatnonzero(~test_mask), note=f"train fold {fold}")
         test = ds.subset(np.flatnonzero(test_mask), note=f"test fold {fold}")
-        model = model_factory()
-        model.fit(train)
-        predicted = model.predict_dataset(test)
-        np.add.at(counts, (test.labels, predicted), 1)
-    return ConfusionMatrix(ds.schema.class_labels, counts)
+        codes.append(model_factory().fit(train).predict_dataset(test))
+    codes = np.concatenate(codes)  # fold after fold, each in row order
+    predicted = np.empty_like(codes)
+    predicted[np.argsort(assignment, kind="stable")] = codes
+    return confusion_matrix(ds, predicted)
 
 
 # ---------------------------------------------------------------------------
@@ -169,14 +179,7 @@ def prequential_run(stream: Dataset, model, alpha: float) -> PrequentialTrace:
         codes.append(predict(x, z))
         learn(x, z, y)
     preds = np.array(codes)
-    if preds.dtype.kind not in "iu":
-        raise ValueError(f"predicted class codes of dtype {preds.dtype}, "
-                         "not integers")
-    c = len(stream.schema.class_labels)
-    bad = np.flatnonzero((preds < 0) | (preds >= c))
-    if bad.size:
-        raise ValueError(f"instance {bad[0] + 1}: predicted class code "
-                         f"{preds[bad[0]]} outside [0, {c})")
+    cm = confusion_matrix(stream, preds)
     correct = (preds == labels).astype(np.uint8)
     cumulative = np.cumsum(correct, dtype=np.int64) / np.arange(1, n + 1)
     faded = []
@@ -184,8 +187,6 @@ def prequential_run(stream: Dataset, model, alpha: float) -> PrequentialTrace:
     for a in correct.tolist():
         s, b, acc = faded_update(s, b, a, alpha)
         faded.append(acc)
-    counts = np.bincount(labels * c + preds, minlength=c * c).reshape(c, c)
-    cm = ConfusionMatrix(stream.schema.class_labels, counts)
     return PrequentialTrace(alpha, correct, np.array(faded), cumulative, cm)
 
 

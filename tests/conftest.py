@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -100,6 +104,16 @@ def mlp_loss(params, x, target) -> float:
     """Half squared error of the MLP's outputs for one instance."""
     _, out = mlp_forward(params, x)
     return 0.5 * float(((out - target) ** 2).sum())
+
+
+def run_script(name: str, argv: list, monkeypatch) -> int:
+    """scripts/<name>.py's main() in this process."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(sys, "argv", [name, *argv])
+    return module.main()
 
 
 def kdd_line(label: str, rng: np.random.Generator, dotted: bool = True) -> str:

@@ -17,8 +17,8 @@ import pytest
 from nidsbench.batch_learners import NaiveBayes, mlp_gradients
 from nidsbench.cli import (
     RunConfig,
-    make_batch_model,
-    make_stream_model,
+    evaluate_batch,
+    evaluate_stream,
     prepare,
     resolve_data,
     run_command,
@@ -27,7 +27,6 @@ from nidsbench.dataset import DataError, load_dataset
 from nidsbench.evaluation import (
     annotate_drifts,
     assign_stratified_folds,
-    cross_validate,
     faded_update,
     prequential_run,
 )
@@ -76,23 +75,11 @@ def nsl_raw(nsl_path):
     return load_dataset(nsl_path)
 
 
-@pytest.fixture(scope="module")
-def nsl_v1(nsl_raw):
-    return prepare(nsl_raw, RunConfig(variant="v1"))
-
-
-@pytest.fixture(scope="module")
-def nsl_v2(nsl_raw):
-    return prepare(nsl_raw, RunConfig(variant="v2"))
-
-
-def _cross_validate(ds, **config):
+def _cross_validate(raw, **config):
     """The CLI's batch evaluation with 10 folds and seed 1; returns
     (result, seconds)."""
-    cfg = RunConfig(folds=10, seed=1, **config)
     t0 = time.perf_counter()
-    res = cross_validate(ds, lambda: make_batch_model(cfg), cfg.folds,
-                         cfg.seed)
+    res = evaluate_batch(raw, RunConfig(folds=10, seed=1, **config))
     return res, time.perf_counter() - t0
 
 
@@ -103,18 +90,16 @@ def kdd_raw(kdd99_path):
 
 @pytest.fixture(scope="module")
 def stream_results(kdd_raw):
-    """Prequential traces on KDD99-10 v2, alpha 0.95, seed 1 (cached)."""
+    """Prequential traces and drift indices on KDD99-10 v2, alpha 0.95, seed
+    1, and their seconds (cached)."""
     cache = {}
 
     def get(algo: str):
         if algo not in cache:
-            cfg = RunConfig(command="stream", variant="v2", algo=algo,
-                            alpha=0.95, seed=1)
-            ds = prepare(kdd_raw, cfg)
-            model = make_stream_model(ds.schema, cfg)
+            cfg = RunConfig(variant="v2", algo=algo, alpha=0.95, seed=1)
             t0 = time.perf_counter()
-            trace = prequential_run(ds, model, alpha=cfg.alpha)
-            cache[algo] = (trace, time.perf_counter() - t0)
+            trace, drifts = evaluate_stream(kdd_raw, cfg)
+            cache[algo] = (trace, drifts, time.perf_counter() - t0)
         return cache[algo]
 
     return get
@@ -138,22 +123,23 @@ def test_criterion1_table1_exact_counts(kdd99_path):
 # --- criterion 2: deterministic batch learners on NSL-KDD --------------------
 
 
-def test_criterion2_naive_bayes(nsl_v1):
-    res, elapsed = _cross_validate(nsl_v1, algo="nb")
+def test_criterion2_naive_bayes(nsl_raw):
+    res, elapsed = _cross_validate(nsl_raw, variant="v1", algo="nb")
     ok = abs(res.accuracy - 0.9814) <= 0.010 and elapsed < 300
     _report("criterion 2 (Naive Bayes V1 = 98.14% +/- 1.0pp)", ok,
             f"accuracy={res.accuracy * 100:.2f}% elapsed={elapsed:.0f}s")
 
 
-def test_criterion2_j48_tree(nsl_v1):
-    res, elapsed = _cross_validate(nsl_v1, algo="j48")
+def test_criterion2_j48_tree(nsl_raw):
+    res, elapsed = _cross_validate(nsl_raw, variant="v1", algo="j48")
     ok = abs(res.accuracy - 0.9902) <= 0.015 and elapsed < 300
     _report("criterion 2 (tree V1 = 99.02% +/- 1.5pp)", ok,
             f"accuracy={res.accuracy * 100:.2f}% elapsed={elapsed:.0f}s")
 
 
-def test_criterion2_knn_subsampled(nsl_v1):
-    res, elapsed = _cross_validate(nsl_v1, algo="knn", k=3, sample=20_000)
+def test_criterion2_knn_subsampled(nsl_raw):
+    res, elapsed = _cross_validate(nsl_raw, variant="v1", algo="knn", k=3,
+                                   sample=20_000)
     ok = abs(res.accuracy - 0.9842) <= 0.015 and elapsed < 600
     _report("criterion 2 (k-NN k=3 V1 = 98.42% +/- 1.5pp, 20k subsample)", ok,
             f"accuracy={res.accuracy * 100:.2f}% elapsed={elapsed:.0f}s")
@@ -162,15 +148,15 @@ def test_criterion2_knn_subsampled(nsl_v1):
 # --- criterion 3: stochastic/deviating batch learners ------------------------
 
 
-def test_criterion3_mlp(nsl_v1):
-    res, elapsed = _cross_validate(nsl_v1, algo="mlp")
+def test_criterion3_mlp(nsl_raw):
+    res, elapsed = _cross_validate(nsl_raw, variant="v1", algo="mlp")
     ok = abs(res.accuracy - 0.9852) <= 0.020 and elapsed < 1_200
     _report("criterion 3 (MLP V1 = 98.52% +/- 2.0pp)", ok,
             f"accuracy={res.accuracy * 100:.2f}% elapsed={elapsed:.0f}s")
 
 
-def test_criterion3_linear_svm(nsl_v2):
-    res, elapsed = _cross_validate(nsl_v2, algo="svm")
+def test_criterion3_linear_svm(nsl_raw):
+    res, elapsed = _cross_validate(nsl_raw, variant="v2", algo="svm")
     ok = res.accuracy >= 0.975 and elapsed < 1_200
     _report("criterion 3 (linear SVM V2 >= 97.5%)", ok,
             f"accuracy={res.accuracy * 100:.2f}% elapsed={elapsed:.0f}s")
@@ -180,7 +166,7 @@ def test_criterion3_linear_svm(nsl_v2):
 
 
 def test_criterion4_streaming_naive_bayes(stream_results):
-    trace, elapsed = stream_results("snb")
+    trace, _, elapsed = stream_results("snb")
     acc = trace.final_cumulative_accuracy
     ok = abs(acc - 0.9918) <= 0.005 and elapsed < 120
     _report("criterion 4 (streaming NB = 99.18% +/- 0.5pp)", ok,
@@ -188,7 +174,7 @@ def test_criterion4_streaming_naive_bayes(stream_results):
 
 
 def test_criterion4_hoeffding_tree(stream_results):
-    trace, elapsed = stream_results("ht")
+    trace, _, elapsed = stream_results("ht")
     acc = trace.final_cumulative_accuracy
     ok = abs(acc - 0.9964) <= 0.005 and elapsed < 120
     _report("criterion 4 (Hoeffding tree = 99.64% +/- 0.5pp)", ok,
@@ -196,7 +182,7 @@ def test_criterion4_hoeffding_tree(stream_results):
 
 
 def test_criterion4_windowed_knn(stream_results):
-    trace, elapsed = stream_results("wknn")
+    trace, _, elapsed = stream_results("wknn")
     acc = trace.final_cumulative_accuracy
     ok = acc >= 0.99 and elapsed < 1_200
     _report("criterion 4 (windowed k-NN >= 99.0%)", ok,
@@ -204,7 +190,7 @@ def test_criterion4_windowed_knn(stream_results):
 
 
 def test_criterion4_ozaboost_best_of_four(stream_results):
-    trace, elapsed = stream_results("ozaboost")
+    trace, _, elapsed = stream_results("ozaboost")
     acc = trace.final_cumulative_accuracy
     others = [stream_results(a)[0].final_cumulative_accuracy
               for a in ("snb", "ht", "wknn")]
@@ -219,8 +205,7 @@ def test_criterion4_ozaboost_best_of_four(stream_results):
 
 
 def test_criterion5_drift_indices(stream_results):
-    trace, _ = stream_results("ht")
-    found = annotate_drifts(trace)
+    _, found, _ = stream_results("ht")
     ok = len(found) == len(DRIFT_POINTS) and all(
         abs(f - p) <= DRIFT_TOLERANCE
         for f, p in zip(sorted(found), DRIFT_POINTS))

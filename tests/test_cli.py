@@ -5,6 +5,7 @@ import hashlib
 import http.server
 import json
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -62,6 +63,9 @@ def test_missing_data_file_is_data_error(tmp_path, capsys):
     ["batch", "--algo", "nb", "--seed", "-1"],
     ["stream", "--algo", "ozaboost", "--seed", "-1"],
     ["preprocess", "--attrs", "1,99"],
+    ["batch", "--algo", "nb", "--k", "7"],
+    ["batch", "--algo", "j48", "--k", "3"],
+    ["stream", "--algo", "ht", "--k", "9999"],
 ], ids=" ".join)
 def test_out_of_range_flag_is_usage_error(tmp_path, capsys, argv):
     # the data file does not exist: exit 1, not 2, shows the flag was
@@ -284,6 +288,29 @@ def test_preprocess_writes_csv_and_provenance(mini_kdd, tmp_path):
     # the emitted CSV is loadable and reduced to 12 attributes + label
     first = (out / "mini_kdd_v2_preprocessed.csv").read_text().splitlines()[0]
     assert len(first.split(",")) == 13
+
+
+@pytest.mark.parametrize("command, algo, evaluation", [
+    ("batch", "nb", "cross_validate"), ("stream", "ht", "prequential_run")])
+def test_a_run_frees_the_raw_data_before_it_evaluates(
+        mini_kdd, tmp_path, monkeypatch, command, algo, evaluation):
+    # only the prepared data need live through the evaluation, as when the
+    # raw data was a temporary of the loading call
+    raw_refs, alive = [], []
+
+    def prepare(raw, cfg, _prepare=cli.prepare):
+        raw_refs.append(weakref.ref(raw))
+        return _prepare(raw, cfg)
+
+    def evaluate(*args, _evaluate=getattr(cli, evaluation)):
+        alive.append(raw_refs[0]() is not None)
+        return _evaluate(*args)
+
+    monkeypatch.setattr(cli, "prepare", prepare)
+    monkeypatch.setattr(cli, evaluation, evaluate)
+    assert run_command([command, "--algo", algo, "--data", str(mini_kdd),
+                        "--out", str(tmp_path)]) == EXIT_OK
+    assert alive == [False]
 
 
 def test_report_combines_traces(mini_kdd, tmp_path, capsys):

@@ -141,6 +141,25 @@ def test_cv_calls_factory_once_per_fold_and_keeps_test_out_of_fit():
         assert train_ids | test_ids == set(ds.numeric[:, 0].tolist())
 
 
+@pytest.mark.parametrize("code, message", [
+    (3, "instance 8: .* 3 outside"), (-1, "instance 8: .* -1 outside"),
+    (0.5, "dtype float64, not integers")])
+def test_cv_rejects_a_code_outside_the_classes(code, message):
+    ds = _unique_dataset(30)
+
+    class _OneBad(BatchModel):
+        """Predicts `code` for the eighth row and class 0 for the rest."""
+
+        def _fit(self, train):
+            pass
+
+        def predict_dataset(self, inner):
+            return np.where(inner.numeric[:, 0] == 7.0, code, 0)
+
+    with pytest.raises(ValueError, match=message):
+        cross_validate(ds, _OneBad, 5, seed=1)
+
+
 # --- faded accuracy --------------------------------------------------------------
 
 

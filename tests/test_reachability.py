@@ -16,11 +16,12 @@ ALLOWED with that reason.
 import ast
 import gzip
 import hashlib
-import importlib.util
 import sys
 from pathlib import Path
 
 from nidsbench.cli import EXIT_OK, EXIT_USAGE, run_command
+
+from conftest import run_script
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "nidsbench"
@@ -79,16 +80,6 @@ def traced_calls(body) -> set:
     finally:
         sys.settrace(previous)
     return {(str(Path(f).resolve()), line) for f, line in seen}
-
-
-def run_script(name: str, argv: list, monkeypatch) -> int:
-    """scripts/<name>.py's main() in this process."""
-    spec = importlib.util.spec_from_file_location(
-        name, ROOT / "scripts" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    monkeypatch.setattr(sys, "argv", [name, *argv])
-    return module.main()
 
 
 def sweep(tmp_path, monkeypatch) -> None:
