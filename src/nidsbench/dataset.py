@@ -2,10 +2,12 @@
 
 Records are plain comma-separated lines: 41 feature fields followed by a
 class label that may carry a trailing period ("smurf."). The loader parses
-each line into an `Instance`; `dataset_from_instances` is the one coder of
-nominal symbols and class labels, and stores a Dataset column-major (numeric
-matrix + nominal code matrix + label codes) for the learners. Codes mean
-something only together with the schema they were made against, so a
+the distinct lines in blocks, each split into columns, and hands them to
+`ColumnCoder`, the one coder of nominal symbols and class labels, which
+stores a Dataset as a numeric matrix, a nominal code matrix and label codes
+for the learners. A block that breaks a record rule is parsed again line by
+line by `_parse_fields`, which names the first bad line and field. Codes
+mean something only together with the schema they were made against, so a
 fitted model accepts only data with that same schema.
 """
 
@@ -20,7 +22,7 @@ import urllib.request
 import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -74,14 +76,6 @@ class AttributeSchema:
     @property
     def nominal_positions(self) -> tuple[int, ...]:
         return tuple(i for i, a in enumerate(self.attributes) if a.kind == NOMINAL)
-
-
-@dataclass(frozen=True)
-class Instance:
-    """One connection record: mixed feature values plus a class label."""
-
-    values: tuple
-    label: str
 
 
 @dataclass(frozen=True)
@@ -143,10 +137,28 @@ def kdd99_schema() -> AttributeSchema:
     return AttributeSchema(tuple(Attribute(n, k) for n, k in _KDD_ATTRIBUTES))
 
 
+# Distinct lines are parsed this many at a time. A block's fields, as Python
+# strings, are the parse's working set: about 0.6 MB for 256 KDD lines,
+# where splitting the whole file at once peaked at 251 MiB.
+_BLOCK_LINES = 256
+
+
+def _record_fields(line: str, expected: int) -> list[str]:
+    """A line's comma-separated fields, less NSL-KDD's optional trailing
+    "difficulty" column (one integer field more than `expected`)."""
+    fields = line.split(",")
+    if len(fields) == expected + 1:
+        last = fields[-1]
+        if last.isascii() and last.isdigit():
+            del fields[-1]
+    return fields
+
+
 def _parse_fields(fields: list[str], schema: AttributeSchema,
-                  line_no: int) -> Instance:
-    """One record's fields as an Instance; the label's single trailing "."
-    (as in the official files) is stripped, and nothing else normalized."""
+                  line_no: int) -> tuple[tuple, str]:
+    """One record's fields as (values, label), or the ParseError that names
+    its first malformed field. The label's single trailing "." (as in the
+    official files) is stripped, and nothing else normalized."""
     ctx = f"line {line_no}: "
     expected = schema.n_attributes + 1
     if len(fields) != expected:
@@ -174,40 +186,86 @@ def _parse_fields(fields: list[str], schema: AttributeSchema,
             if not raw:
                 raise ParseError(f"{ctx}field {pos + 1} ({attr.name}): empty value")
             values.append(raw)
-    return Instance(tuple(values), label)
+    return tuple(values), label
 
 
-def dataset_from_instances(schema: AttributeSchema,
-                           instances: Iterable[Instance], n: int,
-                           provenance: str = "") -> Dataset:
-    """Assemble a Dataset of `n` instances, accumulating nominal domains and
-    class labels.
+class ColumnCoder:
+    """The one coder of nominal symbols and class labels.
 
-    Domains and class labels not already present in `schema` are added in
-    first-seen order, then frozen into the returned dataset's schema.
+    Fills a Dataset of `n` rows, given block by block as columns. Symbols and
+    labels not already in `schema` get the next code when first seen, and
+    `dataset()` freezes them, in that order, into the dataset's schema.
     """
-    num_pos = schema.numeric_positions
-    nom_pos = schema.nominal_positions
-    domain_codes: list[dict[str, int]] = [
-        {sym: i for i, sym in enumerate(schema.attributes[p].domain)} for p in nom_pos
-    ]
-    label_codes: dict[str, int] = {lab: i for i, lab in enumerate(schema.class_labels)}
 
-    numeric = np.empty((n, len(num_pos)), dtype=np.float64)
-    nominal = np.empty((n, len(nom_pos)), dtype=np.int32)
-    labels = np.empty(n, dtype=np.int32)
-    for i, inst in enumerate(instances):
-        numeric[i] = [inst.values[p] for p in num_pos]
-        for j, p in enumerate(nom_pos):
-            codes = domain_codes[j]
-            nominal[i, j] = codes.setdefault(inst.values[p], len(codes))
-        labels[i] = label_codes.setdefault(inst.label, len(label_codes))
+    def __init__(self, schema: AttributeSchema, n: int):
+        self._schema = schema
+        self._domains: list[dict[str, int]] = [
+            {sym: i for i, sym in enumerate(schema.attributes[p].domain)}
+            for p in schema.nominal_positions]
+        self._labels = {lab: i for i, lab in enumerate(schema.class_labels)}
+        self._numeric = np.empty((n, len(schema.numeric_positions)), np.float64)
+        self._nominal = np.empty((n, len(self._domains)), np.int32)
+        self._label_codes = np.empty(n, np.int32)
+        self._filled = 0
 
-    attrs = list(schema.attributes)
-    for j, p in enumerate(nom_pos):
-        attrs[p] = replace(attrs[p], domain=tuple(domain_codes[j]))
-    frozen = AttributeSchema(tuple(attrs), tuple(label_codes))
-    return Dataset(frozen, numeric, nominal, labels, provenance)
+    def add(self, numeric, nominal: Sequence[Sequence[str]],
+            labels: Sequence[str]) -> None:
+        """Append the next len(labels) rows. `numeric` holds one column of
+        values per numeric attribute, `nominal` one column of symbols per
+        nominal attribute, both in schema order."""
+        m = len(labels)
+        rows = slice(self._filled, self._filled + m)
+        self._numeric[rows] = np.reshape(numeric, (self._numeric.shape[1], m)).T
+        for j, (codes, column) in enumerate(zip(self._domains, nominal)):
+            self._nominal[rows, j] = [codes.setdefault(s, len(codes))
+                                      for s in column]
+        codes = self._labels
+        self._label_codes[rows] = [codes.setdefault(lab, len(codes))
+                                   for lab in labels]
+        self._filled += m
+
+    def dataset(self, provenance: str = "") -> Dataset:
+        attrs = list(self._schema.attributes)
+        for codes, p in zip(self._domains, self._schema.nominal_positions):
+            attrs[p] = replace(attrs[p], domain=tuple(codes))
+        frozen = AttributeSchema(tuple(attrs), tuple(self._labels))
+        return Dataset(frozen, self._numeric, self._nominal,
+                       self._label_codes, provenance)
+
+
+def _block_columns(records: list[list[str]], schema: AttributeSchema):
+    """(numeric (n_numeric, m) float64, nominal columns, labels) of a block
+    of records, or None if any record breaks a rule of `_parse_fields`."""
+    expected = schema.n_attributes + 1
+    if any(len(r) != expected for r in records):
+        return None
+    columns = list(zip(*records))
+    labels = [lab[:-1] if lab.endswith(".") else lab for lab in columns[-1]]
+    nominal = [columns[p] for p in schema.nominal_positions]
+    try:  # the same float() as _parse_fields: the same tokens, the same bits
+        numeric = np.array([list(map(float, columns[p]))
+                            for p in schema.numeric_positions], np.float64)
+    except ValueError:
+        return None
+    if "" in labels or any("" in col for col in nominal) \
+            or not np.isfinite(numeric).all():
+        return None
+    return numeric, nominal, labels
+
+
+def _code_block(lines: list[str], line_nos: np.ndarray,
+                schema: AttributeSchema, coder: ColumnCoder) -> None:
+    """Parse a block of lines, found at `line_nos`, into `coder`. If the
+    block holds a malformed line, raise the ParseError of the first one."""
+    expected = schema.n_attributes + 1
+    records = [_record_fields(line, expected) for line in lines]
+    columns = _block_columns(records, schema)
+    if columns is None:
+        for fields, line_no in zip(records, line_nos.tolist()):
+            _parse_fields(fields, schema, line_no)
+        raise RuntimeError(f"lines {line_nos[0]}-{line_nos[-1]}: the block "
+                           "check rejected lines that parse one by one")
+    coder.add(*columns)
 
 
 def _read_text(path: Path) -> str:
@@ -245,27 +303,26 @@ def load_dataset(path: str | Path, schema: AttributeSchema | None = None) -> Dat
     first_line_no: dict[str, int] = {}  # distinct line -> where it first appears
     rows = [first_line_no.setdefault(ln, no)
             for no, ln in enumerate(lines, 1) if ln.strip()]
-    del lines
     if not rows:
         raise DataError(f"{path}: no instances")
     # first line numbers rise in first-seen order, so a row's rank among them
     # is the id of its distinct line
-    idx = np.searchsorted(np.fromiter(first_line_no.values(), np.intp), rows)
+    first = np.fromiter(first_line_no.values(), np.intp)
+    idx = np.searchsorted(first, rows)
+    distinct = list(first_line_no)
+    del rows, first_line_no
 
-    expected = schema.n_attributes + 1
-
-    def parse(line: str, line_no: int) -> Instance:
-        fields = line.split(",")
-        last = fields[-1]
-        if len(fields) == expected + 1 and last.isascii() and last.isdigit():
-            fields = fields[:-1]  # NSL-KDD difficulty column
-        return _parse_fields(fields, schema, line_no)
-
-    distinct = dataset_from_instances(
-        schema, (parse(ln, no) for ln, no in first_line_no.items()),
-        len(first_line_no), f"loaded {path}")
-    del first_line_no  # free the line text before the expanded rows are allocated
-    return distinct.subset(idx)
+    coder = ColumnCoder(schema, len(distinct))
+    for start in range(0, len(distinct), _BLOCK_LINES):
+        stop = start + _BLOCK_LINES
+        _code_block(distinct[start:stop], first[start:stop], schema, coder)
+    # The duplicate lines are freed only now, with the rest of the text and
+    # before the rows expand. Freed earlier, they leave gaps among the
+    # distinct lines that the parse's short-lived objects fill, and the few
+    # that outlive it (new symbols, floats kept for reuse) keep that memory
+    # mapped after the text is gone.
+    del lines, distinct
+    return coder.dataset(f"loaded {path}").subset(idx)
 
 
 def write_dataset(ds: Dataset, path: str | Path) -> None:

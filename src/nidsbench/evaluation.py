@@ -92,9 +92,8 @@ def assign_stratified_folds(labels: Sequence[int] | np.ndarray, n_folds: int,
     cursor = 0
     for c in np.unique(labels):
         idx = rng.permutation(np.flatnonzero(labels == c))
-        for i in idx:
-            assignment[i] = cursor % n_folds
-            cursor += 1
+        assignment[idx] = (cursor + np.arange(len(idx))) % n_folds
+        cursor += len(idx)
     return assignment
 
 

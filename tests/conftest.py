@@ -15,9 +15,8 @@ from nidsbench.dataset import (
     NUMERIC,
     Attribute,
     AttributeSchema,
+    ColumnCoder,
     Dataset,
-    Instance,
-    dataset_from_instances,
     kdd99_schema,
 )
 
@@ -33,20 +32,27 @@ _NOMINAL_FILL = {
 }
 
 
+def coded(schema, rows, labels):
+    """Value rows and their class labels coded against `schema` by the
+    program's one coder, in one block."""
+    coder = ColumnCoder(schema, len(rows))
+    coder.add([[r[p] for r in rows] for p in schema.numeric_positions],
+              [[r[p] for r in rows] for p in schema.nominal_positions],
+              labels)
+    return coder.dataset()
+
+
 def build_dataset(attrs, rows, labels, class_labels=()):
     """Assemble a Dataset from (name, kind[, domain]) specs and value rows."""
     schema = AttributeSchema(tuple(Attribute(*a) for a in attrs),
                              tuple(class_labels))
-    instances = [Instance(tuple(r), lab) for r, lab in zip(rows, labels)]
-    return dataset_from_instances(schema, instances, len(instances))
+    return coded(schema, rows, labels)
 
 
 def code_rows(schema, *rows):
-    """Value rows coded against `schema` by the program's one coder (each
-    labeled with the schema's first class)."""
-    return dataset_from_instances(
-        schema, (Instance(tuple(r), schema.class_labels[0]) for r in rows),
-        len(rows))
+    """Value rows coded against `schema` (each labeled with the schema's
+    first class)."""
+    return coded(schema, rows, [schema.class_labels[0]] * len(rows))
 
 
 def label_names(ds):

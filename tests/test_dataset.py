@@ -5,12 +5,14 @@ import gzip
 import hashlib
 import http.server
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nidsbench import dataset
 from nidsbench.dataset import (
     Attribute,
     AttributeSchema,
@@ -18,7 +20,6 @@ from nidsbench.dataset import (
     IntegrityError,
     ParseError,
     _parse_fields,
-    dataset_from_instances,
     fetch_dataset,
     kdd99_schema,
     load_dataset,
@@ -29,6 +30,7 @@ from nidsbench.dataset import (
 from conftest import (
     assert_same_dataset,
     build_dataset,
+    coded,
     kdd_file,
     kdd_line,
     label_names,
@@ -197,11 +199,27 @@ _row = st.tuples(st.integers(0, 7),                     # which distinct record
                  st.sampled_from(["", "\n", "  \r\n", "\t\n"]))  # blanks before
 
 
+def _per_line(schema, records):
+    """The dataset of parsing each record by itself, in order: the
+    reference the block parse must equal bit for bit."""
+    parsed = [_parse_fields(r.split(","), schema, no)
+              for no, r in enumerate(records, 1)]
+    return coded(schema, [v for v, _ in parsed], [lab for _, lab in parsed])
+
+
+def _assert_same_bits(got, want):
+    assert_same_dataset(got, want)
+    assert got.numeric.tobytes() == want.numeric.tobytes()  # -0.0 too
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(_record, min_size=1, max_size=8), st.lists(_row, min_size=1,
-                                                           max_size=60))
-def test_load_dataset_equals_per_line_parse(tmp_path_factory, records, rows):
-    """Parsing each distinct line once gives what parsing every line gives."""
+                                                           max_size=60),
+       st.sampled_from([1, 2, 3, 7, dataset._BLOCK_LINES]))
+def test_load_dataset_equals_per_line_parse(tmp_path_factory, records, rows,
+                                            block):
+    """Parsing each distinct line once, in blocks of any size, gives what
+    parsing every line by itself gives."""
     text, kept = [], []
     for which, difficulty, ending, blanks in rows:
         record = records[which % len(records)]
@@ -210,15 +228,104 @@ def test_load_dataset_equals_per_line_parse(tmp_path_factory, records, rows):
         text.append(blanks + record + suffix + ending)
     path = tmp_path_factory.mktemp("eq") / "data.csv"
     path.write_bytes("".join(text).encode())
-    got = load_dataset(path, _SMALL_SCHEMA)
-    want = dataset_from_instances(
-        _SMALL_SCHEMA, (_parse_fields(r.split(","), _SMALL_SCHEMA, no)
-                        for no, r in enumerate(kept, 1)), len(kept))
-    assert got.schema == want.schema
-    assert got.numeric.shape == want.numeric.shape
-    assert got.numeric.tobytes() == want.numeric.tobytes()
-    assert np.array_equal(got.nominal, want.nominal)
-    assert np.array_equal(got.labels, want.labels)
+    with mock.patch.object(dataset, "_BLOCK_LINES", block):
+        got = load_dataset(path, _SMALL_SCHEMA)
+    _assert_same_bits(got, _per_line(_SMALL_SCHEMA, kept))
+
+
+def test_load_dataset_spanning_blocks_equals_per_line_parse(tmp_path):
+    """Three full blocks and a partial one, with repeats across blocks and
+    NSL difficulty columns on some lines only."""
+    rng = np.random.default_rng(4)
+    distinct = [kdd_line(lab, rng, dotted=bool(i % 2)) for i, lab in
+                enumerate(["normal", "smurf", "neptune", "back"] * 200)]
+    distinct = distinct[:3 * dataset._BLOCK_LINES + 17]
+    assert len(set(distinct)) == len(distinct)
+    picks = rng.integers(0, len(distinct), 2000)
+    kept = distinct + [distinct[i] for i in picks]
+    path = tmp_path / "blocks.csv"
+    path.write_text("".join(r + (f",{i % 22}" if i % 3 == 0 else "") + "\n"
+                            for i, r in enumerate(kept)))
+    got = load_dataset(path)
+    _assert_same_bits(got, _per_line(kdd99_schema(), kept))
+
+
+def _first_error(path, schema):
+    """The message of the first ParseError a per-line parse of the file
+    raises, or None."""
+    for no, line in enumerate(path.read_text("utf-8").splitlines(), 1):
+        if line.strip():
+            try:
+                _parse_fields(line.split(","), schema, no)
+            except ParseError as exc:
+                return str(exc)
+    return None
+
+
+_BAD_TOKENS = ("zzz", "", "nan", "-inf", "1e999", "1..2", ".", "0x1")
+
+
+def test_block_parse_reports_the_per_line_error(tmp_path, monkeypatch):
+    """Seeded mutations of a 40-line file parsed in blocks of 8: the load
+    fails with the message of the first line a per-line parse rejects, or
+    loads what the per-line parse loads."""
+    monkeypatch.setattr(dataset, "_BLOCK_LINES", 8)
+    schema = kdd99_schema()
+    rng = np.random.default_rng(16)
+    base = [kdd_line(lab, rng).split(",") for lab in ["normal", "smurf"] * 20]
+    assert len({",".join(f) for f in base}) == len(base)
+
+    def mutate(*edits):
+        lines = [list(f) for f in base]
+        for line, field, token in edits:
+            if token is None:
+                del lines[line][field]
+            else:
+                lines[line][field] = token
+        return [",".join(f) for f in lines]
+
+    cases = [
+        # the first line of the third block
+        mutate((16, 4, "zzz")),
+        # two bad lines in one block: the earlier one is reported, although
+        # the later one breaks an earlier field
+        mutate((9, 30, "nan"), (12, 0, "zzz")),
+        # a non-finite field before an unparsable one on the same line
+        mutate((5, 0, "inf"), (5, 4, "zzz")),
+    ]
+    for _ in range(150):
+        edits = []
+        for _ in range(int(rng.integers(1, 3))):
+            line, field = int(rng.integers(0, 40)), int(rng.integers(0, 42))
+            token = (None if rng.random() < 0.1
+                     else _BAD_TOKENS[rng.integers(0, len(_BAD_TOKENS))])
+            edits.append((line, field, token))
+        cases.append(mutate(*edits))
+
+    reported = set()
+    for lines in cases:
+        path = tmp_path / "mutated.csv"
+        path.write_text("".join(line + "\n" for line in lines))
+        want = _first_error(path, schema)
+        if want is None:
+            _assert_same_bits(load_dataset(path), _per_line(schema, lines))
+            continue
+        with pytest.raises(ParseError) as err:
+            load_dataset(path)
+        assert str(err.value) == want
+        reported.add(want)
+    assert "line 17: field 5 (src_bytes): cannot parse 'zzz' as a number" \
+        in reported
+    assert "line 10: field 31 (srv_diff_host_rate): non-finite value 'nan'" \
+        in reported
+    assert "line 6: field 1 (duration): non-finite value 'inf'" in reported
+
+
+def test_a_block_rejected_without_a_bad_line_is_a_fault(tmp_path, monkeypatch):
+    monkeypatch.setattr(dataset, "_block_columns", lambda records, schema: None)
+    path = kdd_file(tmp_path / "mini.csv", ["normal", "smurf"])
+    with pytest.raises(RuntimeError, match="lines 1-2: the block check"):
+        load_dataset(path)
 
 
 def test_load_dataset_drops_nsl_difficulty_column(tmp_path):

@@ -56,6 +56,32 @@ def test_fold_sizes_for_nsl_kdd_shape():
     assert (sizes == 12_598).sum() == 3
 
 
+def _round_robin_folds(labels, n_folds, seed):
+    """The fold plan written out one instance at a time: shuffle each class,
+    classes in code order, and deal with one pointer across all of them."""
+    rng = np.random.default_rng(seed)
+    assignment = np.empty(len(labels), dtype=np.int32)
+    cursor = 0
+    for c in np.unique(labels):
+        for i in rng.permutation(np.flatnonzero(labels == c)):
+            assignment[i] = cursor % n_folds
+            cursor += 1
+    return assignment
+
+
+@pytest.mark.parametrize("labels, n_folds", [
+    (np.zeros(2, dtype=np.int32), 2),
+    (np.array([3, 0, 3, 1, 3, 0, 2]), 7),
+    (np.array([1, 0, 1, 1, 0, 2, 2, 1, 0, 2, 1]), 3),
+    (np.random.default_rng(5).integers(0, 5, 6_299), 10),
+    (np.repeat([0, 1, 2, 3, 4], [67_343, 45_927, 11_656, 995, 52]), 10),
+])
+def test_fold_plan_is_the_round_robin_deal(labels, n_folds):
+    for seed in (1, 7):
+        assert np.array_equal(assign_stratified_folds(labels, n_folds, seed),
+                              _round_robin_folds(labels, n_folds, seed))
+
+
 def test_fold_errors():
     with pytest.raises(ValueError, match="folds exceed"):
         assign_stratified_folds(np.zeros(3, dtype=int), 5, seed=1)

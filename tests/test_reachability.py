@@ -3,10 +3,11 @@
 Every `def` in `src/nidsbench/*.py`, nested ones included, must be called
 by at least one command: every batch and stream learner, `rank`,
 `preprocess --normalize`, `report`, `fetch` (from a `file://` URL, offline)
-and a run on the fetched copy, a usage error, `--help` and both reproduce
-scripts. The commands run in-process under a `sys.settrace` hook that sees
-call events only, on the first 600 rows of the golden slice: enough for a
-Hoeffding leaf to reach its grace period and try a split.
+and a run on the fetched copy, a usage error, a run on a file with one
+unparsable number, `--help` and both reproduce scripts. The commands run
+in-process under a `sys.settrace` hook that sees call events only, on the
+first 600 rows of the golden slice: enough for a Hoeffding leaf to reach
+its grace period and try a split.
 
 A function no command reaches is either test-only code, which belongs in
 `tests/`, or dead code. The few that stay for another reason are listed in
@@ -19,7 +20,7 @@ import hashlib
 import sys
 from pathlib import Path
 
-from nidsbench.cli import EXIT_OK, EXIT_USAGE, run_command
+from nidsbench.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, run_command
 
 from conftest import run_script
 
@@ -114,6 +115,12 @@ def sweep(tmp_path, monkeypatch) -> None:
     assert run_command(["rank", "--data", "nsl-kdd"]) == EXIT_OK
 
     assert run_command(["batch", "--algo", "knn", "--k", "0"]) == EXIT_USAGE
+    bad = tmp_path / "bad.txt"
+    lines = head.read_text().splitlines(keepends=True)
+    lines[HEAD_ROWS // 2] = "zzz," + lines[HEAD_ROWS // 2].split(",", 1)[1]
+    bad.write_text("".join(lines))
+    assert run_command(["batch", "--algo", "nb", "--data", str(bad),
+                        *out]) == EXIT_DATA
     assert run_command(["--help"]) == EXIT_OK
 
     assert run_script("reproduce_batch", [
@@ -137,6 +144,6 @@ def test_every_src_function_is_called_by_a_command(tmp_path, monkeypatch):
 
 def test_the_scan_finds_nested_and_decorated_defs():
     names = set(defined_functions().values())
-    assert {"cli.checked.convert", "dataset.load_dataset.parse",
+    assert {"cli.checked.convert", "batch_learners.LinearSVM._smo.examine",
             "dataset.AttributeSchema.n_attributes",
             "batch_learners.LinearSVM._smo.try_step"} <= names
