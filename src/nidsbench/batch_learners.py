@@ -3,9 +3,9 @@
 Every model follows the same contract: `fit(train)` builds the model from a
 Dataset, and `predict_dataset(ds)` returns the class code of each row of a
 Dataset coded against the schema the model was fitted on; any other schema
-raises DataError. A prediction is the class of the highest score, ties to
-the lowest class index; the k-NN and SVM tie rules refine this at exact
-ties (see their docstrings).
+is a program fault and raises ValueError. A prediction is the class of the
+highest score, ties to the lowest class index; the k-NN and SVM tie rules
+refine this at exact ties (see their docstrings).
 
 Mixed-distance convention used by k-NN (batch and windowed): euclidean over
 numeric attributes plus a 0/1 overlap term per nominal attribute, i.e.
@@ -34,7 +34,7 @@ from .preprocess import (
 
 
 class TrainingError(RuntimeError):
-    """Model training diverged or received an unusable dataset."""
+    """Model training diverged."""
 
 
 class BatchModel:
@@ -45,15 +45,13 @@ class BatchModel:
         self.schema: AttributeSchema | None = None
 
     def fit(self, train: Dataset) -> "BatchModel":
-        if len(train) == 0:
-            raise TrainingError("cannot fit on an empty dataset")
         self.schema = train.schema
         self._fit(train)
         return self
 
     def predict_dataset(self, ds: Dataset) -> np.ndarray:
         if ds.schema != self.schema:
-            raise DataError("dataset schema differs from the fitted schema")
+            raise ValueError("dataset schema differs from the fitted schema")
         return self._predict_codes(ds.numeric, ds.nominal)
 
 
@@ -418,13 +416,11 @@ class KNN(BatchModel):
 
     def __init__(self, k: int):
         super().__init__()
-        if k < 1:
-            raise ValueError("k must be >= 1")
         self.k = k
 
     def _fit(self, train: Dataset) -> None:
         if self.k > len(train):
-            raise TrainingError(
+            raise DataError(
                 f"k={self.k} exceeds training size {len(train)}")
         self.t_cols = np.ascontiguousarray(train.numeric.T)
         self.t_nom = np.ascontiguousarray(train.nominal.T)
@@ -476,8 +472,8 @@ def mlp_gradients(params, x, target):
 class MLP(BatchModel):
     """Three-layer feed-forward net, unipolar sigmoid on hidden and output
     layers, trained by per-instance SGD on half squared error with momentum.
-    The hidden layer has ceil((inputs + classes) / 2) units. Inputs must be
-    all-numeric (normalize + one-hot encode first).
+    The hidden layer has ceil((inputs + classes) / 2) units. Inputs are
+    all-numeric: the CLI builds it inside `Pipeline(encode=True)`.
     """
 
     def __init__(self, seed: int):
@@ -485,8 +481,6 @@ class MLP(BatchModel):
         self.seed = seed
 
     def _fit(self, train: Dataset) -> None:
-        if train.nominal.shape[1]:
-            raise TrainingError("MLP requires an all-numeric dataset")
         x = train.numeric
         y = train.labels
         n, d = x.shape
@@ -542,17 +536,15 @@ class LinearSVM(BatchModel):
     deterministic fallbacks over non-bound then all multipliers. Training
     stops when no multiplier moved by more than SVM_TOLERANCE over a full
     pass, or after SVM_MAX_PASSES passes. A decision value of exactly 0
-    predicts the +1 class.
+    predicts the +1 class. Inputs are all-numeric and two-class: the CLI
+    builds it inside `Pipeline(encode=True)` and only for variant v2.
     """
 
     def _fit(self, train: Dataset) -> None:
-        if train.nominal.shape[1]:
-            raise TrainingError("SVM requires an all-numeric dataset")
-        if len(train.schema.class_labels) != 2:
-            raise TrainingError("SVM requires exactly two classes")
         counts = np.bincount(train.labels, minlength=2)
         if (counts == 0).any():
-            raise TrainingError("SVM requires both classes present")
+            absent = train.schema.class_labels[int(np.argmin(counts))]
+            raise DataError(f"SVM training fold has no {absent!r} instance")
         x = train.numeric
         y = np.where(train.labels == 0, -1.0, 1.0)
         self.w, self.b, self.alpha_, self.passes_ = self._smo(x, y)
@@ -692,5 +684,5 @@ class Pipeline(BatchModel):
 
     def predict_dataset(self, ds: Dataset) -> np.ndarray:
         if ds.schema != self.schema:
-            raise DataError("dataset schema differs from the fitted schema")
+            raise ValueError("dataset schema differs from the fitted schema")
         return self.model.predict_dataset(self._transform(ds))

@@ -1,9 +1,14 @@
 """Command-line orchestration: fetch, preprocess, rank, batch, stream, report.
 
-Exit codes: 0 success, 1 usage error, 2 data error (missing/corrupt/
-unparsable input), 3 runtime failure. Every batch/stream run writes its
-artifacts plus a manifest echoing the resolved configuration and input
-digests, so identical configurations reproduce identical outputs.
+Exit codes: 0 success, 1 usage error (rejected before any input is read),
+2 data error (a `DataError` or a failed download: the input is at fault),
+3 runtime failure (any other exception: the program is at fault). Every
+option is checked where it is parsed, so the library does not check it
+again.
+
+Every batch/stream run writes its artifacts plus a manifest echoing the
+resolved configuration and input digests, so identical configurations
+reproduce identical outputs.
 """
 
 from __future__ import annotations
@@ -26,13 +31,10 @@ from .batch_learners import (
     LinearSVM,
     NaiveBayes,
     Pipeline,
-    TrainingError,
 )
 from .dataset import (
     DataError,
     Dataset,
-    IntegrityError,
-    ParseError,
     fetch_dataset,
     kdd99_schema,
     load_dataset,
@@ -48,8 +50,8 @@ from .evaluation import (
     write_trace_csv,
 )
 from .preprocess import (
+    DEFAULT_KEEP_INDICES,
     VARIANT_LABELS,
-    SelectionSpec,
     apply_normalizer,
     apply_variant,
     fit_normalizer,
@@ -127,13 +129,13 @@ def resolve_data(data: str, cache_dir: Path | None = None) -> Path:
     raise DataError(f"no such data file: {data}")
 
 
-def _selection(attrs: str) -> SelectionSpec | None:
-    """The attributes --attrs keeps; None keeps them all."""
+def _keep_indices(attrs: str) -> tuple[int, ...] | None:
+    """The 1-based attribute indices --attrs keeps; None keeps them all."""
     if attrs == "all":
         return None
     if attrs == "selected":
-        return SelectionSpec()
-    return SelectionSpec(tuple(int(t) for t in attrs.split(",")))
+        return DEFAULT_KEEP_INDICES
+    return tuple(int(t) for t in attrs.split(","))
 
 
 def prepare(raw: Dataset, cfg: RunConfig) -> Dataset:
@@ -141,9 +143,9 @@ def prepare(raw: Dataset, cfg: RunConfig) -> Dataset:
     for wknn, min-max normalize with a normalizer fitted on the first
     STREAM_NORMALIZE_WARMUP rows."""
     ds = apply_variant(raw, cfg.variant)
-    spec = _selection(cfg.attrs)
-    if spec is not None:
-        ds = select_attributes(ds, spec)
+    keep = _keep_indices(cfg.attrs)
+    if keep is not None:
+        ds = select_attributes(ds, keep)
     if cfg.algo == "wknn":
         warm = ds.subset(np.arange(min(STREAM_NORMALIZE_WARMUP, len(ds))),
                          note="normalizer warm-up")
@@ -158,6 +160,7 @@ def load(data: str | Path) -> tuple[Dataset, Path]:
 
 
 def make_batch_model(cfg: RunConfig):
+    """A new model of cfg.algo, one of BATCH_ALGOS."""
     if cfg.algo == "nb":
         return NaiveBayes()
     if cfg.algo == "j48":
@@ -166,21 +169,18 @@ def make_batch_model(cfg: RunConfig):
         return Pipeline(KNN(cfg.k), subsample=cfg.sample, seed=cfg.seed)
     if cfg.algo == "mlp":
         return Pipeline(MLP(cfg.seed), encode=True)
-    if cfg.algo == "svm":
-        return Pipeline(LinearSVM(), encode=True)
-    raise ValueError(f"unknown batch algorithm {cfg.algo!r}")
+    return Pipeline(LinearSVM(), encode=True)  # svm
 
 
 def make_stream_model(schema, cfg: RunConfig):
+    """A new model of cfg.algo, one of STREAM_ALGOS, over `schema`."""
     if cfg.algo == "snb":
         return StreamingNaiveBayes(schema)
     if cfg.algo == "ht":
         return HoeffdingTree(schema)
     if cfg.algo == "wknn":
         return WindowKNN(schema, cfg.k)
-    if cfg.algo == "ozaboost":
-        return OzaBoost(schema, cfg.seed)
-    raise ValueError(f"unknown stream algorithm {cfg.algo!r}")
+    return OzaBoost(schema, cfg.seed)  # ozaboost
 
 
 def evaluate_batch(raw: Dataset, cfg: RunConfig):
@@ -283,9 +283,8 @@ def _svg_polyline(series: np.ndarray, color: str, x0, y0, w, h,
 
 def emit_svg_series(named_series: list[tuple[str, np.ndarray]],
                     path: str | Path) -> Path:
-    """Standalone SVG line chart of faded accuracy vs instance index."""
-    if not named_series or any(len(s) == 0 for _, s in named_series):
-        raise ValueError("need at least one non-empty trace")
+    """Standalone SVG line chart of faded accuracy vs instance index, of
+    one or more non-empty series."""
     width, height = 960, 480
     ml, mr, mt, mb = 60, 170, 20, 45
     w, h = width - ml - mr, height - mt - mb
@@ -348,10 +347,17 @@ def emit_report(out_dir: str | Path) -> list[Path]:
             name = f.name[: -len("_trace.csv")]
             faded = []
             with open(f) as fh:
-                next(fh)  # header
-                for line in fh:
+                next(fh, None)  # header
+                for line_no, line in enumerate(fh, 2):
+                    try:  # index,correct,faded_accuracy,cumulative_accuracy
+                        _, _, faded_acc, _ = line.split(",")
+                        faded.append(float(faded_acc))
+                    except ValueError:
+                        raise DataError(f"{f}: line {line_no}: not a trace "
+                                        f"row: {line.rstrip()!r}") from None
                     out.write(f"{name},{line}")
-                    faded.append(float(line.split(",")[2]))
+            if not faded:
+                raise DataError(f"{f}: no trace rows")
             series.append((name, np.asarray(faded)))
     svg = emit_svg_series(series, out_dir / "comparison.svg")
     return [combined, svg]
@@ -406,18 +412,21 @@ def list_arg(ok, expect: str):
                    lambda items: all(map(ok, items)), expect)
 
 
-def _attrs(text: str) -> str:
-    """--attrs, checked against kdd99_schema(), which every command loads."""
+def _attrs_ok(text: str) -> bool:
+    """--attrs is all, selected, or non-empty, strictly increasing indices
+    from 1 to the attribute count of kdd99_schema(), which every command
+    loads."""
     try:
-        spec = _selection(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad value {text!r}: {exc}")
-    n = kdd99_schema().n_attributes
-    if spec is not None and max(spec.keep_indices) > n:
-        raise argparse.ArgumentTypeError(
-            f"bad value {text!r}: attribute index {max(spec.keep_indices)} "
-            f"out of range (schema has {n})")
-    return text
+        keep = _keep_indices(text)
+    except ValueError:
+        return False
+    return keep is None or (
+        1 <= keep[0] and keep[-1] <= kdd99_schema().n_attributes
+        and all(a < b for a, b in zip(keep, keep[1:])))
+
+
+_attrs = checked(str, _attrs_ok, "need all, selected or strictly increasing "
+                 f"indices from 1 to {kdd99_schema().n_attributes}")
 
 
 def _add_data(p: argparse.ArgumentParser, stream: bool = False):
@@ -490,12 +499,12 @@ def run_guarded(body) -> int:
         body()
     except _ExitRequest as req:
         return req.code
-    except (ParseError, DataError, IntegrityError, urllib.error.URLError,
-            FileNotFoundError, ValueError) as exc:
+    except (DataError, urllib.error.URLError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (TrainingError, OSError) as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
+    except Exception as exc:
+        print(f"runtime failure: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK
 
@@ -546,6 +555,8 @@ def _dispatch(argv: list[str]) -> None:
     elif args.command == "batch":
         if args.sample is not None and args.algo != "knn":
             parser.error("--sample applies to --algo knn only")
+        if args.algo == "svm" and args.variant != "v2":
+            parser.error("--algo svm applies to --variant v2 only")
         print(run_batch(_config_from_args(args)))
     elif args.command == "stream":
         print(run_stream(_config_from_args(args)))

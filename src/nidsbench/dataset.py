@@ -30,15 +30,17 @@ NUMERIC = "numeric"
 NOMINAL = "nominal"
 
 
-class ParseError(ValueError):
+class DataError(ValueError):
+    """The input is at fault: a missing, empty, corrupt or unparsable file,
+    an unknown label, a file too small for the run, a bad URL. The CLI exits
+    2 on it."""
+
+
+class ParseError(DataError):
     """A record line violates the 42-field KDD record format."""
 
 
-class DataError(ValueError):
-    """A dataset-level problem: empty file, schema mismatch, unknown label."""
-
-
-class IntegrityError(RuntimeError):
+class IntegrityError(DataError):
     """A fetched file's SHA-256 digest does not match the expected digest."""
 
 
@@ -48,22 +50,15 @@ class Attribute:
     kind: str  # NUMERIC or NOMINAL
     domain: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        if self.kind not in (NUMERIC, NOMINAL):
-            raise ValueError(f"unknown attribute kind {self.kind!r}")
-
 
 @dataclass(frozen=True)
 class AttributeSchema:
-    """Ordered attribute descriptors plus the ordered class-label set."""
+    """Ordered attribute descriptors plus the ordered class-label set.
+    Commands start from `kdd99_schema()` and derive every other schema
+    from it, so names are unique and kinds are NUMERIC or NOMINAL."""
 
     attributes: tuple[Attribute, ...]
     class_labels: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        names = [a.name for a in self.attributes]
-        if len(set(names)) != len(names):
-            raise ValueError("attribute names must be unique")
 
     @property
     def n_attributes(self) -> int:
@@ -322,7 +317,9 @@ def load_dataset(path: str | Path, schema: AttributeSchema | None = None) -> Dat
     # that outlive it (new symbols, floats kept for reuse) keep that memory
     # mapped after the text is gone.
     del lines, distinct
-    return coder.dataset(f"loaded {path}").subset(idx)
+    ds = coder.dataset(f"loaded {path}")
+    # a file of distinct lines (NSL-KDD) has its rows already: idx is 0..n-1
+    return ds if len(idx) == len(ds) else ds.subset(idx)
 
 
 def write_dataset(ds: Dataset, path: str | Path) -> None:
@@ -368,10 +365,14 @@ def fetch_dataset(name: str, url: str, expected_digest: str,
             return target
         target.unlink()
 
+    try:
+        request = urllib.request.Request(url)
+    except ValueError as exc:  # no scheme: urllib's "unknown url type"
+        raise DataError(f"{name}: {exc}") from None
     part = target.with_name(target.name + ".part")
     h = hashlib.sha256()
     try:
-        with urllib.request.urlopen(url) as resp, open(part, "wb") as out:
+        with urllib.request.urlopen(request) as resp, open(part, "wb") as out:
             for chunk in iter(lambda: resp.read(1 << 20), b""):
                 h.update(chunk)
                 out.write(chunk)

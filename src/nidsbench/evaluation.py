@@ -59,8 +59,6 @@ class Metrics:
 
 def metrics(cm: ConfusionMatrix) -> Metrics:
     """Accuracy, error rate and per-class precision/recall (0/0 -> 0)."""
-    if cm.total == 0:
-        raise DataError("empty confusion matrix")
     diag = np.diag(cm.counts).astype(np.float64)
     col = cm.counts.sum(axis=0).astype(np.float64)
     row = cm.counts.sum(axis=1).astype(np.float64)
@@ -79,14 +77,13 @@ def assign_stratified_folds(labels: Sequence[int] | np.ndarray, n_folds: int,
 
     The round-robin pointer runs continuously across classes, so both the
     per-class counts and the overall fold sizes differ from perfect
-    proportionality by at most one.
+    proportionality by at most one. The CLI checks n_folds >= 2; more folds
+    than labels is the input's fault.
     """
     labels = np.asarray(labels)
     n = len(labels)
-    if n_folds < 2:
-        raise ValueError("need at least 2 folds")
     if n_folds > n:
-        raise ValueError(f"{n_folds} folds exceed {n} instances")
+        raise DataError(f"{n_folds} folds exceed {n} instances")
     rng = np.random.default_rng(seed)
     assignment = np.empty(n, dtype=np.int32)
     cursor = 0
@@ -155,21 +152,17 @@ def prequential_run(stream: Dataset, model, alpha: float) -> PrequentialTrace:
     """Predict, then train on every instance in stream order.
 
     The stream must be coded against the model's schema; any other schema
-    raises DataError. A predicted code that is no integer in [0, C) raises
-    ValueError.
+    raises ValueError, as does a predicted code that is no integer in
+    [0, C): both are program faults.
 
     The trace is derived from the predicted codes after the loop, bit for
     bit what per-row bookkeeping records: a cumulative accuracy is one
     correctly rounded division of two exact doubles either way, and the
     faded curve takes the same `faded_update` steps in the same order.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
     if stream.schema != model.schema:
-        raise DataError("stream schema differs from the model's schema")
+        raise ValueError("stream schema differs from the model's schema")
     n = len(stream)
-    if n == 0:
-        raise DataError("empty stream")
     num, nom, labels = stream.numeric, stream.nominal, stream.labels
     predict, learn = model.predict_code, model.learn_row
     codes = []

@@ -53,8 +53,6 @@ VARIANT_LABELS: dict[str, tuple[str, ...] | None] = {
 
 def apply_variant(ds: Dataset, vid: str) -> Dataset:
     """Relabel classes per variant `vid`; features and order are untouched."""
-    if vid not in VARIANT_LABELS:
-        raise ValueError(f"unknown preprocessing variant {vid!r}")
     targets = VARIANT_LABELS[vid]
     if targets is None:
         return ds.with_provenance("variant v3 (raw labels)")
@@ -73,36 +71,17 @@ def apply_variant(ds: Dataset, vid: str) -> Dataset:
                    ds.provenance + f"; variant {vid}")
 
 
-@dataclass(frozen=True)
-class SelectionSpec:
-    """Ordered 1-based attribute indices to keep."""
-
-    keep_indices: tuple[int, ...] = DEFAULT_KEEP_INDICES
-
-    def __post_init__(self):
-        idx = self.keep_indices
-        if not idx:
-            raise ValueError("keep_indices must be non-empty")
-        if any(i < 1 for i in idx):
-            raise ValueError("attribute indices are 1-based")
-        if any(b <= a for a, b in zip(idx, idx[1:])):
-            raise ValueError("keep_indices must be strictly increasing")
-
-
-def select_attributes(ds: Dataset, spec: SelectionSpec) -> Dataset:
-    """Keep only the attributes named by spec, preserving relative order."""
-    n = ds.schema.n_attributes
-    for i in spec.keep_indices:
-        if i > n:
-            raise DataError(f"attribute index {i} out of range (schema has {n})")
-    keep = [i - 1 for i in spec.keep_indices]
+def select_attributes(ds: Dataset, keep_indices: tuple[int, ...]) -> Dataset:
+    """Keep only the attributes at the strictly increasing 1-based
+    `keep_indices` of ds's schema, preserving relative order."""
+    keep = [i - 1 for i in keep_indices]
     keep_set = set(keep)
     attrs = tuple(ds.schema.attributes[p] for p in keep)
     num_cols = [j for j, p in enumerate(ds.schema.numeric_positions) if p in keep_set]
     nom_cols = [j for j, p in enumerate(ds.schema.nominal_positions) if p in keep_set]
     schema = AttributeSchema(attrs, ds.schema.class_labels)
     return Dataset(schema, ds.numeric[:, num_cols], ds.nominal[:, nom_cols],
-                   ds.labels, ds.provenance + f"; selected {spec.keep_indices}")
+                   ds.labels, ds.provenance + f"; selected {keep_indices}")
 
 
 def _majority(counts: np.ndarray) -> tuple[int, int]:
@@ -158,8 +137,6 @@ def oner_rank(ds: Dataset) -> list[tuple[int, float]]:
     in `_numeric_rule_correct`.
     """
     n = len(ds)
-    if n == 0:
-        raise DataError("cannot rank attributes of an empty dataset")
     n_classes = len(ds.schema.class_labels)
     num_col = {p: j for j, p in enumerate(ds.schema.numeric_positions)}
     nom_col = {p: j for j, p in enumerate(ds.schema.nominal_positions)}
@@ -190,8 +167,6 @@ class Normalizer:
 
 
 def fit_normalizer(ds: Dataset) -> Normalizer:
-    if len(ds) == 0:
-        raise DataError("cannot fit a normalizer on an empty dataset")
     if ds.numeric.shape[1]:
         mins = ds.numeric.min(axis=0)
         maxs = ds.numeric.max(axis=0)
@@ -204,7 +179,7 @@ def fit_normalizer(ds: Dataset) -> Normalizer:
 def apply_normalizer(norm: Normalizer, ds: Dataset) -> Dataset:
     """Map numeric values to [0, 1]; constants map to 0, outliers are clamped."""
     if ds.schema != norm.schema:
-        raise DataError("normalizer was fitted on a different schema")
+        raise ValueError("normalizer was fitted on a different schema")
     span = norm.maxs - norm.mins
     scaled = np.zeros_like(ds.numeric)
     nz = span > 0

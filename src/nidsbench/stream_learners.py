@@ -32,13 +32,10 @@ def hoeffding_bound(value_range: float, delta: float, n: int) -> float:
     KDD 2000). `HoeffdingTree` calls it with R = log2(number of classes),
     the range of the information gain, so that a leaf splits once the gain
     gap between the best two candidate splits exceeds the radius.
+
+    The caller guarantees the domain R >= 0, 0 < delta < 1 and n >= 1:
+    `HoeffdingTree` passes R >= 1, HT_DELTA and n >= HT_GRACE_PERIOD.
     """
-    if value_range < 0:
-        raise ValueError("range must be >= 0")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    if n < 1:
-        raise ValueError("n must be >= 1")
     return math.sqrt(value_range * value_range * math.log(1.0 / delta) / (2.0 * n))
 
 
@@ -297,9 +294,7 @@ class WindowKNN(StreamModel):
 
     def __init__(self, schema: AttributeSchema, k: int):
         super().__init__(schema)
-        w = WKNN_WINDOW
-        if not w >= k >= 1:
-            raise ValueError(f"need WKNN_WINDOW={w} >= k >= 1, got k={k}")
+        w = WKNN_WINDOW  # the CLI checks WKNN_WINDOW >= k >= 1
         self.k = k
         self.window = w
         self._num = np.zeros((len(schema.numeric_positions), 2 * w))
@@ -341,9 +336,8 @@ BOOST_MEMBERS = 10
 
 
 class OzaBoost(StreamModel):
-    """Online boosting over StreamModel members.
+    """Online boosting over BOOST_MEMBERS Hoeffding trees.
 
-    The members are BOOST_MEMBERS Hoeffding trees unless `members` are given.
     Each arriving instance carries weight lambda (starting at 1); every member
     trains on it Poisson(lambda) times (capped), then lambda is rescaled down
     if the member now classifies the instance correctly and up otherwise,
@@ -352,14 +346,11 @@ class OzaBoost(StreamModel):
     members that never saw mass vote with weight 0.
     """
 
-    def __init__(self, schema: AttributeSchema, seed: int,
-                 members: list[StreamModel] | None = None):
+    def __init__(self, schema: AttributeSchema, seed: int):
         super().__init__(schema)
-        if members is None:
-            members = [HoeffdingTree(schema) for _ in range(BOOST_MEMBERS)]
-        self.members = members
-        self.lam_sc = np.zeros(len(members))
-        self.lam_sw = np.zeros(len(members))
+        self.members = [HoeffdingTree(schema) for _ in range(BOOST_MEMBERS)]
+        self.lam_sc = np.zeros(len(self.members))
+        self.lam_sw = np.zeros(len(self.members))
         self._rng = np.random.default_rng(seed)
         # member_weights() as Python floats; only learn_row changes them
         self._weights = self.member_weights().tolist()

@@ -22,11 +22,12 @@ from nidsbench.cli import (
 )
 import nidsbench.cli as cli
 import nidsbench.stream_learners as stream_learners
+from nidsbench.batch_learners import NaiveBayes
 from nidsbench.dataset import DataError
 from nidsbench.evaluation import prequential_run
 from nidsbench.stream_learners import WindowKNN
 
-from conftest import gen_drift_stream, kdd_line
+from conftest import gen_drift_stream, kdd_file, kdd_line
 
 
 def test_no_arguments_is_usage_error(capsys):
@@ -63,6 +64,13 @@ def test_missing_data_file_is_data_error(tmp_path, capsys):
     ["batch", "--algo", "nb", "--seed", "-1"],
     ["stream", "--algo", "ozaboost", "--seed", "-1"],
     ["preprocess", "--attrs", "1,99"],
+    ["preprocess", "--attrs", "1,42"],
+    ["preprocess", "--attrs", "0,1"],
+    ["preprocess", "--attrs", "1,1"],
+    ["preprocess", "--attrs", "3,2"],
+    ["preprocess", "--attrs", "1,zz"],
+    ["preprocess", "--attrs", ""],
+    ["rank", "--attrs", "-1"],
     ["batch", "--algo", "nb", "--k", "7"],
     ["batch", "--algo", "j48", "--k", "3"],
     ["stream", "--algo", "ht", "--k", "9999"],
@@ -95,7 +103,9 @@ def test_wknn_k_above_the_window_is_usage_error(mini_kdd, tmp_path,
     assert run_command(["batch", "--algo", "knn", "--k", "51"] + argv) \
         == EXIT_OK
     assert run_command(["batch", "--algo", "knn", "--k", "6000"] + argv) \
-        == EXIT_RUNTIME
+        == EXIT_DATA
+    assert "data error: k=6000 exceeds training size 162" in \
+        capsys.readouterr().err
 
 
 @pytest.mark.parametrize("algo", ["nb", "j48", "mlp", "svm"])
@@ -111,6 +121,57 @@ def test_sample_with_an_algorithm_other_than_knn_is_usage_error(
     assert "error: --sample applies to --algo knn only" in \
         capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("variant", ["v1", "v3"])
+def test_svm_with_a_variant_other_than_v2_is_usage_error(
+        mini_kdd, tmp_path, monkeypatch, capsys, variant):
+    def no_read(*args):
+        raise AssertionError("the data file was read")
+
+    monkeypatch.setattr(cli, "load_dataset", no_read)
+    assert run_command(["batch", "--algo", "svm", "--variant", variant,
+                        "--folds", "2", "--data", str(mini_kdd),
+                        "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert "error: --algo svm applies to --variant v2 only" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_more_folds_than_rows_is_data_error(tmp_path, capsys):
+    small = kdd_file(tmp_path / "three.csv", ["normal", "smurf", "normal"])
+    assert run_command(["batch", "--algo", "nb", "--folds", "10",
+                        "--data", str(small), "--out", str(tmp_path)]) \
+        == EXIT_DATA
+    assert capsys.readouterr().err == \
+        "data error: 10 folds exceed 3 instances\n"
+
+
+class _PredictsMinusOne(NaiveBayes):
+    def _predict_codes(self, num, nom):
+        return np.full(len(num), -1)
+
+
+class _IndexFault(NaiveBayes):
+    def _predict_codes(self, num, nom):
+        return np.arange(3)[len(num) + 3]
+
+
+@pytest.mark.parametrize("model, message", [
+    (_PredictsMinusOne, "runtime failure: ValueError: instance 1: predicted "
+                        "class code -1 outside [0, 5)\n"),
+    (_IndexFault, "runtime failure: IndexError: index "),
+], ids=["code -1", "IndexError"])
+def test_a_program_fault_exits_3_with_one_line(mini_kdd, tmp_path,
+                                               monkeypatch, capsys, model,
+                                               message):
+    monkeypatch.setattr(cli, "make_batch_model", lambda cfg: model())
+    assert run_command(["batch", "--algo", "nb", "--folds", "2",
+                        "--data", str(mini_kdd),
+                        "--out", str(tmp_path)]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith(message)
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_unparsable_file_is_data_error(tmp_path, capsys):
@@ -335,6 +396,26 @@ def test_report_without_traces_is_data_error(tmp_path):
     assert run_command(["report", "--out", str(empty)]) == EXIT_DATA
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "a_trace.csv: no trace rows"),
+    ("index,correct,faded_accuracy,cumulative_accuracy\n",
+     "a_trace.csv: no trace rows"),
+    ("index,correct,faded_accuracy,cumulative_accuracy\n1,1,1.0,1.0\n2,0\n",
+     "a_trace.csv: line 3: not a trace row: '2,0'"),
+    ("index,correct,faded_accuracy,cumulative_accuracy\n1,1,x,1.0\n",
+     "a_trace.csv: line 2: not a trace row: '1,1,x,1.0'"),
+    ("index,correct,faded_accuracy,cumulative_accuracy\n1,1,1.0,1.0,7\n",
+     "a_trace.csv: line 2: not a trace row: '1,1,1.0,1.0,7'"),
+], ids=["empty file", "header only", "short row", "bad number", "long row"])
+def test_report_on_a_malformed_trace_is_data_error(tmp_path, capsys, text,
+                                                   message):
+    (tmp_path / "a_trace.csv").write_text(text)
+    assert run_command(["report", "--out", str(tmp_path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and message in err
+    assert err.count("\n") == 1
+
+
 def test_fetch_subcommand_downloads(tmp_path, capsys):
     payload = b"some,data,bytes\n"
     digest = hashlib.sha256(payload).hexdigest()
@@ -374,6 +455,14 @@ def test_fetch_unreachable_url_is_data_error(tmp_path, capsys):
     assert code == EXIT_DATA
 
 
+def test_fetch_from_a_url_without_scheme_is_data_error(tmp_path, capsys):
+    code = run_command(["fetch", "--data", "kdd99-10", "--url", "nowhere",
+                        "--sha256", "00" * 32, "--cache", str(tmp_path)])
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err == \
+        "data error: kdd99-10: unknown url type: 'nowhere'\n"
+
+
 def test_fetch_requires_digest(tmp_path):
     assert run_command(["fetch", "--data", "kdd99-10"]) == EXIT_USAGE
 
@@ -403,13 +492,6 @@ def test_svg_constant_trace_is_horizontal(tmp_path):
     pts = line.split('points="')[1].split('"')[0].split()
     ys = {p.split(",")[1] for p in pts}
     assert len(ys) == 1
-
-
-def test_svg_rejects_empty():
-    with pytest.raises(ValueError):
-        emit_svg_series([], "/tmp/never.svg")
-    with pytest.raises(ValueError):
-        emit_svg_series([("x", np.zeros(0))], "/tmp/never.svg")
 
 
 def test_svg_dip_position_reflects_drift(tmp_path, monkeypatch):

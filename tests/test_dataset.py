@@ -5,6 +5,7 @@ import gzip
 import hashlib
 import http.server
 import threading
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -250,6 +251,30 @@ def test_load_dataset_spanning_blocks_equals_per_line_parse(tmp_path):
     _assert_same_bits(got, _per_line(kdd99_schema(), kept))
 
 
+def test_a_file_of_distinct_lines_loads_without_a_row_copy(tmp_path):
+    """NSL-KDD holds no repeated line: its coded rows are already the
+    dataset's rows, and the loader returns them without a copy. They equal,
+    bit for bit, the per-line parse, and keep the dtypes, C order and
+    provenance of the copy the loader skips."""
+    slice_ = Path(__file__).resolve().parent / "data" / "nsl_s1_head1500.txt.gz"
+    path = tmp_path / "distinct.txt"
+    path.write_bytes(gzip.decompress(slice_.read_bytes()))
+    lines = path.read_text().splitlines()
+    assert len(set(lines)) == len(lines)
+    with mock.patch.object(dataset.Dataset, "subset",
+                           side_effect=AssertionError("rows copied")):
+        got = load_dataset(path)
+    want = _per_line(kdd99_schema(),
+                     [",".join(line.split(",")[:-1]) for line in lines])
+    _assert_same_bits(got, want)
+    assert got.provenance == f"loaded {path}"
+    copy = got.subset(np.arange(len(got)))
+    for a, b in ((got.numeric, copy.numeric), (got.nominal, copy.nominal),
+                 (got.labels, copy.labels)):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.flags.c_contiguous and a.tobytes() == b.tobytes()
+
+
 def _first_error(path, schema):
     """The message of the first ParseError a per-line parse of the file
     raises, or None."""
@@ -378,11 +403,6 @@ def test_round_trip_property(tmp_path_factory, rows):
                                   for a in ds.schema.attributes))
     again = load_dataset(path, fresh)
     assert_same_dataset(ds, again)
-
-
-def test_schema_rejects_duplicate_names():
-    with pytest.raises(ValueError, match="unique"):
-        AttributeSchema((Attribute("x", "numeric"), Attribute("x", "nominal")))
 
 
 def test_subset_preserves_schema_and_provenance():

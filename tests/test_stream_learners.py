@@ -45,17 +45,6 @@ def test_hoeffding_bound_sqrt_scaling():
     assert a / b == pytest.approx(math.sqrt(10.0), rel=1e-12)
 
 
-def test_hoeffding_bound_domain_checks():
-    with pytest.raises(ValueError):
-        hoeffding_bound(-1.0, 0.5, 10)
-    with pytest.raises(ValueError):
-        hoeffding_bound(1.0, 0.0, 10)
-    with pytest.raises(ValueError):
-        hoeffding_bound(1.0, 1.5, 10)
-    with pytest.raises(ValueError):
-        hoeffding_bound(1.0, 0.5, 0)
-
-
 @settings(max_examples=40)
 @given(st.integers(1, 10_000), st.integers(2, 50))
 def test_hoeffding_bound_decreasing_in_n(n, extra):
@@ -613,15 +602,6 @@ def test_wknn_holding_every_row_predicts_like_batch_knn(seed):
         == batch.predict_dataset(queries).tolist()
 
 
-def test_wknn_config_validation(monkeypatch):
-    schema = _two_class_schema()
-    monkeypatch.setattr(stream_learners, "WKNN_WINDOW", 2)
-    assert WindowKNN(schema, 2).k == 2
-    for k in (0, 3):  # the window must hold k >= 1 instances
-        with pytest.raises(ValueError):
-            WindowKNN(schema, k)
-
-
 # --- OzaBoost --------------------------------------------------------------------
 
 
@@ -644,10 +624,20 @@ def _two_class_schema():
     return AttributeSchema((Attribute("x", "numeric"),), ("c0", "c1"))
 
 
+def _boost(schema, seed, members):
+    """OzaBoost(schema, seed) built with `members` in place of its
+    BOOST_MEMBERS Hoeffding trees."""
+    given = iter(members)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stream_learners, "BOOST_MEMBERS", len(members))
+        mp.setattr(stream_learners, "HoeffdingTree", lambda _: next(given))
+        return OzaBoost(schema, seed)
+
+
 def test_ozaboost_single_step_lambda_update():
     schema = _two_class_schema()
     spies = [_FixedModel(schema, fixed_code=0) for _ in range(2)]
-    boost = OzaBoost(schema, 1, spies)
+    boost = _boost(schema, 1, spies)
     # label 0: member 1 correct -> sc 0->1, lambda 1 -> 1*(1+0)/(2*1) = 0.5
     # member 2 also correct -> sc 0->0.5, lambda 0.5 -> 0.5*(0.5)/(2*0.5)=0.25
     boost.learn_row(np.array([0.0]), np.zeros(0, dtype=np.int32), 0)
@@ -664,8 +654,8 @@ def test_ozaboost_single_step_lambda_update():
 def test_ozaboost_member_one_mass_equals_steps():
     schema = _two_class_schema()
     rng = np.random.default_rng(3)
-    boost = OzaBoost(schema, 2, [_FixedModel(schema, int(rng.integers(0, 2)))
-                                 for _ in range(4)])
+    boost = _boost(schema, 2, [_FixedModel(schema, int(rng.integers(0, 2)))
+                               for _ in range(4)])
     n = 137
     for i in range(n):
         boost.learn_row(np.array([float(i)]), np.zeros(0, dtype=np.int32),
@@ -677,7 +667,7 @@ def test_ozaboost_lambda_mass_conservation_against_replay():
     """Each member's sc+sw must equal the lambda mass routed to it, replayed
     by an independent simulation of the update rule."""
     schema = _two_class_schema()
-    boost = OzaBoost(schema, 5, [_FixedModel(schema, m % 2) for m in range(3)])
+    boost = _boost(schema, 5, [_FixedModel(schema, m % 2) for m in range(3)])
     rng = np.random.default_rng(10)
     n_steps = 200
     labels = rng.integers(0, 2, n_steps)
@@ -709,7 +699,7 @@ def test_ozaboost_lambda_mass_conservation_against_replay():
 
 def test_ozaboost_single_member_equals_member_vote():
     schema = _two_class_schema()
-    boost = OzaBoost(schema, 1, [_FixedModel(schema, 1)])
+    boost = _boost(schema, 1, [_FixedModel(schema, 1)])
     num = np.array([0.0])
     nom = np.zeros(0, dtype=np.int32)
     assert boost.predict_code(num, nom) == 0  # no mass yet -> class 0
@@ -719,7 +709,7 @@ def test_ozaboost_single_member_equals_member_vote():
 
 def test_ozaboost_weighted_vote_prefers_accurate_members():
     schema = _two_class_schema()
-    boost = OzaBoost(schema, 1, [_FixedModel(schema, m) for m in range(2)])
+    boost = _boost(schema, 1, [_FixedModel(schema, m) for m in range(2)])
     num = np.array([0.0])
     nom = np.zeros(0, dtype=np.int32)
     for _ in range(20):
@@ -733,8 +723,8 @@ def test_ozaboost_deterministic_with_seed():
     stream = gen_drift_stream(2_000, 1_000, seed=4)
 
     def run():
-        model = OzaBoost(stream.schema, 7,
-                         [HoeffdingTree(stream.schema) for _ in range(3)])
+        model = _boost(stream.schema, 7,
+                       [HoeffdingTree(stream.schema) for _ in range(3)])
         trace = prequential_run(stream, model, 0.95)
         return trace.correct.copy(), model.lam_sc.copy(), model.lam_sw.copy()
 
@@ -747,8 +737,8 @@ def test_ozaboost_deterministic_with_seed():
 
 def test_ozaboost_on_stationary_concept_beats_cold_start():
     stream = _depth1_concept_stream(5_000, 9)
-    model = OzaBoost(stream.schema, 1,
-                     [HoeffdingTree(stream.schema) for _ in range(5)])
+    model = _boost(stream.schema, 1,
+                   [HoeffdingTree(stream.schema) for _ in range(5)])
     trace = prequential_run(stream, model, 0.95)
     assert trace.correct[-1_000:].mean() > 0.98
 
