@@ -13,7 +13,7 @@ import sys
 import time
 
 from nidsbench.cli import BATCH_ALGOS, VARIANTS, ArgParser, RunConfig, \
-    checked, evaluate_batch, folds_arg, list_arg, load, run_guarded, seed_arg
+    evaluate_batch, folds_arg, int_arg, list_arg, load, run_guarded, seed_arg
 
 
 def _algo_ok(algo: str) -> bool:
@@ -30,8 +30,7 @@ def main() -> int:
     ap.add_argument("--folds", type=folds_arg, default=RunConfig.folds)
     ap.add_argument("--seed", type=seed_arg, default=RunConfig.seed)
     ap.add_argument("--knn-sample", default=20_000,
-                    type=checked(int, lambda v: v >= 0,
-                                 "need knn-sample >= 0"))
+                    type=int_arg("knn-sample", 0))
     ap.add_argument("--variants", default="v1,v2,v3",
                     type=list_arg(VARIANTS.__contains__,
                                   "need variants from v1, v2, v3"))

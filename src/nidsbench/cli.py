@@ -135,7 +135,7 @@ def _keep_indices(attrs: str) -> tuple[int, ...] | None:
         return None
     if attrs == "selected":
         return DEFAULT_KEEP_INDICES
-    return tuple(int(t) for t in attrs.split(","))
+    return tuple(ascii_int(t) for t in attrs.split(","))
 
 
 def prepare(raw: Dataset, cfg: RunConfig) -> Dataset:
@@ -332,33 +332,42 @@ def emit_svg_curve(traces: list[tuple[str, PrequentialTrace]],
     return emit_svg_series([(name, t.faded) for name, t in traces], path)
 
 
+def _faded_column(trace_file: Path) -> np.ndarray:
+    """The faded accuracies of a trace CSV, each row checked."""
+    faded = []
+    with open(trace_file) as fh:
+        next(fh, None)  # header
+        for line_no, line in enumerate(fh, 2):
+            try:  # index,correct,faded_accuracy,cumulative_accuracy
+                _, _, faded_acc, _ = line.split(",")
+                faded.append(float(faded_acc))
+            except ValueError:
+                raise DataError(f"{trace_file}: line {line_no}: not a trace "
+                                f"row: {line.rstrip()!r}") from None
+    if not faded:
+        raise DataError(f"{trace_file}: no trace rows")
+    return np.asarray(faded)
+
+
 def emit_report(out_dir: str | Path) -> list[Path]:
     """Combine every *_trace.csv under out_dir: one long CSV with an
-    `algorithm` column plus an overlay SVG."""
+    `algorithm` column plus an overlay SVG. Every trace is checked before
+    either file is written."""
     out_dir = Path(out_dir)
     trace_files = sorted(out_dir.glob("*_trace.csv"))
     if not trace_files:
         raise DataError(f"no *_trace.csv files under {out_dir}")
+    series = [(f.name[: -len("_trace.csv")], _faded_column(f))
+              for f in trace_files]
     combined = out_dir / "combined_traces.csv"
-    series = []
     with open(combined, "w") as out:
         out.write("algorithm,index,correct,faded_accuracy,cumulative_accuracy\n")
-        for f in trace_files:
-            name = f.name[: -len("_trace.csv")]
-            faded = []
+        # copied from the files again, not held from the check: a full-size
+        # stream trace has 494,021 lines
+        for (name, _), f in zip(series, trace_files):
             with open(f) as fh:
                 next(fh, None)  # header
-                for line_no, line in enumerate(fh, 2):
-                    try:  # index,correct,faded_accuracy,cumulative_accuracy
-                        _, _, faded_acc, _ = line.split(",")
-                        faded.append(float(faded_acc))
-                    except ValueError:
-                        raise DataError(f"{f}: line {line_no}: not a trace "
-                                        f"row: {line.rstrip()!r}") from None
-                    out.write(f"{name},{line}")
-            if not faded:
-                raise DataError(f"{f}: no trace rows")
-            series.append((name, np.asarray(faded)))
+                out.writelines(f"{name},{line}" for line in fh)
     svg = emit_svg_series(series, out_dir / "comparison.svg")
     return [combined, svg]
 
@@ -387,22 +396,41 @@ class ArgParser(argparse.ArgumentParser):
         raise _ExitRequest(EXIT_USAGE)
 
 
+def ascii_int(text: str) -> int:
+    """The integer of a text of ASCII digits 0-9 alone. int() would also read
+    a sign, spaces, underscores and other scripts' digits: '+1', ' 1',
+    '1_0' (as 10), '\uff11'. Every integer option and --attrs index is read
+    here."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not ASCII digits: {text!r}")
+    return int(text)
+
+
 def checked(parse, ok, expect: str):
-    """An argparse `type=` that parses a value and rejects it unless ok."""
+    """An argparse `type=` that parses a value and rejects it unless the
+    parse succeeds and the value is ok."""
     def convert(text: str):
-        value = parse(text)
-        if not ok(value):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
             raise argparse.ArgumentTypeError(f"{expect}, got {text!r}")
         return value
-    convert.__name__ = parse.__name__  # argparse's "invalid int value"
     return convert
 
 
+def int_arg(name: str, low: int):
+    """An argparse `type=` for an integer option >= low."""
+    return checked(ascii_int, lambda v: v >= low,
+                   f"need {name} >= {low} in ASCII digits")
+
+
 # the range-checked run options, shared with scripts/reproduce_*.py
-seed_arg = checked(int, lambda v: v >= 0, "need seed >= 0")
-k_arg = checked(int, lambda v: v >= 1, "need k >= 1")
-folds_arg = checked(int, lambda v: v >= 2, "need folds >= 2")
-sample_arg = checked(int, lambda v: v >= 1, "need sample >= 1")
+seed_arg = int_arg("seed", 0)
+k_arg = int_arg("k", 1)
+folds_arg = int_arg("folds", 2)
+sample_arg = int_arg("sample", 1)
 alpha_arg = checked(float, lambda v: 0.0 < v <= 1.0, "need 0 < alpha <= 1")
 
 

@@ -1,12 +1,20 @@
 """Shared class-conditional statistics for the naive-Bayes learners.
 
-The batch and the streaming naive-Bayes classifiers and every
-Hoeffding-tree leaf feed instances through this accumulator one at a time,
-so their sufficient statistics are identical by construction. Numeric
-attributes keep per-class running count/mean/M2 (Welford updates); nominal
-attributes keep per-class value counts with Laplace add-one smoothing at
-scoring time. Rows arrive as coded arrays against the schema the statistics
-were built for, so every nominal code lies inside its attribute's domain.
+Numeric attributes keep per-class running count/mean/M2 (Welford updates);
+nominal attributes keep per-class value counts with Laplace add-one
+smoothing at scoring time. Rows arrive as coded arrays against the schema
+the statistics were built for, so every nominal code lies inside its
+attribute's domain.
+
+The streaming naive Bayes, every Hoeffding-tree leaf and OzaBoost feed one
+row at a time through `update`; batch naive Bayes folds a whole training
+set in with `add_rows`. The two forms leave bit-identical statistics: the
+counts are whole numbers in float64, exact in any grouping, and `add_rows`
+runs the same Welford operations on each value in the same order as
+`update`, only column by column on Python floats instead of row by row on
+numpy arrays. `test_nb_add_rows_equals_one_update_per_row` and
+`test_nb_batch_statistics_equal_streaming_updates` in
+`tests/test_batch_learners.py` pin it.
 
 `total`, the number of instances seen, is a Python int that `update`
 increments, not a sum over `class_counts`: a Hoeffding-tree leaf tests its
@@ -51,6 +59,33 @@ class ClassConditionalStats:
         m2 += delta * (num_row - mean)
         for counts, code in zip(self.nominal_counts, nom_row):
             counts[code, label] += 1.0
+
+    def add_rows(self, num_rows: np.ndarray, nom_rows: np.ndarray,
+                 labels: np.ndarray) -> None:
+        """Fold in a block of rows, bit-equal to one `update` per row in
+        order: counts as bincounts, then the Welford recurrence per class
+        and numeric column, over that column's values in arrival order."""
+        c = len(self.class_counts)
+        self.total += len(labels)
+        for j, table in enumerate(self.nominal_counts):
+            table += np.bincount(nom_rows[:, j] * c + labels,
+                                 minlength=table.size).reshape(table.shape)
+        per_class = np.bincount(labels, minlength=c)
+        for label in np.flatnonzero(per_class):
+            rows = np.flatnonzero(labels == label)
+            start = float(self.class_counts[label])
+            for col in range(num_rows.shape[1]):
+                n = start
+                mean = float(self.mean[label, col])
+                m2 = float(self.m2[label, col])
+                for x in num_rows[rows, col].tolist():
+                    n += 1.0
+                    delta = x - mean
+                    mean += delta / n
+                    m2 += delta * (x - mean)
+                self.mean[label, col] = mean
+                self.m2[label, col] = m2
+        self.class_counts += per_class
 
     def variances(self) -> np.ndarray:
         """Per-(class, attribute) population variance, floored."""

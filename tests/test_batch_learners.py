@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nidsbench.batch_learners as batch_learners
@@ -23,8 +23,17 @@ from nidsbench.batch_learners import (
     mlp_gradients,
 )
 from nidsbench.cli import RunConfig, prepare
-from nidsbench.dataset import DataError, kdd99_schema, load_dataset
+from nidsbench.dataset import (
+    NOMINAL,
+    NUMERIC,
+    Attribute,
+    AttributeSchema,
+    DataError,
+    kdd99_schema,
+    load_dataset,
+)
 from nidsbench.nbcore import ClassConditionalStats
+from nidsbench.stream_learners import StreamingNaiveBayes
 
 from conftest import build_dataset, code_rows, mlp_loss, predict_labels
 
@@ -61,15 +70,88 @@ def test_nb_matches_hand_computed_posterior(tiny_mixed_dataset):
     assert predict_labels(model, (2.5, "red")) == [max(expect, key=expect.get)]
 
 
-def test_nb_batch_statistics_equal_streaming_updates(tiny_mixed_dataset):
-    ds = tiny_mixed_dataset
+def _stats_bits(stats):
+    """Every statistic of a ClassConditionalStats, as bytes, dtypes and
+    shapes, with the type and value of `total`."""
+    arrays = (stats.class_counts, stats.mean, stats.m2, *stats.nominal_counts)
+    return ([(a.dtype, a.shape, a.tobytes()) for a in arrays],
+            type(stats.total), stats.total)
+
+
+def test_nb_batch_statistics_equal_streaming_updates():
+    # v3 with every attribute: 13 classes, 34 numeric and 7 nominal columns
+    ds = _golden_slice("v3", "all")
     model = NaiveBayes().fit(ds)
-    manual = ClassConditionalStats(ds.schema)
+    stream = StreamingNaiveBayes(ds.schema)
     for i in range(len(ds)):
-        manual.update(ds.numeric[i], ds.nominal[i], int(ds.labels[i]))
-    assert np.array_equal(model.stats.class_counts, manual.class_counts)
-    assert np.array_equal(model.stats.mean, manual.mean)
-    assert np.array_equal(model.stats.m2, manual.m2)
+        stream.learn_row(ds.numeric[i], ds.nominal[i], int(ds.labels[i]))
+    assert _stats_bits(model.stats) == _stats_bits(stream.stats)
+
+
+# numeric values spanning the float64 range: overflow to inf and nan,
+# subnormals and a signed zero
+_NB_VALUES = st.one_of(
+    st.floats(-1e300, 1e300),
+    st.sampled_from([1e300, -1e300, 1e-300, -1e-300, -0.0, 0.0]))
+
+
+def _nb_case(n_num, domains, n_classes, seen, block):
+    """A schema with n_num numeric and len(domains) nominal attributes, plus
+    the rows statistics saw before and the block to add, each as coded
+    (numeric, nominal, labels) arrays built from (values, codes, label)
+    rows."""
+    attrs = [Attribute(f"x{j}", NUMERIC) for j in range(n_num)]
+    attrs += [Attribute(f"c{j}", NOMINAL, tuple(f"v{i}" for i in range(d)))
+              for j, d in enumerate(domains)]
+    schema = AttributeSchema(tuple(attrs),
+                             tuple(f"k{i}" for i in range(n_classes)))
+
+    def arrays(rows):
+        n = len(rows)
+        return (np.array([r[0] for r in rows], np.float64).reshape(n, n_num),
+                np.array([r[1] for r in rows], np.int32).reshape(n, len(domains)),
+                np.array([r[2] for r in rows], np.int32))
+    return schema, arrays(seen), arrays(block)
+
+
+@st.composite
+def _nb_cases(draw):
+    n_num = draw(st.integers(0, 3))
+    domains = draw(st.lists(st.integers(1, 4), max_size=3))
+    n_classes = draw(st.integers(1, 4))
+    row = st.tuples(
+        st.lists(_NB_VALUES, min_size=n_num, max_size=n_num),
+        st.tuples(*(st.integers(0, d - 1) for d in domains)),
+        st.integers(0, n_classes - 1))
+    return _nb_case(n_num, domains, n_classes,
+                    draw(st.lists(row, max_size=6)),
+                    draw(st.lists(row, max_size=30)))
+
+
+# seen rows, then a block where k0 has extreme values, k1 one row and k2 none
+_NB_SEEN = [([1.5, -2.0], (0, 2), 0), ([3.0, 0.25], (1, 0), 3)]
+_NB_BLOCK = [([1e300, -0.0], (1, 1), 0), ([-1e-300, 1e-300], (0, 2), 3),
+             ([-1e300, 7.0], (0, 0), 0), ([-0.0, -1e300], (1, 2), 1),
+             ([1e-300, 2.5], (1, 1), 0), ([0.0, -0.0], (0, 1), 3)]
+
+
+@given(_nb_cases())
+@example(_nb_case(2, [2, 3], 4, _NB_SEEN, _NB_BLOCK))
+@example(_nb_case(0, [2, 3, 1], 4,
+                  [([], (c[0], c[1], 0), k) for _, c, k in _NB_SEEN],
+                  [([], (c[0], c[1], 0), k) for _, c, k in _NB_BLOCK]))
+@settings(max_examples=200, deadline=None)
+def test_nb_add_rows_equals_one_update_per_row(case):
+    schema, seen, block = case
+    by_row, by_block = ClassConditionalStats(schema), ClassConditionalStats(schema)
+    with np.errstate(all="ignore"):  # +-1e300 sums overflow to inf, then nan
+        for stats in by_row, by_block:
+            for num, nom, label in zip(*seen):
+                stats.update(num, nom, int(label))
+        for num, nom, label in zip(*block):
+            by_row.update(num, nom, int(label))
+        by_block.add_rows(*block)
+    assert _stats_bits(by_block) == _stats_bits(by_row)
 
 
 def test_nb_variance_floor_handles_constant_attribute():

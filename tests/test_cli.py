@@ -84,6 +84,44 @@ def test_out_of_range_flag_is_usage_error(tmp_path, capsys, argv):
     assert "error: argument --" in capsys.readouterr().err
 
 
+# each text int() reads as a number; an integer option takes ASCII digits
+# alone (the last is a full-width digit one)
+_NOT_ASCII_DIGITS = ("1_0", " 1", "1 ", "+1", "-0", "\uff11")
+
+
+@pytest.mark.parametrize("text", _NOT_ASCII_DIGITS, ids=ascii)
+@pytest.mark.parametrize("argv", [
+    ["batch", "--algo", "nb", "--seed", "{}"],
+    ["stream", "--algo", "ht", "--seed", "{}"],
+    ["batch", "--algo", "knn", "--k", "{}"],
+    ["stream", "--algo", "wknn", "--k", "{}"],
+    ["batch", "--algo", "nb", "--folds", "{}"],
+    ["batch", "--algo", "knn", "--sample", "{}"],
+    ["preprocess", "--attrs", "{}"],
+    ["rank", "--attrs", "2,{}"],
+], ids=" ".join)
+def test_integer_option_outside_ascii_digits_is_usage_error(
+        tmp_path, monkeypatch, capsys, argv, text):
+    def no_read(*args):
+        raise AssertionError("the data file was read")
+
+    monkeypatch.setattr(cli, "load_dataset", no_read)
+    code = run_command(argv[:-1] + [argv[-1].format(text),
+                                    "--data", str(tmp_path / "nope.csv"),
+                                    "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert f"error: argument {argv[-2]}: need " in capsys.readouterr().err
+
+
+def test_integer_options_take_leading_zeros(mini_kdd, tmp_path):
+    assert run_command(["batch", "--algo", "nb", "--data", str(mini_kdd),
+                        "--seed", "007", "--folds", "02", "--attrs", "01,05",
+                        "--out", str(tmp_path)]) == EXIT_OK
+    manifest = json.loads(next(tmp_path.glob("*_manifest.json")).read_text())
+    config = manifest["config"]
+    assert (config["seed"], config["folds"], config["attrs"]) == (7, 2, "01,05")
+
+
 def test_wknn_k_above_the_window_is_usage_error(mini_kdd, tmp_path,
                                                 monkeypatch, capsys):
     def no_read(*args):
@@ -414,6 +452,25 @@ def test_report_on_a_malformed_trace_is_data_error(tmp_path, capsys, text,
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and message in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("existing", [None, "an earlier report\n"],
+                         ids=["no combined file", "earlier combined file"])
+def test_report_writes_nothing_when_a_later_trace_is_malformed(
+        tmp_path, capsys, existing):
+    header = "index,correct,faded_accuracy,cumulative_accuracy\n"
+    (tmp_path / "a_trace.csv").write_text(header + "1,1,1.0,1.0\n")
+    (tmp_path / "b_trace.csv").write_text(header + "1,1\n")
+    combined = tmp_path / "combined_traces.csv"
+    if existing is not None:
+        combined.write_text(existing)
+    assert run_command(["report", "--out", str(tmp_path)]) == EXIT_DATA
+    assert "b_trace.csv: line 2: not a trace row" in capsys.readouterr().err
+    if existing is None:
+        assert not combined.exists()
+    else:
+        assert combined.read_text() == existing
+    assert not (tmp_path / "comparison.svg").exists()
 
 
 def test_fetch_subcommand_downloads(tmp_path, capsys):

@@ -201,6 +201,8 @@ def sweep(tmp_path, monkeypatch) -> None:
              "--sha256", digest], EXIT_OK)
     _expect(["rank", "--data", "nsl-kdd"], EXIT_OK)
     _expect(["batch", "--algo", "knn", "--k", "0"], EXIT_USAGE)
+    _expect(["batch", "--algo", "knn", "--k", "+1"], EXIT_USAGE,
+            "need k >= 1 in ASCII digits, got '+1'")
     _expect([], EXIT_USAGE)
     _expect(["--help"], EXIT_OK)
 

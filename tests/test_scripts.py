@@ -108,7 +108,12 @@ def test_scripts_evaluate_through_the_cli_names(mini_kdd, tmp_path,
     ("reproduce_batch.py", ["--folds", "1"], EXIT_USAGE, "need folds >= 2"),
     ("reproduce_batch.py", ["--knn-sample", "-1"], EXIT_USAGE,
      "need knn-sample >= 0"),
-    ("reproduce_batch.py", ["--seed", "x"], EXIT_USAGE, "invalid int value"),
+    ("reproduce_batch.py", ["--seed", "x"], EXIT_USAGE,
+     "ASCII digits, got 'x'"),
+    ("reproduce_batch.py", ["--knn-sample", "1_0"], EXIT_USAGE,
+     "need knn-sample >= 0 in ASCII digits, got '1_0'"),
+    ("reproduce_stream.py", ["--seed", "+1"], EXIT_USAGE,
+     "need seed >= 0 in ASCII digits, got '+1'"),
     ("reproduce_stream.py", ["--seed", "-1"], EXIT_USAGE, "need seed >= 0"),
     ("reproduce_stream.py", ["--alpha", "0"], EXIT_USAGE,
      "need 0 < alpha <= 1"),
