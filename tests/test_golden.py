@@ -1,5 +1,5 @@
-"""Byte-identity gate: the digests of every learner's outputs on a checked-in
-slice.
+"""Byte-identity gate: the digests of every learner's outputs on checked-in
+slices.
 
 `data/nsl_s1_head1500.txt.gz` holds the first 1,500 lines of the 6,299-row
 NSL-KDD-shaped corpus that `perfbench/corpus.py` writes for seed 1
@@ -7,10 +7,16 @@ NSL-KDD-shaped corpus that `perfbench/corpus.py` writes for seed 1
 a smaller corpus: the generator rejects sizes that cannot hold every label.
 It has 13 of the 23 raw labels, so v3 trees see more than eight classes.
 
-`golden_outputs.json` holds, per learner and run, the SHA-256 of each file
-the run writes (confusion CSV; for stream runs also the trace CSV and SVG
-curve) and of its summary JSON without `runtime_seconds`. Numpy's SIMD
-loops and BLAS can round differently on another build, so the file also
+`data/kdd99_s1_head5000.data.gz` holds the first 5,000 lines of the
+15,000-row KDD99-10-shaped corpus for seed 1 (`corpus("kdd99", 1, 15000,
+dir)`), written with `gzip -n -9`. It pins the Hoeffding-tree paths the NSL
+slice never reaches: `ht` v2 splits twice, `ht` v3 `--attrs all` makes a
+nominal split and `ozaboost` v2 splits 11 times.
+
+`golden_outputs.json` holds, per slice, learner and run, the SHA-256 of
+each file the run writes (confusion CSV; for stream runs also the trace CSV
+and SVG curve) and of its summary JSON without `runtime_seconds`. Numpy's
+SIMD loops and BLAS can round differently on another build, so the file also
 names the numpy version, BLAS and CPU features the digests were recorded
 with, and a failure reports both. A change that moves a digest on purpose
 re-records the file with `PYTHONPATH=src python tests/test_golden.py`,
@@ -32,7 +38,8 @@ import pytest
 from nidsbench.cli import EXIT_OK, STREAM_ALGOS, run_command
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
-SLICE = "nsl_s1_head1500.txt.gz"
+NSL_SLICE = "nsl_s1_head1500.txt.gz"
+KDD_SLICE = "kdd99_s1_head5000.data.gz"
 GOLDEN = Path(__file__).resolve().parent / "golden_outputs.json"
 J48_RUNS = [(v, a) for v in ("v1", "v2", "v3") for a in ("selected", "all")]
 # (algorithm, variant, --attrs, further CLI arguments); batch runs use 3 folds
@@ -48,7 +55,18 @@ RUNS = [
     ("ozaboost", "v2", "selected", ()),
     ("ozaboost", "v3", "all", ()),
 ]
-ALL_RUNS = [("j48", v, a, ()) for v, a in J48_RUNS] + RUNS
+KDD_RUNS = [
+    ("ht", "v1", "selected", ()),
+    ("ht", "v2", "selected", ()),
+    ("ht", "v3", "selected", ()),
+    ("ht", "v3", "all", ()),
+    ("ozaboost", "v1", "selected", ()),
+    ("ozaboost", "v2", "selected", ()),
+    ("snb", "v2", "selected", ()),
+    ("wknn", "v2", "selected", ()),
+]
+SLICE_RUNS = {NSL_SLICE: [("j48", v, a, ()) for v, a in J48_RUNS] + RUNS,
+              KDD_SLICE: KDD_RUNS}
 
 
 def run_key(variant: str, attrs: str, extra: tuple) -> str:
@@ -67,18 +85,18 @@ def environment() -> dict:
     }
 
 
-def run_digests(algo: str, variant: str, attrs: str, extra: tuple,
+def run_digests(data: str, algo: str, variant: str, attrs: str, extra: tuple,
                 out: Path) -> dict:
-    """Run the CLI on the slice (from the slice's directory); the digests of
+    """Run the CLI on a slice (from the slices' directory); the digests of
     the files it writes, the manifest aside, and of its summary without
     `runtime_seconds`."""
     command = "stream" if algo in STREAM_ALGOS else "batch"
     argv = [command, "--algo", algo, "--variant", variant, "--attrs", attrs,
-            "--seed", "1", "--data", SLICE, "--out", str(out), *extra]
+            "--seed", "1", "--data", data, "--out", str(out), *extra]
     if command == "batch":
         argv += ["--folds", "3"]
     assert run_command(argv) == EXIT_OK
-    stem = f"{Path(SLICE).stem}_{variant}_{algo}_s1"
+    stem = f"{Path(data).stem}_{variant}_{algo}_s1"
     summary = json.loads((out / f"{stem}_summary.json").read_text())
     del summary["runtime_seconds"]
     text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
@@ -91,20 +109,20 @@ def run_digests(algo: str, variant: str, attrs: str, extra: tuple,
     return got
 
 
-def check(algo, variant, attrs, extra, out, monkeypatch):
-    # run from the slice's directory, so the summary's `dataset` is the
+def check(data, algo, variant, attrs, extra, out, monkeypatch):
+    # run from the slices' directory, so the summary's `dataset` is the
     # file name wherever the checkout lives
     monkeypatch.chdir(DATA_DIR)
     golden = json.loads(GOLDEN.read_text())
-    got = run_digests(algo, variant, attrs, extra, out)
-    assert got == golden[algo][run_key(variant, attrs, extra)], (
+    got = run_digests(data, algo, variant, attrs, extra, out)
+    assert got == golden[data][algo][run_key(variant, attrs, extra)], (
         f"recorded with {golden['environment']}, run with {environment()}")
 
 
 @pytest.mark.parametrize("variant,attrs", J48_RUNS)
 def test_j48_outputs_match_the_golden_digests(variant, attrs, tmp_path,
                                               monkeypatch):
-    check("j48", variant, attrs, (), tmp_path, monkeypatch)
+    check(NSL_SLICE, "j48", variant, attrs, (), tmp_path, monkeypatch)
 
 
 @pytest.mark.parametrize(
@@ -112,7 +130,16 @@ def test_j48_outputs_match_the_golden_digests(variant, attrs, tmp_path,
     ids=[f"{a}-{run_key(v, s, e)}" for a, v, s, e in RUNS])
 def test_learner_outputs_match_the_golden_digests(algo, variant, attrs, extra,
                                                   tmp_path, monkeypatch):
-    check(algo, variant, attrs, extra, tmp_path, monkeypatch)
+    check(NSL_SLICE, algo, variant, attrs, extra, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "algo,variant,attrs,extra", KDD_RUNS,
+    ids=[f"{a}-{run_key(v, s, e)}" for a, v, s, e in KDD_RUNS])
+def test_kdd99_slice_outputs_match_the_golden_digests(algo, variant, attrs,
+                                                      extra, tmp_path,
+                                                      monkeypatch):
+    check(KDD_SLICE, algo, variant, attrs, extra, tmp_path, monkeypatch)
 
 
 def record() -> None:
@@ -122,17 +149,22 @@ def record() -> None:
     runs: dict = {}
     with tempfile.TemporaryDirectory() as tmp, \
             contextlib.redirect_stdout(io.StringIO()):
-        for i, (algo, variant, attrs, extra) in enumerate(ALL_RUNS):
-            runs.setdefault(algo, {})[run_key(variant, attrs, extra)] = \
-                run_digests(algo, variant, attrs, extra, Path(tmp) / str(i))
+        for data, slice_runs in SLICE_RUNS.items():
+            for i, (algo, variant, attrs, extra) in enumerate(slice_runs):
+                runs.setdefault(data, {}).setdefault(algo, {})[
+                    run_key(variant, attrs, extra)] = run_digests(
+                        data, algo, variant, attrs, extra,
+                        Path(tmp) / data / str(i))
     changes = []
-    for algo in sorted(set(runs) | set(old) - {"environment"}):
-        new_runs, old_runs = runs.get(algo, {}), old.get(algo, {})
-        for key in sorted(set(new_runs) | set(old_runs)):
-            if new_runs.get(key) != old_runs.get(key):
-                state = ("new" if key not in old_runs else
-                         "gone" if key not in new_runs else "changed")
-                changes.append(f"{state}: {algo} {key}")
+    for data in SLICE_RUNS:
+        new_algos, old_algos = runs[data], old.get(data, {})
+        for algo in sorted(set(new_algos) | set(old_algos)):
+            new_runs, old_runs = new_algos.get(algo, {}), old_algos.get(algo, {})
+            for key in sorted(set(new_runs) | set(old_runs)):
+                if new_runs.get(key) != old_runs.get(key):
+                    state = ("new" if key not in old_runs else
+                             "gone" if key not in new_runs else "changed")
+                    changes.append(f"{state}: {data} {algo} {key}")
     if old.get("environment") != environment():
         changes.append(f"environment: was {old.get('environment')}, "
                        f"now {environment()}")
