@@ -333,7 +333,9 @@ def emit_svg_curve(traces: list[tuple[str, PrequentialTrace]],
 
 
 def _faded_column(trace_file: Path) -> np.ndarray:
-    """The faded accuracies of a trace CSV, each row checked."""
+    """The faded accuracies of a trace CSV, each row checked. A row must end
+    in a newline: `emit_report` copies the rows as they are, so the next
+    file's first row would join a last row without one."""
     faded = []
     with open(trace_file) as fh:
         next(fh, None)  # header
@@ -344,6 +346,9 @@ def _faded_column(trace_file: Path) -> np.ndarray:
             except ValueError:
                 raise DataError(f"{trace_file}: line {line_no}: not a trace "
                                 f"row: {line.rstrip()!r}") from None
+            if not line.endswith("\n"):
+                raise DataError(f"{trace_file}: line {line_no}: no newline "
+                                f"at the end of the row {line!r}")
     if not faded:
         raise DataError(f"{trace_file}: no trace rows")
     return np.asarray(faded)

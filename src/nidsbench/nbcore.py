@@ -6,20 +6,25 @@ smoothing at scoring time. Rows arrive as coded arrays against the schema
 the statistics were built for, so every nominal code lies inside its
 attribute's domain.
 
-The streaming naive Bayes, every Hoeffding-tree leaf and OzaBoost feed one
-row at a time through `update`; batch naive Bayes folds a whole training
-set in with `add_rows`. The two forms leave bit-identical statistics: the
-counts are whole numbers in float64, exact in any grouping, and `add_rows`
-runs the same Welford operations on each value in the same order as
-`update`, only column by column on Python floats instead of row by row on
-numpy arrays. `test_nb_add_rows_equals_one_update_per_row` and
+The streaming naive Bayes feeds one row at a time through `update`. Batch
+naive Bayes folds a whole training fold in with `add_rows`, and a
+Hoeffding-tree leaf (OzaBoost's members included) folds in the rows it held
+for a grace period, once before each split attempt. The two forms leave
+bit-identical statistics: the counts are whole numbers in float64, exact in
+any grouping, and `add_rows` runs the same Welford operations on each value
+in the same order as `update`, only column by column on Python floats
+instead of row by row on numpy arrays. So several `add_rows` calls leave
+what one call over all their rows leaves.
+`test_nb_add_rows_equals_one_update_per_row` and
 `test_nb_batch_statistics_equal_streaming_updates` in
-`tests/test_batch_learners.py` pin it.
+`tests/test_batch_learners.py` and `test_ht_leaf_fold_equals_one_update_per_row`
+in `tests/test_stream_learners.py` pin it.
 
-`total`, the number of instances seen, is a Python int that `update`
-increments, not a sum over `class_counts`: a Hoeffding-tree leaf tests its
-grace period with it on every row. Code that writes the count arrays
-directly sets `total` to match.
+`total`, the number of instances seen, is a Python int that `update` and
+`add_rows` increment, not a sum over `class_counts`: `log_scores` reads it
+on every one-row query of the streaming naive Bayes, and a Hoeffding-tree
+leaf once per split attempt, for the Hoeffding bound. Code that writes the
+count arrays directly sets `total` to match.
 """
 
 from __future__ import annotations

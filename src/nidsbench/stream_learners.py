@@ -109,7 +109,7 @@ HT_NUMERIC_BINS = 10
 
 
 class _HTLeaf:
-    __slots__ = ("stats", "class_counts", "last_eval", "vmin", "vmax")
+    __slots__ = ("stats", "class_counts", "held", "vmin", "vmax")
 
     def __init__(self, schema: AttributeSchema,
                  startup: np.ndarray | None = None):
@@ -119,16 +119,33 @@ class _HTLeaf:
         self.stats = ClassConditionalStats(schema)
         self.class_counts = np.zeros(len(schema.class_labels)) \
             if startup is None else startup.astype(np.float64)
-        self.last_eval = 0
+        # (numeric row, nominal row, label) of the rows learned since the
+        # last fold, not yet in stats, vmin and vmax
+        self.held = []
         n_num = len(schema.numeric_positions)
         self.vmin = np.full(n_num, np.inf)
         self.vmax = np.full(n_num, -np.inf)
 
-    def learn(self, num_row, nom_row, y):
+    def learn(self, num_row, nom_row, y) -> bool:
+        """Count the row at once, since prediction reads class_counts, and
+        hold a copy of it (a caller may refill its row arrays) for the next
+        fold; whether a grace period of rows is now held."""
         self.class_counts[y] += 1.0
-        self.stats.update(num_row, nom_row, y)
-        np.minimum(self.vmin, num_row, out=self.vmin)
-        np.maximum(self.vmax, num_row, out=self.vmax)
+        self.held.append((num_row.copy(), nom_row.copy(), y))
+        return len(self.held) >= HT_GRACE_PERIOD
+
+    def fold(self):
+        """Fold the held rows into stats, vmin and vmax, bit-equal to one
+        `update`, np.minimum and np.maximum per row in arrival order."""
+        nums, noms, labels = zip(*self.held)
+        self.held = []
+        num = np.array(nums)
+        self.stats.add_rows(num, np.array(noms), np.array(labels))
+        # accumulate rather than min/max: of a tie between 0.0 and -0.0 the
+        # later row wins, as it does row by row, while numpy's vectorized
+        # reduction may keep either
+        np.minimum(self.vmin, np.minimum.accumulate(num)[-1], out=self.vmin)
+        np.maximum(self.vmax, np.maximum.accumulate(num)[-1], out=self.vmax)
 
 
 class _HTSplit:
@@ -146,15 +163,23 @@ class HoeffdingTree(StreamModel):
 
     A leaf predicts its majority class. Leaves keep the naive-Bayes
     statistics (`nbcore.ClassConditionalStats`: per-class nominal value
-    counts and Gaussian summaries of numeric attributes) for the split
-    search. Every HT_GRACE_PERIOD learned instances a leaf compares the two
-    best information gains and splits when their gap exceeds the Hoeffding
-    bound at confidence HT_DELTA (or the bound has shrunk below
-    HT_TIE_THRESHOLD). Numeric candidate thresholds are HT_NUMERIC_BINS
-    equal-width cuts between the observed min and max, with left/right
-    class mass estimated from the Gaussians (Pfahringer, Holmes & Kirkby,
-    PAKDD 2008). New children start from the split's estimated class
-    distributions, so prediction quality carries over.
+    counts and Gaussian summaries of numeric attributes) and each numeric
+    attribute's observed range for the split search. Every HT_GRACE_PERIOD
+    learned instances a leaf compares the two best information gains and
+    splits when their gap exceeds the Hoeffding bound at confidence HT_DELTA
+    (or the bound has shrunk below HT_TIE_THRESHOLD). Only that search reads
+    the statistics and ranges, so a leaf counts a learned row in its class
+    counts at once, for prediction, but holds a copy of the row for one
+    grace period and folds the held rows in with one
+    `ClassConditionalStats.add_rows` before each split attempt: the same
+    bits as one `update` per row. A leaf that a split replaces drops its
+    statistics, held rows included.
+
+    Numeric candidate thresholds are HT_NUMERIC_BINS equal-width cuts
+    between the observed min and max, with left/right class mass estimated
+    from the Gaussians (Pfahringer, Holmes & Kirkby, PAKDD 2008). New
+    children start from the split's estimated class distributions, so
+    prediction quality carries over.
 
     Ties: each numeric column offers its first cut of the highest gain.
     The candidates, nominal attributes first and then numeric ones, each in
@@ -185,10 +210,8 @@ class HoeffdingTree(StreamModel):
 
     def learn_row(self, num_row, nom_row, label_code):
         leaf, parent, slot = self._route(num_row, nom_row)
-        leaf.learn(num_row, nom_row, label_code)
-        seen = leaf.stats.total
-        if seen - leaf.last_eval >= HT_GRACE_PERIOD:
-            leaf.last_eval = seen
+        if leaf.learn(num_row, nom_row, label_code):
+            leaf.fold()
             self._attempt_split(leaf, parent, slot)
 
     def _attempt_split(self, leaf, parent, slot):

@@ -473,6 +473,20 @@ def test_report_writes_nothing_when_a_later_trace_is_malformed(
     assert not (tmp_path / "comparison.svg").exists()
 
 
+def test_report_rejects_a_last_row_without_newline(tmp_path, capsys):
+    # copied as it is, the row would join the next file's first row
+    header = "index,correct,faded_accuracy,cumulative_accuracy\n"
+    (tmp_path / "a_trace.csv").write_text(header + "1,1,1.0,1.0\n2,1,1.0,1.0")
+    (tmp_path / "b_trace.csv").write_text(header + "1,0,0.0,0.0\n")
+    assert run_command(["report", "--out", str(tmp_path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert "a_trace.csv: line 3: no newline at the end of the row " \
+        "'2,1,1.0,1.0'" in err
+    assert not (tmp_path / "combined_traces.csv").exists()
+    assert not (tmp_path / "comparison.svg").exists()
+
+
 def test_fetch_subcommand_downloads(tmp_path, capsys):
     payload = b"some,data,bytes\n"
     digest = hashlib.sha256(payload).hexdigest()

@@ -1,11 +1,14 @@
 """Folds, cross-validation, prequential traces, metrics, drift annotation."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nidsbench.batch_learners import BatchModel
+from nidsbench.cli import RunConfig, load, make_stream_model, prepare
 import nidsbench.stream_learners as stream_learners
 from nidsbench.dataset import Attribute, AttributeSchema, DataError, Dataset
 from nidsbench.evaluation import (
@@ -21,7 +24,7 @@ from nidsbench.evaluation import (
     write_trace_csv,
 )
 from nidsbench.stream_learners import StreamingNaiveBayes, StreamModel, \
-    WindowKNN
+    WindowKNN, _HTSplit
 
 from conftest import assert_same_dataset, build_dataset, gen_drift_stream
 
@@ -389,6 +392,45 @@ def test_prequential_run_equals_the_per_row_loop_at_stream_scale():
     wrong = np.repeat(rng.random(n // 100 + 1) < 0.3, 100)[:n]
     preds = np.where(wrong & (rng.random(n) < 0.8), (labels + 1) % 5, labels)
     _assert_run_equals_oracle(labels, preds.tolist(), 5, 0.95)
+
+
+KDD_SLICE = Path(__file__).resolve().parent / "data" / "kdd99_s1_head5000.data.gz"
+
+
+@pytest.fixture(scope="module")
+def kdd_slice():
+    """The 5,000-row KDD99-shaped slice of test_golden.py, as loaded."""
+    return load(KDD_SLICE)[0]
+
+
+def _ht_leaves(node):
+    if isinstance(node, _HTSplit):
+        for child in node.children:
+            yield from _ht_leaves(child)
+    else:
+        yield node
+
+
+@pytest.mark.parametrize("algo", ["snb", "ht", "wknn", "ozaboost"])
+def test_prequential_prefix_trace_is_the_full_trace_prefix(kdd_slice, algo):
+    # prequential evaluation is causal: row i's prediction depends on rows
+    # before it alone. Prefixes are taken from the prepared stream, since a
+    # prefix file would shrink the nominal domains (naive Bayes' Laplace
+    # denominators) and the wknn normalizer's warm-up rows.
+    cfg = RunConfig(data=str(KDD_SLICE), variant="v2", algo=algo)
+    ds = prepare(kdd_slice, cfg)
+    full = prequential_run(ds, make_stream_model(ds.schema, cfg), cfg.alpha)
+    for m in (1, 777, 2_500):
+        model = make_stream_model(ds.schema, cfg)
+        part = prequential_run(ds.subset(np.arange(m)), model, cfg.alpha)
+        for name in ("correct", "faded", "cumulative"):
+            assert getattr(part, name).tobytes() \
+                == getattr(full, name)[:m].tobytes(), (m, name)
+        if m == 777 and algo in ("ht", "ozaboost"):
+            # the run ends between folds: some leaf still holds rows
+            trees = model.members if algo == "ozaboost" else [model]
+            assert any(leaf.held for tree in trees
+                       for leaf in _ht_leaves(tree.root))
 
 
 @pytest.mark.parametrize("code, message", [

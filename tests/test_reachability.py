@@ -16,7 +16,8 @@ calls of every frame and the lines of frames in `src/nidsbench`:
   larger than the training set; an SVM training fold without attacks; a
   fetch with a wrong digest, from a `file://` URL that does not exist, and
   from a URL without a scheme; `report` on a directory without trace files,
-  on a trace file without rows and on one with a malformed row.
+  on a trace file without rows, on one with a malformed row and on one whose
+  last row has no newline.
 
 Every `def` in `src/nidsbench/*.py`, nested ones included, must be called
 during the sweep, and every `raise` must run. A function no command reaches
@@ -272,7 +273,9 @@ def sweep(tmp_path, monkeypatch) -> None:
             ("header", "index,correct,faded_accuracy,cumulative_accuracy\n",
              "a_trace.csv: no trace rows"),
             ("short", "index,correct,faded_accuracy,cumulative_accuracy\n"
-             "1,1\n", "a_trace.csv: line 2: not a trace row: '1,1'")]:
+             "1,1\n", "a_trace.csv: line 2: not a trace row: '1,1'"),
+            ("unended", "index,correct,faded_accuracy,cumulative_accuracy\n"
+             "1,1,1.0,1.0", "a_trace.csv: line 2: no newline at the end")]:
         report = tmp_path / name
         report.mkdir()
         if text is not None:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nidsbench.stream_learners as stream_learners
@@ -170,6 +170,82 @@ def test_stats_total_counts_the_updates(rows):
     assert type(stats.total) is int
 
 
+_FOLD_VALUES = (st.sampled_from((0.0, -0.0, 1e300, -1e300, 1.5, -1.5))
+                | st.floats(-1e6, 1e6))
+# (label, x0, x1, s0, s1): a leaf over n_num <= 2 numeric columns reads the
+# first n_num values
+_FOLD_ROWS = st.lists(st.tuples(st.integers(0, 2), _FOLD_VALUES, _FOLD_VALUES,
+                                st.integers(0, 1), st.integers(0, 2)),
+                      min_size=1, max_size=40)
+
+
+def _fold_schema(n_num):
+    return AttributeSchema(
+        tuple(Attribute(f"x{j}", "numeric") for j in range(n_num))
+        + (Attribute("s0", "nominal", ("a", "b")),
+           Attribute("s1", "nominal", ("a", "b", "c"))), ("c0", "c1", "c2"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_FOLD_ROWS, st.integers(1, 9), st.integers(0, 2))
+# three grace periods and a part: a class seen once, ties of 0.0 and -0.0 in
+# both columns, and values that overflow the Welford sums
+@example([(0, 0.0, -0.0, 0, 0), (2, -0.0, 0.0, 1, 2), (0, 1e300, -0.0, 1, 1),
+          (0, -0.0, 1e300, 0, 0), (0, -1e300, 0.0, 0, 2), (0, 0.0, -1e300, 1, 0),
+          (0, -0.0, -0.0, 0, 1)], 2, 2)
+# a 9-row fold of one column whose last zero is -0.0: numpy's 8-lane min over
+# the column returns the earlier 0.0
+@example([(0, 1.0, 0.0, 0, 0)] * 6 + [(1, 0.0, 0.0, 1, 1), (0, 1.0, 0.0, 0, 2),
+                                      (2, -0.0, 0.0, 1, 0), (1, 0.5, 0.0, 0, 0)],
+         9, 1)
+def test_ht_leaf_fold_equals_one_update_per_row(rows, grace, n_num):
+    schema = _fold_schema(n_num)
+    leaf = stream_learners._HTLeaf(schema)
+    want = ClassConditionalStats(schema)
+    vmin, vmax = np.full(n_num, np.inf), np.full(n_num, -np.inf)
+    # +-1e300 sums overflow to inf, then nan
+    with pytest.MonkeyPatch.context() as monkeypatch, np.errstate(all="ignore"):
+        monkeypatch.setattr(stream_learners, "HT_GRACE_PERIOD", grace)
+        for y, x0, x1, s0, s1 in rows:
+            num = np.array([x0, x1][:n_num])
+            nom = np.array([s0, s1], dtype=np.int32)
+            if leaf.learn(num, nom, y):
+                leaf.fold()
+            assert len(leaf.held) < grace
+            want.update(num, nom, y)
+            np.minimum(vmin, num, out=vmin)
+            np.maximum(vmax, num, out=vmax)
+    if leaf.held:
+        leaf.fold()
+    got = leaf.stats
+    assert type(got.total) is int and got.total == want.total == len(rows)
+    for a, b in [(got.class_counts, want.class_counts),
+                 (leaf.class_counts, want.class_counts),
+                 (got.mean, want.mean), (got.m2, want.m2), (leaf.vmin, vmin),
+                 (leaf.vmax, vmax), *zip(got.nominal_counts,
+                                         want.nominal_counts)]:
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape,
+                                                   b.tobytes())
+
+
+def test_ht_fed_through_one_refilled_row_buffer_equals_fresh_rows(
+        monkeypatch):
+    # a leaf holds its rows until the next fold, so it must hold copies
+    ds = _threshold_stream(2, 3_000)
+    monkeypatch.setattr(stream_learners, "HT_GRACE_PERIOD", 50)
+    fresh, refilled = HoeffdingTree(ds.schema), HoeffdingTree(ds.schema)
+    num_buf = np.empty(ds.numeric.shape[1])
+    nom_buf = np.empty(ds.nominal.shape[1], dtype=ds.nominal.dtype)
+    for num, nom, y in _stream_rows(ds):
+        num_buf[:], nom_buf[:] = num, nom
+        assert fresh.predict_code(num, nom) \
+            == refilled.predict_code(num_buf, nom_buf)
+        fresh.learn_row(num.copy(), nom.copy(), y)
+        refilled.learn_row(num_buf, nom_buf, y)
+    assert fresh.n_splits == refilled.n_splits >= 3
+    assert _tree_shape(fresh.root) == _tree_shape(refilled.root)
+
+
 def test_ht_child_total_counts_only_its_routed_rows():
     # a numeric split hands each child a fractional startup distribution;
     # the grace period must count the rows the child observed, not that mass
@@ -184,17 +260,31 @@ def test_ht_child_total_counts_only_its_routed_rows():
         if model.n_splits:
             break
     children = model.root.children
-    assert all(leaf.stats.total == 0 for leaf in children)
+    assert all(leaf.stats.total == 0 and not leaf.held for leaf in children)
     routed = [0, 0]
-    for _, (num, y) in zip(range(150), rows):
+
+    def learn_next():
+        num, y = next(rows)
         routed[children.index(model._route(num, nom)[0])] += 1
         model.learn_row(num, nom, y)
+
+    for _ in range(150):
+        learn_next()
     assert model.n_splits == 1
     for leaf, n in zip(children, routed):
-        assert leaf.stats.total == int(leaf.stats.class_counts.sum()) == n
+        # each routed row is held until the grace period is full
+        assert len(leaf.held) + leaf.stats.total == n
+        assert leaf.stats.total == int(leaf.stats.class_counts.sum())
         assert leaf.class_counts.sum() > n  # the startup mass on top
     assert any(not float(c).is_integer()
                for leaf in children for c in leaf.class_counts)
+    # on this stream a child splits at its first attempt, which comes with
+    # its HT_GRACE_PERIOD-th routed row
+    while model.n_splits == 1:
+        learn_next()
+    split = [isinstance(node, _HTSplit) for node in model.root.children]
+    assert split.count(True) == 1
+    assert routed[split.index(True)] == stream_learners.HT_GRACE_PERIOD
 
 
 def test_ht_numeric_split_learns_threshold_concept():
