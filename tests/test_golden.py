@@ -142,6 +142,14 @@ def test_kdd99_slice_outputs_match_the_golden_digests(algo, variant, attrs,
     check(KDD_SLICE, algo, variant, attrs, extra, tmp_path, monkeypatch)
 
 
+def entries(golden: dict) -> dict:
+    """(slice, algorithm, run) -> digests of a golden file's runs."""
+    return {(data, algo, key): digests
+            for data, algos in golden.items() if data != "environment"
+            for algo, keyed in algos.items()
+            for key, digests in keyed.items()}
+
+
 def record() -> None:
     """Re-record every run's digests and print the entries that changed."""
     old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
@@ -155,16 +163,13 @@ def record() -> None:
                     run_key(variant, attrs, extra)] = run_digests(
                         data, algo, variant, attrs, extra,
                         Path(tmp) / data / str(i))
+    now, before = entries(runs), entries(old)
     changes = []
-    for data in SLICE_RUNS:
-        new_algos, old_algos = runs[data], old.get(data, {})
-        for algo in sorted(set(new_algos) | set(old_algos)):
-            new_runs, old_runs = new_algos.get(algo, {}), old_algos.get(algo, {})
-            for key in sorted(set(new_runs) | set(old_runs)):
-                if new_runs.get(key) != old_runs.get(key):
-                    state = ("new" if key not in old_runs else
-                             "gone" if key not in new_runs else "changed")
-                    changes.append(f"{state}: {data} {algo} {key}")
+    for entry in sorted(now.keys() | before.keys()):
+        if now.get(entry) != before.get(entry):
+            state = ("new" if entry not in before else
+                     "gone" if entry not in now else "changed")
+            changes.append(f"{state}: {' '.join(entry)}")
     if old.get("environment") != environment():
         changes.append(f"environment: was {old.get('environment')}, "
                        f"now {environment()}")
