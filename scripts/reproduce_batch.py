@@ -8,19 +8,19 @@ subsample per fold by default to keep the run desk-scale; pass
 --knn-sample 0 for the full-data run.
 """
 
-import re
 import sys
 import time
 
 from nidsbench.cli import BATCH_ALGOS, VARIANTS, ArgParser, RunConfig, \
-    evaluate_batch, folds_arg, int_arg, list_arg, load, run_guarded, seed_arg
+    ascii_int, evaluate_batch, folds_arg, int_arg, list_arg, load, \
+    run_guarded, seed_arg
 
 
 def _algo_ok(algo: str) -> bool:
-    """nb, j48, mlp, svm, or knnK: the CLI's knn with k = K >= 1."""
+    """nb, j48, mlp, svm, or knnK: the CLI's knn with k = K >= 1. A K that
+    is not ASCII digits raises ValueError, which `list_arg` rejects."""
     if algo.startswith("knn"):
-        return re.fullmatch("[0-9]+", algo[3:]) is not None \
-            and int(algo[3:]) >= 1
+        return ascii_int(algo[3:]) >= 1
     return algo in BATCH_ALGOS
 
 

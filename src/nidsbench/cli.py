@@ -112,12 +112,12 @@ def default_cache_dir() -> Path:
     return Path(env) if env else Path.home() / ".cache" / "nidsbench"
 
 
-def resolve_data(data: str, cache_dir: Path | None = None) -> Path:
+def resolve_data(data: str) -> Path:
     """Turn --data into a file path: literal path, or a cached named dataset."""
     p = Path(data)
     if p.is_file():
         return p
-    cache = cache_dir if cache_dir is not None else default_cache_dir()
+    cache = default_cache_dir()
     if data in DEFAULT_URLS:
         hits = sorted(f for f in cache.glob(data + "*")
                       if f.is_file() and not f.name.endswith(".part"))
@@ -391,8 +391,8 @@ class ArgParser(argparse.ArgumentParser):
     EXIT_USAGE (plain argparse exits 2, the data-error code here)."""
 
     def exit(self, status=0, message=None):
-        if message:
-            sys.stderr.write(message)
+        # with error() overridden, argparse calls exit() only from --help,
+        # with no message
         raise _ExitRequest(EXIT_OK if status == 0 else EXIT_USAGE)
 
     def error(self, message):
@@ -413,13 +413,14 @@ def ascii_int(text: str) -> int:
 
 def checked(parse, ok, expect: str):
     """An argparse `type=` that parses a value and rejects it unless the
-    parse succeeds and the value is ok."""
+    value is ok; a ValueError from the parse or from ok rejects it too."""
     def convert(text: str):
         try:
             value = parse(text)
+            good = ok(value)
         except ValueError:
-            value = None
-        if value is None or not ok(value):
+            good = False
+        if not good:
             raise argparse.ArgumentTypeError(f"{expect}, got {text!r}")
         return value
     return convert
@@ -448,11 +449,8 @@ def list_arg(ok, expect: str):
 def _attrs_ok(text: str) -> bool:
     """--attrs is all, selected, or non-empty, strictly increasing indices
     from 1 to the attribute count of kdd99_schema(), which every command
-    loads."""
-    try:
-        keep = _keep_indices(text)
-    except ValueError:
-        return False
+    loads; an index that is not ASCII digits raises ValueError."""
+    keep = _keep_indices(text)
     return keep is None or (
         1 <= keep[0] and keep[-1] <= kdd99_schema().n_attributes
         and all(a < b for a, b in zip(keep, keep[1:])))
@@ -489,7 +487,6 @@ def build_parser() -> ArgParser:
     p.add_argument("--url", default=None, help="override the default URL")
     p.add_argument("--sha256", required=True,
                    help="expected SHA-256 hex digest of the file")
-    p.add_argument("--cache", default=None, help="cache directory")
 
     p = sub.add_parser("preprocess", help="write a relabeled/reduced CSV")
     _add_data(p)
@@ -562,8 +559,7 @@ def _dispatch(argv: list[str]) -> None:
         url = args.url or DEFAULT_URLS.get(args.data)
         if url is None:
             parser.error(f"no default URL for {args.data!r}; pass --url")
-        cache = Path(args.cache) if args.cache else default_cache_dir()
-        path = fetch_dataset(args.data, url, args.sha256, cache)
+        path = fetch_dataset(args.data, url, args.sha256, default_cache_dir())
         print(f"fetched {args.data} -> {path}")
     elif args.command == "preprocess":
         cfg = _config_from_args(args)

@@ -167,13 +167,9 @@ class Normalizer:
 
 
 def fit_normalizer(ds: Dataset) -> Normalizer:
-    if ds.numeric.shape[1]:
-        mins = ds.numeric.min(axis=0)
-        maxs = ds.numeric.max(axis=0)
-    else:
-        mins = np.zeros(0)
-        maxs = np.zeros(0)
-    return Normalizer(ds.schema, mins, maxs)
+    """Per-numeric-column minima and maxima of ds, which has rows."""
+    return Normalizer(ds.schema, ds.numeric.min(axis=0),
+                      ds.numeric.max(axis=0))
 
 
 def apply_normalizer(norm: Normalizer, ds: Dataset) -> Dataset:
@@ -192,8 +188,6 @@ def apply_normalizer(norm: Normalizer, ds: Dataset) -> Dataset:
 def one_hot_encode(ds: Dataset) -> Dataset:
     """Expand each nominal attribute into one 0/1 indicator column per
     symbol of its domain, in domain order; numeric attributes pass through."""
-    if not ds.schema.nominal_positions:
-        return ds
     out_attrs: list[Attribute] = []
     columns: list[np.ndarray] = []
     num_col = {p: j for j, p in enumerate(ds.schema.numeric_positions)}
@@ -208,9 +202,9 @@ def one_hot_encode(ds: Dataset) -> Dataset:
             out_attrs.append(Attribute(f"{attr.name}={sym}", NUMERIC))
             columns.append((codes == k).astype(np.float64))
     schema = AttributeSchema(tuple(out_attrs), ds.schema.class_labels)
-    numeric = np.column_stack(columns) if columns else np.zeros((len(ds), 0))
-    return Dataset(schema, numeric, np.zeros((len(ds), 0), dtype=np.int32),
-                   ds.labels, ds.provenance + "; one-hot encoded")
+    return Dataset(schema, np.column_stack(columns),
+                   np.zeros((len(ds), 0), dtype=np.int32), ds.labels,
+                   ds.provenance + "; one-hot encoded")
 
 
 def stratified_sample(labels: np.ndarray, size: int, seed: int) -> np.ndarray:
@@ -218,11 +212,10 @@ def stratified_sample(labels: np.ndarray, size: int, seed: int) -> np.ndarray:
 
     Per-class allocations follow largest-remainder rounding of the exact
     proportional shares, so every class with at least one instance and a
-    nonzero share keeps representation where possible.
+    nonzero share keeps representation where possible. `Pipeline` passes
+    1 <= size < len(labels), so no class is given more than its count.
     """
     n = len(labels)
-    if size >= n:
-        return np.arange(n)
     rng = np.random.default_rng(seed)
     classes = np.unique(labels)
     shares = np.array([(labels == c).sum() for c in classes], dtype=np.float64)
@@ -232,10 +225,9 @@ def stratified_sample(labels: np.ndarray, size: int, seed: int) -> np.ndarray:
     short = size - int(base.sum())
     for i in np.argsort(-remainder, kind="stable")[:short]:
         base[i] += 1
-    base = np.minimum(base, shares.astype(np.int64))
     picked = []
     for c, take in zip(classes, base):
         idx = np.flatnonzero(labels == c)
         if take > 0:
             picked.append(rng.permutation(idx)[:take])
-    return np.sort(np.concatenate(picked)) if picked else np.arange(0)
+    return np.sort(np.concatenate(picked))

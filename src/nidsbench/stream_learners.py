@@ -46,11 +46,10 @@ POISSON_CAP = 20
 def poisson_knuth(lam: float, rng: np.random.Generator) -> int:
     """Inverse-transform Poisson draw, capped at POISSON_CAP.
 
-    For lambdas large enough that exp(-lam) underflows the loop simply runs
-    into the cap, which is the intended behavior.
+    `OzaBoost` passes lam > 0: lambda starts at 1 and each member at most
+    halves it. For lambdas large enough that exp(-lam) underflows the loop
+    simply runs into the cap, which is the intended behavior.
     """
-    if lam <= 0.0:
-        return 0
     limit = math.exp(-lam)
     k = 0
     p = 1.0
@@ -236,7 +235,8 @@ class HoeffdingTree(StreamModel):
         second = max(second, 0.0)  # the no-split option
         if best_gain <= 0.0:
             return
-        eps = hoeffding_bound(math.log2(max(self.n_classes, 2)), HT_DELTA,
+        # the purity return above leaves at least two classes: log2 >= 1
+        eps = hoeffding_bound(math.log2(self.n_classes), HT_DELTA,
                               leaf.stats.total)
         if not (best_gain - second > eps or eps < HT_TIE_THRESHOLD):
             return
@@ -366,7 +366,7 @@ class OzaBoost(StreamModel):
     if the member now classifies the instance correctly and up otherwise,
     using the member's accumulated correct/incorrect weight masses. Voting
     weight per member is log((1 - e)/e) of its clamped error estimate;
-    members that never saw mass vote with weight 0.
+    before the first instance every member votes with weight 0.
     """
 
     def __init__(self, schema: AttributeSchema, seed: int):
@@ -376,13 +376,14 @@ class OzaBoost(StreamModel):
         self.lam_sw = np.zeros(len(self.members))
         self._rng = np.random.default_rng(seed)
         # member_weights() as Python floats; only learn_row changes them
-        self._weights = self.member_weights().tolist()
+        self._weights = [0.0] * len(self.members)
 
     def member_weights(self) -> np.ndarray:
-        mass = self.lam_sc + self.lam_sw
-        eps = np.clip(np.divide(self.lam_sw, mass, out=np.zeros_like(mass),
-                                where=mass > 0), 1e-10, 1.0 - 1e-10)
-        return np.where(mass > 0, np.log((1.0 - eps) / eps), 0.0)
+        """Each member's voting weight; every row adds lambda > 0 to each
+        member's mass, so after the first row no mass is 0."""
+        eps = np.clip(self.lam_sw / (self.lam_sc + self.lam_sw), 1e-10,
+                      1.0 - 1e-10)
+        return np.log((1.0 - eps) / eps)
 
     def predict_code(self, num_row, nom_row):
         votes = np.zeros(self.n_classes)

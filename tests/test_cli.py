@@ -264,12 +264,13 @@ def test_malformed_input_exits_2_with_context(tmp_path, capsys, fault,
     assert message in err
 
 
-def test_resolve_data_prefers_existing_path(tmp_path):
+def test_resolve_data_prefers_existing_path(tmp_path, monkeypatch):
     f = tmp_path / "data.csv"
     f.write_text("x")
     assert resolve_data(str(f)) == f
+    monkeypatch.setenv("NIDSBENCH_CACHE", str(tmp_path / "empty"))
     with pytest.raises(DataError, match="not in cache"):
-        resolve_data("kdd99-10", cache_dir=tmp_path / "empty")
+        resolve_data("kdd99-10")
 
 
 def test_batch_run_writes_artifacts(mini_kdd, tmp_path, capsys):
@@ -487,7 +488,8 @@ def test_report_rejects_a_last_row_without_newline(tmp_path, capsys):
     assert not (tmp_path / "comparison.svg").exists()
 
 
-def test_fetch_subcommand_downloads(tmp_path, capsys):
+def test_fetch_subcommand_downloads(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("NIDSBENCH_CACHE", str(tmp_path))
     payload = b"some,data,bytes\n"
     digest = hashlib.sha256(payload).hexdigest()
 
@@ -505,13 +507,13 @@ def test_fetch_subcommand_downloads(tmp_path, capsys):
     try:
         url = f"http://127.0.0.1:{server.server_port}/kdd99-10.csv"
         code = run_command(["fetch", "--data", "kdd99-10", "--url", url,
-                            "--sha256", digest, "--cache", str(tmp_path)])
+                            "--sha256", digest])
         assert code == EXIT_OK
         assert "fetched" in capsys.readouterr().out
         assert (tmp_path / "kdd99-10.csv").read_bytes() == payload
         # digest mismatch is a data error and leaves no cached file
         code = run_command(["fetch", "--data", "nsl-kdd", "--url", url,
-                            "--sha256", "00" * 32, "--cache", str(tmp_path)])
+                            "--sha256", "00" * 32])
         assert code == EXIT_DATA
         assert not (tmp_path / "nsl-kdd.csv").exists()
     finally:
@@ -519,16 +521,19 @@ def test_fetch_subcommand_downloads(tmp_path, capsys):
         server.server_close()
 
 
-def test_fetch_unreachable_url_is_data_error(tmp_path, capsys):
+def test_fetch_unreachable_url_is_data_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("NIDSBENCH_CACHE", str(tmp_path))
     code = run_command(["fetch", "--data", "kdd99-10",
                         "--url", "http://127.0.0.1:1/x.csv",
-                        "--sha256", "00" * 32, "--cache", str(tmp_path)])
+                        "--sha256", "00" * 32])
     assert code == EXIT_DATA
 
 
-def test_fetch_from_a_url_without_scheme_is_data_error(tmp_path, capsys):
+def test_fetch_from_a_url_without_scheme_is_data_error(tmp_path, capsys,
+                                                      monkeypatch):
+    monkeypatch.setenv("NIDSBENCH_CACHE", str(tmp_path))
     code = run_command(["fetch", "--data", "kdd99-10", "--url", "nowhere",
-                        "--sha256", "00" * 32, "--cache", str(tmp_path)])
+                        "--sha256", "00" * 32])
     assert code == EXIT_DATA
     assert capsys.readouterr().err == \
         "data error: kdd99-10: unknown url type: 'nowhere'\n"

@@ -223,6 +223,17 @@ def test_normalizer_rejects_data_coded_against_another_domain(
         apply_normalizer(fit_normalizer(train), test)
 
 
+def test_normalizer_on_nominal_only_data_keeps_it():
+    ds = build_dataset([("c", "nominal")], [("p",), ("q",)], ["a", "b"])
+    norm = fit_normalizer(ds)
+    assert norm.mins.shape == norm.maxs.shape == (0,)
+    scaled = apply_normalizer(norm, ds)
+    assert scaled.schema == ds.schema
+    assert scaled.numeric.shape == (2, 0)
+    assert np.array_equal(scaled.nominal, ds.nominal)
+    assert np.array_equal(scaled.labels, ds.labels)
+
+
 @settings(max_examples=40)
 @given(st.lists(st.tuples(st.floats(-1e9, 1e9), st.floats(-1e9, 1e9)),
                 min_size=1, max_size=30))
@@ -251,10 +262,13 @@ def test_one_hot_indicator_order_and_values():
 
 
 def test_one_hot_no_nominal_is_identity():
-    ds = build_dataset([("x", "numeric")], [(1.5,)], ["a"])
+    ds = build_dataset([("x", "numeric"), ("y", "numeric")],
+                       [(1.5, -2.0), (0.0, 3.0)], ["a", "b"])
     out = one_hot_encode(ds)
-    assert out.schema.attributes == ds.schema.attributes
+    assert out.schema == ds.schema
     assert np.array_equal(out.numeric, ds.numeric)
+    assert out.nominal.shape == ds.nominal.shape == (2, 0)
+    assert np.array_equal(out.labels, ds.labels)
 
 
 # --- stratified subsample ----------------------------------------------------
@@ -271,3 +285,21 @@ def test_stratified_sample_proportions_and_determinism():
     assert np.array_equal(idx, stratified_sample(labels, 100, seed=3))
     assert np.array_equal(stratified_sample(labels, 2000, seed=1),
                           np.arange(1000))
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(0, 4), min_size=2, max_size=60), st.data())
+def test_stratified_sample_takes_each_class_within_one_of_its_share(
+        labels, data):
+    labels = np.array(labels)
+    n = len(labels)
+    size = data.draw(st.integers(1, n - 1))
+    idx = stratified_sample(labels, size, seed=data.draw(st.integers(0, 9)))
+    assert len(idx) == size
+    assert np.array_equal(idx, np.unique(idx))  # unique and sorted
+    assert 0 <= idx[0] and idx[-1] < n
+    for c in np.unique(labels):
+        count = int((labels == c).sum())
+        taken = int((labels[idx] == c).sum())
+        assert taken <= count
+        assert abs(taken - count * size / n) < 1

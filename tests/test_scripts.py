@@ -121,6 +121,8 @@ def test_scripts_evaluate_through_the_cli_names(mini_kdd, tmp_path,
      "need algorithms from nb, j48, mlp, svm, knnK with K >= 1, got 'foo'"),
     ("reproduce_batch.py", ["--algos", "nb,knn0"], EXIT_USAGE,
      "got 'nb,knn0'"),
+    ("reproduce_batch.py", ["--algos", "knn+1"], EXIT_USAGE,
+     "need algorithms from nb, j48, mlp, svm, knnK with K >= 1, got 'knn+1'"),
     ("reproduce_batch.py", ["--variants", "v9"], EXIT_USAGE,
      "need variants from v1, v2, v3, got 'v9'"),
     ("reproduce_stream.py", ["--algos", "foo"], EXIT_USAGE,

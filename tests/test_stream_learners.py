@@ -809,6 +809,23 @@ def test_ozaboost_weighted_vote_prefers_accurate_members():
     assert boost.predict_code(num, nom) == 0
 
 
+def test_ozaboost_votes_zero_before_any_row_and_finite_weights_after_one():
+    stream = _depth1_concept_stream(300, 3)
+    boost = OzaBoost(stream.schema, 1)
+    num, nom = stream.numeric, stream.nominal
+    assert boost.predict_code(num[0], nom[0]) == 0  # every weight is 0
+    boost.learn_row(num[0], nom[0], int(stream.labels[0]))
+    assert np.isfinite(boost.member_weights()).all()
+    for i in range(1, len(stream)):
+        boost.learn_row(num[i], nom[i], int(stream.labels[i]))
+    # the same bits as the guarded form for members without mass
+    mass = boost.lam_sc + boost.lam_sw
+    eps = np.clip(np.divide(boost.lam_sw, mass, out=np.zeros_like(mass),
+                            where=mass > 0), 1e-10, 1.0 - 1e-10)
+    guarded = np.where(mass > 0, np.log((1.0 - eps) / eps), 0.0)
+    assert np.array_equal(boost.member_weights(), guarded)
+
+
 def test_ozaboost_deterministic_with_seed():
     stream = gen_drift_stream(2_000, 1_000, seed=4)
 
