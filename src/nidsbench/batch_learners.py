@@ -116,6 +116,44 @@ def entropy_rows(rows: np.ndarray) -> np.ndarray:
     return -plogp.sum(axis=1)
 
 
+def _positive_entropies(rows: np.ndarray) -> np.ndarray:
+    """Entropy (bits) of each row's positive counts alone. Rows with as many
+    positive counts share one `entropy_rows` call; zeros are left out, not
+    padded in, because numpy's pairwise sum groups eight or more terms by
+    position and zeros would move the last bits."""
+    positive = rows > 0
+    width = positive.sum(axis=1)
+    out = np.empty(len(rows))
+    for w in np.flatnonzero(np.bincount(width)):
+        same = width == w
+        out[same] = entropy_rows(rows[same][positive[same]].reshape(-1, w))
+    return out
+
+
+def _gain_ratio(gains: np.ndarray, split_infos: np.ndarray) -> np.ndarray:
+    """C4.5's split key: the gain ratio, or the gain where the split info is
+    zero."""
+    return np.divide(gains, split_infos, out=gains.copy(),
+                     where=split_infos > 1e-12)
+
+
+def _open(counts: np.ndarray) -> np.ndarray:
+    """Which nodes of these class-count rows the tree may split: those that
+    hold two classes and rows enough for two TREE_MIN_LEAF branches."""
+    return ((counts > 0).sum(axis=1) > 1) \
+        & (counts.sum(axis=1) >= 2 * TREE_MIN_LEAF)
+
+
+def _partition(order: np.ndarray, key: np.ndarray, keep: int) -> np.ndarray:
+    """Each row of `order` stably sorted by the `key` of its entries and cut
+    to its first `keep` entries."""
+    by_key = np.argsort(np.take(key, order), axis=1, kind="stable")
+    out = np.empty((len(order), keep), dtype=order.dtype)
+    for row, perm, dest in zip(order, by_key, out):
+        np.take(row, perm[:keep], out=dest)
+    return out
+
+
 def _pessimistic_extra_errors(n: float, e: float) -> float:
     """Upper-confidence extra error count for a node with n >= 1 instances
     and e <= n - 1 errors (its majority class holds at least one)."""
@@ -151,157 +189,216 @@ class DecisionTree(BatchModel):
         self._prune()
 
     def _grow(self, num, nom, y):
-        # Row i of `order` lists the node's rows by ascending value of numeric
-        # column i, ties by row index. The root sorts once; a child keeps its
-        # rows in the parent's order (a stable partition), which is exactly
-        # the stable argsort of the child's own values.
-        order = np.ascontiguousarray(
-            np.argsort(num, axis=0, kind="stable").T, dtype=np.int32)
-        which = np.empty(len(y), dtype=np.int32)  # row -> branch at a split
-        holder: list = [None]
-        stack = [(np.arange(len(y)), order, holder, 0)]
-        while stack:
-            idx, order, container, slot = stack.pop()
-            counts = np.bincount(y[idx], minlength=self.n_classes)
-            node = _TreeNode(counts)
-            container[slot] = node
-            if (counts > 0).sum() <= 1:
-                continue  # pure; _best_split rejects splits of too few rows
-            best = self._best_split(num, nom, y, idx, order, counts)
-            if best is None:
-                continue
-            node.kind, node.col, node.threshold = best
-            if node.kind == "num":
-                branch = num[idx, node.col] > node.threshold
-                node.children = [None] * 2
-            else:
-                branch = nom[idx, node.col]
-                node.children = [None] * self._nom_domain_sizes[node.col]
-            which[idx] = branch
-            row_branch = which[order]
-            for slot_i in range(len(node.children)):
-                part = idx[branch == slot_i]
-                if len(part):
-                    part_order = order[row_branch == slot_i].reshape(
-                        len(order), len(part))
-                    stack.append((part, part_order, node.children, slot_i))
-        return holder[0]
+        """Grow the unpruned tree one level at a time (SLIQ's breadth-first
+        growth) and return its root.
 
-    def _best_split(self, num, nom, y, idx, order, counts):
-        """(kind, col, threshold) of the split with the highest gain ratio,
-        nominal columns first, then numeric, each in column order; a later
-        split wins only with a strictly higher ratio. None if no split is
-        admissible."""
-        n = len(idx)
-        # The parent entropy and a nominal split info sum only the positive
-        # terms: with zeros included, numpy's pairwise sum groups eight or
-        # more terms differently, and C4.5 splits move.
-        h_parent = float(entropy_rows(counts[counts > 0][None])[0])
-        y_sub = y[idx]
-        best = None
-        best_key = 0.0
+        Row i < n_num of `order` lists the level's open rows by ascending
+        value of numeric column i, ties by row index, and its last row lists
+        them by row index alone. In every row each open node holds one
+        contiguous block, the nodes in the same order. The root sorts once.
+        One split search scores every open node of the level, and one stable
+        partition of `order` by child gives the next level: a child keeps its
+        rows in its parent's order, which is exactly the stable argsort of
+        the child's own values. A pure node, a node too small to leave
+        TREE_MIN_LEAF rows in two branches and a node without an admissible
+        split are leaves.
+        """
+        n_classes, n_nom, n_num = self.n_classes, nom.shape[1], num.shape[1]
+        counts = np.bincount(y, minlength=n_classes)[None]
+        root = _TreeNode(counts[0])
+        nodes = [root] if _open(counts)[0] else []
+        order = np.empty((n_num + 1, len(y)), dtype=np.int32)
+        order[:n_num] = np.argsort(num, axis=0, kind="stable").T
+        order[n_num] = np.arange(len(y))
+        # a split's branches on each column: nominal columns, then numeric
+        n_branches = np.array(self._nom_domain_sizes + [2] * n_num, dtype=int)
+        while nodes:
+            n_open, size = len(nodes), counts.sum(axis=1)
+            node = np.repeat(np.arange(n_open), size)  # position -> node
+            rows = order[-1]
+            y_rows = y[rows]
+            h_parent = _positive_entropies(counts)
+            # the gain ratio of each node's best split on each column, -inf
+            # where the column has no admissible split at the node
+            keys = np.full((n_open, n_nom + n_num), -np.inf)
+            self._nominal_keys(keys, nom[rows], node, y_rows, size, h_parent)
+            cut_node, cut_col, gains, split_infos, cut_thresholds = \
+                self._numeric_cuts(num, y, order[:-1], size, counts, h_parent)
+            keys[cut_node, n_nom + cut_col] = _gain_ratio(gains, split_infos)
+            threshold = np.zeros((n_open, n_num))
+            threshold[cut_node, cut_col] = cut_thresholds
 
+            # A node's split is its first best key: a later column wins only
+            # with a strictly higher gain ratio.
+            best = keys.argmax(axis=1)
+            split = keys[np.arange(n_open), best] > -np.inf
+            col = np.where(best < n_nom, best, best - n_nom)
+            n_kids = np.where(split, n_branches[best], 0)
+            first_kid = np.cumsum(n_kids) - n_kids
+            for k in np.flatnonzero(split):
+                nd = nodes[k]
+                nd.col, nd.children = int(col[k]), [None] * int(n_kids[k])
+                if best[k] < n_nom:
+                    nd.kind = "nom"
+                else:
+                    nd.kind, nd.threshold = "num", threshold[k, col[k]]
+            # A row of a split node goes to its node's first child plus its
+            # branch. The rows of the other nodes leave the growth.
+            going = np.flatnonzero(split[node])
+            at = node[going]
+            kid = first_kid[at]
+            by_num = best[at] >= n_nom
+            g, a = rows[going[by_num]], at[by_num]
+            kid[by_num] += num[g, col[a]] > threshold[a, col[a]]
+            g, a = rows[going[~by_num]], at[~by_num]
+            kid[~by_num] += nom[g, col[a]]
+            kid_counts = np.bincount(
+                kid * n_classes + y_rows[going],
+                minlength=int(n_kids.sum()) * n_classes).reshape(-1, n_classes)
+            parent = np.repeat(np.arange(n_open), n_kids)
+            kids = {}
+            for c in np.flatnonzero(kid_counts.any(axis=1)):
+                kids[c] = _TreeNode(kid_counts[c])
+                nodes[parent[c]].children[c - first_kid[parent[c]]] = kids[c]
+
+            # The next level holds the open children in child order. One
+            # stable sort of each row of `order` by the rank of the row's
+            # child (past the last one for the rows that leave) partitions it.
+            opens = np.flatnonzero(_open(kid_counts))
+            nodes, counts = [kids[c] for c in opens], kid_counts[opens]
+            rank = np.full(len(kid_counts), len(opens),
+                           dtype=np.min_scalar_type(len(opens)))
+            rank[opens] = np.arange(len(opens))
+            row_rank = np.full(len(y), len(opens), dtype=rank.dtype)
+            row_rank[rows[going]] = rank[kid]
+            order = _partition(order, row_rank, int(counts.sum()))
+        return root
+
+    def _nominal_keys(self, keys, nom_rows, node, y_rows, size, h_parent):
+        """Write into keys[:, col] the gain ratio of each node's split on
+        each nominal column col where it is admissible. Row i of nom_rows,
+        node and y_rows holds a row of the level: its nominal codes, its
+        node and its class."""
+        n_nodes, n_classes = len(size), self.n_classes
         for col, d in enumerate(self._nom_domain_sizes):
             if d < 2:
                 continue
-            codes = nom[idx, col].astype(np.int64)
-            table = np.bincount(codes * self.n_classes + y_sub,
-                                minlength=d * self.n_classes
-                                ).reshape(d, self.n_classes)
-            sizes = table.sum(axis=1)
-            if (sizes > 0).sum() < 2 or (sizes >= TREE_MIN_LEAF).sum() < 2:
-                continue
-            gain = h_parent - float((sizes / n) @ entropy_rows(table))
-            if gain <= 1e-12:
-                continue
-            split_info = float(entropy_rows(sizes[sizes > 0][None])[0])
-            key = gain / split_info if split_info > 1e-12 else gain
-            if best is None or key > best_key:
-                best_key = key
-                best = ("nom", col, None)
+            table = np.bincount(
+                (node * d + nom_rows[:, col]) * n_classes + y_rows,
+                minlength=n_nodes * d * n_classes
+            ).reshape(n_nodes, d, n_classes)
+            sizes = table.sum(axis=2)
+            ok = np.flatnonzero(((sizes > 0).sum(axis=1) >= 2)
+                                & ((sizes >= TREE_MIN_LEAF).sum(axis=1) >= 2))
+            h_branches = entropy_rows(table.reshape(-1, n_classes)
+                                      ).reshape(n_nodes, d)
+            gains = np.array([
+                h_parent[k] - float((sizes[k] / size[k]) @ h_branches[k])
+                for k in ok])
+            ok, gains = ok[gains > 1e-12], gains[gains > 1e-12]
+            keys[ok, col] = _gain_ratio(gains, _positive_entropies(sizes[ok]))
 
-        for col, gain, split_info, threshold in self._numeric_cuts(
-                num, y, order, counts, h_parent):
-            key = gain / split_info if split_info > 1e-12 else gain
-            if best is None or key > best_key:
-                best_key = key
-                best = ("num", col, threshold)
-        return best
+    def _numeric_cuts(self, num, y, order, size, counts, h_parent):
+        """The best admissible cut of each (node, numeric column) segment of
+        a level that has one, as arrays (node, col, gain, split_info,
+        threshold) ordered by column, then node.
 
-    def _numeric_cuts(self, num, y, order, counts, h_parent):
-        """Each numeric column's best admissible cut at a node, in column
-        order, as (col, gain, split_info, threshold); columns without one
-        are left out.
-
-        `order` holds the node's rows sorted by each column (see `_grow`).
-        A cut between two runs of equal values is a candidate when the runs
-        do not hold one and the same class, and both sides keep
-        TREE_MIN_LEAF rows. Every column's candidates are scored together,
-        and a column's cut is its first best one.
+        Row `col` of `order` lists the level's open rows sorted by numeric
+        column col, each node in one block of `size` rows (see `_grow`);
+        `counts` and `h_parent` are the nodes' class counts and entropies. A
+        cut between two runs of equal values is a candidate when the runs do
+        not hold one and the same class and both sides keep TREE_MIN_LEAF
+        of the node's rows. Run numbering, boundary points and admissible
+        positions restart at each node's block. Every candidate of the level
+        is scored at once, and a segment's cut is its first best one.
         """
-        n_num, n = order.shape
-        if n_num == 0 or n < 2 * TREE_MIN_LEAF:
-            return []
-        sv = num[order, np.arange(n_num)[:, None]]
-        step = sv[:, 1:] != sv[:, :-1]  # [col, i]: a run of equal values ends
-        del sv
-        sy = y[order]
-        # runs numbered across all columns
-        starts = np.ones((n_num, n), dtype=bool)
+        n_num, m = order.shape
+        n_nodes, n_classes = len(size), self.n_classes
+        start = np.cumsum(size) - size
+        node = np.repeat(np.arange(n_nodes), size)  # position -> node
+        # the cut after position i of a block leaves i + 1 rows on the left
+        i = np.arange(m) - start[node]
+        admissible = (i >= TREE_MIN_LEAF - 1) \
+            & (i < size[node] - TREE_MIN_LEAF)
+        is_last = np.zeros(m, dtype=bool)  # a block's last position
+        is_last[start + size - 1] = True
+        # step[col, i]: a run of equal values ends at position i
+        step = np.empty((n_num, m - 1), dtype=bool)
+        for col, rows in enumerate(order):
+            sv = np.take(num[:, col], rows)
+            np.not_equal(sv[1:], sv[:-1], out=step[col])
+        sy = np.take(y, order)
+        # runs numbered across all segments; each block starts a run
+        starts = np.ones((n_num, m), dtype=bool)
         starts[:, 1:] = step
-        run = np.cumsum(starts, dtype=np.int32).reshape(n_num, n)
+        starts[:, start] = True
+        run = np.cumsum(starts, dtype=np.int32).reshape(n_num, m)
         run -= 1
-        n_runs = int(run[-1, -1]) + 1
+        n_runs = np.count_nonzero(starts)
         # a run's class, or -1 when its classes differ
         mixed = np.zeros(n_runs, dtype=bool)
-        mixed[run[:, 1:][~step & (sy[:, 1:] != sy[:, :-1])]] = True
+        mixed[run[:, 1:][~starts[:, 1:] & (sy[:, 1:] != sy[:, :-1])]] = True
         pure = np.where(mixed, -1, sy[starts])
         del starts, mixed
         boundary = np.zeros(n_runs, dtype=bool)  # run r vs run r + 1
         boundary[:-1] = (pure[:-1] == -1) | (pure[1:] == -1) \
             | (pure[:-1] != pure[1:])
-        # the cut after sorted position i leaves i + 1 rows on the left
-        lo, hi = TREE_MIN_LEAF - 1, n - TREE_MIN_LEAF
-        cols, pos = np.nonzero(step[:, lo:hi] & boundary[run[:, lo:hi]])
+        # Marks: the candidate cuts, then each segment's last row as well.
+        marks = np.zeros((n_num, m), dtype=bool)
+        np.logical_and(step, boundary[run[:, :-1]], out=marks[:, :-1])
         del step, run, pure, boundary
-        if not len(cols):
-            return []
-        pos += lo
-        opens = np.empty(len(cols), dtype=bool)  # a column's first candidate
-        opens[0] = True
-        np.not_equal(cols[1:], cols[:-1], out=opens[1:])
-        first = np.flatnonzero(opens)
-        seg = np.cumsum(opens, dtype=np.int32) - 1  # candidate -> its column's
-        # left-side class counts at each candidate cut, from the running
-        # count of each class present. Absent classes stay zero columns:
+        marks &= admissible
+        marks[:, is_last] = True
+        # Left-side class counts at every mark: the rows up to a mark, from
+        # the previous one on, form its piece; one bincount counts each
+        # piece's classes and a cumulative sum over the pieces, restarted at
+        # each segment, runs them up. Absent classes stay zero columns:
         # numpy's pairwise sum groups eight or more terms by position, so
         # dropping them would move the entropies' last bits.
-        sy = sy[cols[first]]
-        left = np.zeros((len(cols), self.n_classes))
-        for c in np.flatnonzero(counts):
-            left[:, c] = np.cumsum(sy == c, axis=1, dtype=np.int32)[seg, pos]
-        del sy
+        flat = marks.ravel()
+        at = np.flatnonzero(flat)  # the flat position of each mark
+        piece = np.cumsum(flat, dtype=np.int32)
+        piece -= flat
+        piece *= n_classes
+        piece += sy.ravel()
+        del sy, marks, flat
+        left = np.bincount(piece, minlength=len(at) * n_classes
+                           ).reshape(len(at), n_classes)
+        del piece
+        at_last = is_last[at % m]
+        seg_end = np.flatnonzero(at_last)  # segment s = col * n_nodes + node
+        left[seg_end[:-1] + 1] -= np.tile(counts, (n_num, 1))[:-1]
+        np.cumsum(left, axis=0, out=left)
+        cut = ~at_last
+        left = left[cut]
+        cols, pos = np.divmod(at[cut], m)
+        nodes = node[pos]
+        del at, at_last, cut
+
+        seg = cols * n_nodes + nodes
+        opens = np.ones(len(seg), dtype=bool)  # a segment's first candidate
+        np.not_equal(seg[1:], seg[:-1], out=opens[1:])
+        first = np.flatnonzero(opens)
+        seg = np.cumsum(opens, dtype=np.int32) - 1  # candidate -> segment
+        n = size[nodes]
+        n_left = (i[pos] + 1).astype(np.float64)
         h_left = entropy_rows(left)
-        h_right = entropy_rows(np.subtract(counts, left, out=left))
-        n_left = (pos + 1).astype(np.float64)
-        gains = h_parent - (n_left * h_left + (n - n_left) * h_right) / n
+        h_right = entropy_rows(np.subtract(counts[nodes], left, out=left))
+        gains = h_parent[nodes] - (n_left * h_left + (n - n_left) * h_right) / n
         top = np.flatnonzero(gains == np.maximum.reduceat(gains, first)[seg])
-        chosen = top[np.searchsorted(top, first)]  # each column's first best
+        chosen = top[np.searchsorted(top, first)]  # each segment's first best
         chosen = chosen[gains[chosen] > 1e-12]
-        sizes = n_left[chosen]
-        split_infos = entropy_rows(np.column_stack((sizes, n - sizes)))
-        cuts = []
-        for i, split_info in zip(chosen, split_infos):
-            col, p = int(cols[i]), int(pos[i])
-            below, above = num[order[col, p:p + 2], col]
-            threshold = (below + above) / 2.0
-            if not threshold < above:
-                # the midpoint of two adjacent floats can round up to
-                # `above` (or overflow to inf) and send every row left, so
-                # the cut falls back to `below`, as Weka's C4.5 does
-                threshold = below
-            cuts.append((col, float(gains[i]), float(split_info), threshold))
-        return cuts
+        n_left, n = n_left[chosen], n[chosen]
+        split_infos = entropy_rows(np.column_stack((n_left, n - n_left)))
+        cols, pos = cols[chosen], pos[chosen]
+        below = num[order[cols, pos], cols]
+        above = num[order[cols, pos + 1], cols]
+        thresholds = (below + above) / 2.0
+        # The midpoint of two adjacent floats can round up to `above` (or
+        # overflow to inf) and send every row left, so the cut falls back to
+        # `below`, as Weka's C4.5 does.
+        thresholds = np.where(thresholds < above, thresholds, below)
+        return nodes[chosen], cols, gains[chosen], split_infos, thresholds
 
     def _prune(self) -> None:
         stack = [(self.root, False)]

@@ -393,7 +393,7 @@ class ArgParser(argparse.ArgumentParser):
     def exit(self, status=0, message=None):
         # with error() overridden, argparse calls exit() only from --help,
         # with no message
-        raise _ExitRequest(EXIT_OK if status == 0 else EXIT_USAGE)
+        raise _ExitRequest(EXIT_OK)
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -145,7 +145,7 @@ def oner_rank(ds: Dataset) -> list[tuple[int, float]]:
     for pos, attr in enumerate(ds.schema.attributes):
         if attr.kind == NOMINAL:
             codes = ds.nominal[:, nom_col[pos]].astype(np.int64)
-            d = max(len(attr.domain), 1)
+            d = len(attr.domain)
             table = np.bincount(codes * n_classes + ds.labels,
                                 minlength=d * n_classes).reshape(d, n_classes)
             correct = int(table.max(axis=1).sum())

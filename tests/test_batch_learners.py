@@ -278,9 +278,11 @@ def test_tree_cut_between_adjacent_floats_separates_them(monkeypatch):
     tree = _unpruned_tree(monkeypatch, min_leaf=1)
     tree.n_classes = 2
     order = np.argsort(ds.numeric, axis=0, kind="stable").T.astype(np.int32)
-    cuts = tree._numeric_cuts(ds.numeric, ds.labels, order,
-                              np.array([1, 1]), 1.0)
-    assert [(col, threshold) for col, _, _, threshold in cuts] == [(0, below)]
+    node, col, _, _, threshold = tree._numeric_cuts(
+        ds.numeric, ds.labels, order, np.array([2]), np.array([[1, 1]]),
+        np.array([1.0]))
+    assert (node.tolist(), col.tolist(), threshold.tolist()) \
+        == ([0], [0], [below])
     tree.fit(ds)
     assert tree.n_leaves() == 2
     assert predict_labels(tree, (below,), (above,)) == ["a", "b"]
@@ -335,24 +337,32 @@ def _oracle_numeric_cut(vals, y_sub, counts, h_parent, n_classes):
 
 def _oracle_tree(monkeypatch):
     """A DecisionTree whose numeric split search is `_oracle_numeric_cut`,
-    column by column, on the node's rows in ascending row order. At every
-    node it also runs the program's search and checks that each column's
-    gain, split info and threshold are the same to the bit."""
+    node by node and column by column, on each node's rows in ascending row
+    order. At every level it also runs the program's search, which scores
+    all the level's nodes at once, and checks that each (node, column) gain,
+    split info and threshold are the same to the bit."""
     tree = DecisionTree()
 
-    def numeric_cuts(num, y, order, counts, h_parent):
+    def numeric_cuts(num, y, order, size, counts, h_parent):
         cuts = []
-        if len(order):
-            idx = np.sort(order[0])  # each row of `order` holds them all
-            for col in range(num.shape[1]):
-                found = _oracle_numeric_cut(num[idx, col], y[idx], counts,
-                                            h_parent, tree.n_classes)
+        starts = np.cumsum(size) - size
+        for col in range(len(order)):
+            for k, (start, n) in enumerate(zip(starts, size)):
+                # each row of `order` holds the node's rows in one block
+                idx = np.sort(order[0, start:start + n])
+                found = _oracle_numeric_cut(num[idx, col], y[idx], counts[k],
+                                            h_parent[k], tree.n_classes)
                 if found is not None:
-                    cuts.append((col, *found))
-        got = DecisionTree._numeric_cuts(tree, num, y, order, counts, h_parent)
-        assert [(c, g.hex(), s.hex(), float(t).hex()) for c, g, s, t in got] \
-            == [(c, g.hex(), s.hex(), float(t).hex()) for c, g, s, t in cuts]
-        return cuts
+                    cuts.append((k, col, *found))
+        got = DecisionTree._numeric_cuts(tree, num, y, order, size, counts,
+                                         h_parent)
+        assert [(k, c, g.hex(), s.hex(), float(t).hex())
+                for k, c, g, s, t in zip(*got)] \
+            == [(k, c, g.hex(), s.hex(), float(t).hex())
+                for k, c, g, s, t in cuts]
+        return tuple(np.array(v, dtype=dtype) for v, dtype in
+                     zip(list(zip(*cuts)) or [()] * 5,
+                         (int, int, float, float, float)))
 
     monkeypatch.setattr(tree, "_numeric_cuts", numeric_cuts)
     return tree
@@ -413,6 +423,53 @@ def test_tree_with_the_scalar_search_grows_the_same_tree(ds, min_leaf, prune):
         fast = DecisionTree().fit(ds)
         slow = _oracle_tree(monkeypatch).fit(ds)
     assert _tree_shape(fast.root) == _tree_shape(slow.root)
+
+
+def _assert_children_grow_alone(tree, ds):
+    """Each child subtree of `tree`, fitted on ds, is the tree fitted on the
+    rows routed to that child alone."""
+    stack = [(tree.root, np.arange(len(ds)))]
+    while stack:
+        node, rows = stack.pop()
+        if node.is_leaf:
+            continue
+        if node.kind == "num":
+            branch = ds.numeric[rows, node.col] > node.threshold
+        else:
+            branch = ds.nominal[rows, node.col]
+        for b, child in enumerate(node.children):
+            if child is not None:
+                part = rows[branch == b]
+                alone = DecisionTree().fit(ds.subset(part))
+                assert _tree_shape(child) == _tree_shape(alone.root)
+                stack.append((child, part))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tree_sets(), st.integers(1, 3))
+def test_tree_child_subtree_is_the_tree_of_the_child_rows(ds, min_leaf):
+    # A level's split search scores sibling nodes side by side. A run, a
+    # class count or a cut that leaked across a node's block would make a
+    # child's subtree differ from the tree grown on the child's rows alone.
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        tree = _unpruned_tree(monkeypatch, min_leaf).fit(ds)
+        _assert_children_grow_alone(tree, ds)
+
+
+def test_tree_sibling_blocks_that_meet_on_a_value_stay_apart(monkeypatch):
+    # The root splits on s, and both children are leaves. In the next
+    # level's x order the q block (x = 0 only, classes a and b) ends and the
+    # p block (all b up to x = 1, then one a) starts on x = 0. A run carried
+    # over from q would make p's first run mixed and its cut after x = 0, a
+    # non-boundary cut, a candidate: p would split.
+    rows = [(0.0, "q"), (1.0, "p"), (0.0, "p"), (0.0, "q"), (0.0, "q"),
+            (1.0, "p"), (0.0, "q"), (3.0, "p"), (0.0, "p")]
+    labels = ["b", "b", "b", "b", "a", "b", "a", "a", "b"]
+    ds = build_dataset([("x", "numeric"), ("s", "nominal")], rows, labels)
+    tree = _unpruned_tree(monkeypatch).fit(ds)
+    assert tree.root.kind == "nom"
+    assert all(child.is_leaf for child in tree.root.children)
+    _assert_children_grow_alone(tree, ds)
 
 
 def _golden_slice(variant, attrs):
