@@ -15,6 +15,16 @@ any grouping, and `add_rows` runs the same Welford operations on each value
 in the same order as `update`, only column by column on Python floats
 instead of row by row on numpy arrays. So several `add_rows` calls leave
 what one call over all their rows leaves.
+
+The one step `add_rows` leaves out is a no-op. A value x equal to the
+running mean gives delta = x - mean = +-0.0, so `mean += delta / n` and
+`m2 += delta * (x - mean)` add a signed zero. That changes neither sum,
+since mean and M2 start at +0.0 and the recurrence never makes them -0.0:
+a correctly rounded sum is -0.0 only when both terms are. The mean is then
+unchanged, so a column's final run of equal values stops being folded once
+the mean reaches their value; the count, a local until then, is left out
+too, since the class counts are added once for the block. Infinities are
+the exception, since inf - inf is nan: a run of them is folded in full.
 `test_nb_add_rows_equals_one_update_per_row` and
 `test_nb_batch_statistics_equal_streaming_updates` in
 `tests/test_batch_learners.py` and `test_ht_leaf_fold_equals_one_update_per_row`
@@ -69,7 +79,12 @@ class ClassConditionalStats:
                  labels: np.ndarray) -> None:
         """Fold in a block of rows, bit-equal to one `update` per row in
         order: counts as bincounts, then the Welford recurrence per class
-        and numeric column, over that column's values in arrival order."""
+        and numeric column, over that column's values in arrival order.
+
+        Each column's final run of equal values, its tail, is folded until
+        the running mean equals the tail's value: every later step is a
+        no-op (see the module docstring). A tail of infinities is folded in
+        full, since inf - inf is nan."""
         c = len(self.class_counts)
         self.total += len(labels)
         for j, table in enumerate(self.nominal_counts):
@@ -77,13 +92,28 @@ class ClassConditionalStats:
                                  minlength=table.size).reshape(table.shape)
         per_class = np.bincount(labels, minlength=c)
         for label in np.flatnonzero(per_class):
-            rows = np.flatnonzero(labels == label)
+            block = num_rows[labels == label]
+            k = len(block)
+            # starts[i, col]: row i of the block starts a run in col; tails:
+            # the row where each column's last run starts, k for no tail
+            starts = np.empty(block.shape, dtype=bool)
+            starts[:1] = True
+            np.not_equal(block[1:], block[:-1], out=starts[1:])
+            tails = k - 1 - starts[::-1].argmax(axis=0)
+            tails[~np.isfinite(block[-1])] = k
             start = float(self.class_counts[label])
-            for col in range(num_rows.shape[1]):
+            for col, tail in enumerate(tails.tolist()):
                 n = start
                 mean = float(self.mean[label, col])
                 m2 = float(self.m2[label, col])
-                for x in num_rows[rows, col].tolist():
+                for x in block[:tail, col].tolist():
+                    n += 1.0
+                    delta = x - mean
+                    mean += delta / n
+                    m2 += delta * (x - mean)
+                for x in block[tail:, col].tolist():
+                    if x == mean:
+                        break
                     n += 1.0
                     delta = x - mean
                     mean += delta / n

@@ -108,38 +108,63 @@ HT_NUMERIC_BINS = 10
 
 
 class _HTLeaf:
-    __slots__ = ("stats", "class_counts", "held", "vmin", "vmax")
+    """A Hoeffding-tree leaf: what prediction reads, and what a split
+    attempt reads, kept apart.
+
+    `class_counts` (a list of floats) adds the rows the leaf learned to the
+    possibly fractional startup distribution carried over from the parent
+    split, and `majority` is its first maximum, the class the leaf
+    predicts. `learn` keeps both current per row. `stats`, `vmin` and
+    `vmax` hold only the leaf's own rows, and only as of the last fold:
+    `learn` writes each row into a block of HT_GRACE_PERIOD rows (a copy,
+    since a caller may refill its row arrays), and `fold` adds the block to
+    them before each split attempt.
+    """
+
+    __slots__ = ("stats", "class_counts", "majority", "vmin", "vmax",
+                 "held_num", "held_nom", "held_labels", "n_held")
 
     def __init__(self, schema: AttributeSchema,
                  startup: np.ndarray | None = None):
-        # stats holds only the instances this leaf observed; class_counts
-        # adds them to the (possibly fractional) startup distribution carried
-        # over from the parent split.
         self.stats = ClassConditionalStats(schema)
-        self.class_counts = np.zeros(len(schema.class_labels)) \
-            if startup is None else startup.astype(np.float64)
-        # (numeric row, nominal row, label) of the rows learned since the
-        # last fold, not yet in stats, vmin and vmax
-        self.held = []
+        n_classes = len(schema.class_labels)
+        self.class_counts = [0.0] * n_classes if startup is None \
+            else startup.tolist()
+        # the first maximum, as np.argmax takes it
+        self.majority = max(range(n_classes),
+                            key=self.class_counts.__getitem__)
         n_num = len(schema.numeric_positions)
         self.vmin = np.full(n_num, np.inf)
         self.vmax = np.full(n_num, -np.inf)
+        # the rows learned since the last fold: held_*[:n_held]
+        self.held_num = np.empty((HT_GRACE_PERIOD, n_num))
+        self.held_nom = np.empty((HT_GRACE_PERIOD,
+                                  len(schema.nominal_positions)),
+                                 dtype=np.int32)
+        self.held_labels = np.empty(HT_GRACE_PERIOD, dtype=np.intp)
+        self.n_held = 0
 
     def learn(self, num_row, nom_row, y) -> bool:
-        """Count the row at once, since prediction reads class_counts, and
-        hold a copy of it (a caller may refill its row arrays) for the next
-        fold; whether a grace period of rows is now held."""
-        self.class_counts[y] += 1.0
-        self.held.append((num_row.copy(), nom_row.copy(), y))
-        return len(self.held) >= HT_GRACE_PERIOD
+        """Count the row and hold a copy of it for the next fold; whether a
+        grace period of rows is now held."""
+        counts = self.class_counts
+        counts[y] += 1.0
+        top = self.majority
+        if counts[y] > counts[top] or (counts[y] == counts[top] and y < top):
+            self.majority = y
+        i = self.n_held
+        self.held_num[i] = num_row
+        self.held_nom[i] = nom_row
+        self.held_labels[i] = y
+        self.n_held = i + 1
+        return self.n_held == len(self.held_labels)
 
     def fold(self):
         """Fold the held rows into stats, vmin and vmax, bit-equal to one
         `update`, np.minimum and np.maximum per row in arrival order."""
-        nums, noms, labels = zip(*self.held)
-        self.held = []
-        num = np.array(nums)
-        self.stats.add_rows(num, np.array(noms), np.array(labels))
+        n, self.n_held = self.n_held, 0
+        num = self.held_num[:n]
+        self.stats.add_rows(num, self.held_nom[:n], self.held_labels[:n])
         # accumulate rather than min/max: of a tie between 0.0 and -0.0 the
         # later row wins, as it does row by row, while numpy's vectorized
         # reduction may keep either
@@ -153,26 +178,43 @@ class _HTSplit:
     def __init__(self, kind, col, threshold, children):
         self.kind = kind
         self.col = col
-        self.threshold = threshold
+        self.threshold = threshold  # a Python float, or None for "nom"
         self.children = children
+
+
+def _cannot_split(class_counts: np.ndarray, eps: float) -> bool:
+    """Whether the split test fails whatever the candidates' gains.
+
+    Every gain the search computes is the entropy h of `class_counts`, the
+    leaf's statistics' counts (its startup mass left out), less a
+    non-negative weighted entropy (a nominal attribute's per-class totals
+    are those counts, since counts are whole numbers), and
+    fl(h - s) <= h for s >= 0. So the gap between the best two gains is at
+    most h, and with h <= eps and eps >= HT_TIE_THRESHOLD neither arm of
+    the split test can hold.
+    """
+    return eps >= HT_TIE_THRESHOLD \
+        and float(entropy_rows(class_counts[None])[0]) <= eps
 
 
 class HoeffdingTree(StreamModel):
     """Incremental decision tree with Hoeffding-bound split decisions.
 
-    A leaf predicts its majority class. Leaves keep the naive-Bayes
-    statistics (`nbcore.ClassConditionalStats`: per-class nominal value
-    counts and Gaussian summaries of numeric attributes) and each numeric
-    attribute's observed range for the split search. Every HT_GRACE_PERIOD
-    learned instances a leaf compares the two best information gains and
-    splits when their gap exceeds the Hoeffding bound at confidence HT_DELTA
-    (or the bound has shrunk below HT_TIE_THRESHOLD). Only that search reads
-    the statistics and ranges, so a leaf counts a learned row in its class
-    counts at once, for prediction, but holds a copy of the row for one
-    grace period and folds the held rows in with one
+    A leaf predicts its majority class, which it keeps current as it
+    learns. Leaves keep the naive-Bayes statistics
+    (`nbcore.ClassConditionalStats`: per-class nominal value counts and
+    Gaussian summaries of numeric attributes) and each numeric attribute's
+    observed range for the split search. Every HT_GRACE_PERIOD learned
+    instances a leaf compares the two best information gains and splits
+    when their gap exceeds the Hoeffding bound at confidence HT_DELTA (or
+    the bound has shrunk below HT_TIE_THRESHOLD). Only that search reads
+    the statistics and ranges, so a leaf holds its rows in one block for a
+    grace period and folds the block in with one
     `ClassConditionalStats.add_rows` before each split attempt: the same
     bits as one `update` per row. A leaf that a split replaces drops its
-    statistics, held rows included.
+    statistics, held rows included. An attempt whose class entropy is
+    already within a bound of at least HT_TIE_THRESHOLD scores no
+    candidate, since no gap can exceed that bound (`_cannot_split`).
 
     Numeric candidate thresholds are HT_NUMERIC_BINS equal-width cuts
     between the observed min and max, with left/right class mass estimated
@@ -194,7 +236,7 @@ class HoeffdingTree(StreamModel):
     def _route(self, num_row, nom_row):
         """(leaf, parent split, slot in the parent) the row reaches."""
         node, parent, slot = self.root, None, None
-        while isinstance(node, _HTSplit):
+        while type(node) is _HTSplit:
             if node.kind == "num":
                 branch = 0 if num_row[node.col] <= node.threshold else 1
             else:
@@ -204,8 +246,7 @@ class HoeffdingTree(StreamModel):
         return node, parent, slot
 
     def predict_code(self, num_row, nom_row):
-        leaf, _, _ = self._route(num_row, nom_row)
-        return int(leaf.class_counts.argmax())
+        return self._route(num_row, nom_row)[0].majority
 
     def learn_row(self, num_row, nom_row, label_code):
         leaf, parent, slot = self._route(num_row, nom_row)
@@ -214,19 +255,15 @@ class HoeffdingTree(StreamModel):
             self._attempt_split(leaf, parent, slot)
 
     def _attempt_split(self, leaf, parent, slot):
-        if (leaf.class_counts > 0).sum() <= 1:
+        if sum(c > 0.0 for c in leaf.class_counts) <= 1:
             return
-        candidates = []  # (gain, (kind, col, threshold, child distributions))
-        for j, counts in enumerate(leaf.stats.nominal_counts):
-            if (counts.sum(axis=1) > 0).sum() < 2:
-                continue
-            totals = counts.sum(axis=0)
-            n = totals.sum()
-            sizes = counts.sum(axis=1)
-            gain = float(entropy_rows(totals[None])[0]
-                         - (sizes / n) @ entropy_rows(counts))
-            candidates.append((gain, ("nom", j, None, counts.copy())))
-        candidates += self._numeric_candidates(leaf)
+        # the purity return above leaves at least two classes: log2 >= 1
+        eps = hoeffding_bound(math.log2(self.n_classes), HT_DELTA,
+                              leaf.stats.total)
+        if _cannot_split(leaf.stats.class_counts, eps):
+            return
+        candidates = self._nominal_candidates(leaf) \
+            + self._numeric_candidates(leaf)
         if not candidates:
             return
         candidates.sort(key=lambda t: -t[0])
@@ -235,9 +272,6 @@ class HoeffdingTree(StreamModel):
         second = max(second, 0.0)  # the no-split option
         if best_gain <= 0.0:
             return
-        # the purity return above leaves at least two classes: log2 >= 1
-        eps = hoeffding_bound(math.log2(self.n_classes), HT_DELTA,
-                              leaf.stats.total)
         if not (best_gain - second > eps or eps < HT_TIE_THRESHOLD):
             return
         kind, col, threshold, dists = candidates[0][1]
@@ -248,6 +282,21 @@ class HoeffdingTree(StreamModel):
         else:
             parent.children[slot] = split
         self.n_splits += 1
+
+    def _nominal_candidates(self, leaf):
+        """Each nominal column's (gain, split) candidate, in column order: a
+        column with at least two observed values splits into one child per
+        value of its domain."""
+        candidates = []
+        for j, counts in enumerate(leaf.stats.nominal_counts):
+            sizes = counts.sum(axis=1)
+            if (sizes > 0).sum() < 2:
+                continue
+            totals = counts.sum(axis=0)
+            gain = float(entropy_rows(totals[None])[0]
+                         - (sizes / totals.sum()) @ entropy_rows(counts))
+            candidates.append((gain, ("nom", j, None, counts.copy())))
+        return candidates
 
     def _numeric_candidates(self, leaf):
         """Each numeric column's best (gain, split) candidate, in column order.
@@ -292,7 +341,8 @@ class HoeffdingTree(StreamModel):
                            + sides[..., 1] / n_total * h[..., 1])
         valid = (sides > 0).all(axis=2)
         best = np.where(valid, gain, -np.inf).argmax(axis=0)
-        return [(float(gain[b, k]), ("num", int(col), t[b, k], dists[b, k]))
+        return [(float(gain[b, k]), ("num", int(col), float(t[b, k]),
+                                     dists[b, k]))
                 for k, (b, col) in enumerate(zip(best, cols)) if valid[b, k]]
 
 

@@ -135,8 +135,28 @@ _NB_BLOCK = [([1e300, -0.0], (1, 1), 0), ([-1e-300, 1e-300], (0, 2), 3),
              ([1e-300, 2.5], (1, 1), 0), ([0.0, -0.0], (0, 1), 3)]
 
 
+# constant tails: warm stats whose k0 means already equal the tail values
+# 1.5, 0.0 and 2.0; a tail of signed zeros; a constant column (k1's 7.0);
+# a tail that runs for steps before the mean reaches it (k2's 0.3), or
+# never does (k1's 1e300)
+_NB_WARM = [([1.5, 0.0, 2.0], (0,), 0), ([1.5, -0.0, 2.0], (1,), 0)]
+_NB_TAILS = [([1.5, 0.0, 1.0], (0,), 0), ([7.0, 5.0, -3.0], (1,), 1),
+             ([1.5, -0.0, 3.0], (1,), 0), ([1.0, 1.0, 1.0], (0,), 2),
+             ([7.0, 1e300, 2.0], (0,), 1), ([1.5, 0.0, 2.0], (1,), 0),
+             ([0.3, -0.0, 0.3], (0,), 2), ([1.5, -0.0, 2.0], (0,), 0),
+             ([7.0, 1e300, 2.0], (1,), 1), ([0.3, 0.0, 0.3], (1,), 2),
+             ([1.5, 0.0, 2.0], (0,), 0), ([0.3, -0.0, 0.3], (0,), 2),
+             ([0.3, -0.0, 0.3], (1,), 2)]
+
+
 @given(_nb_cases())
 @example(_nb_case(2, [2, 3], 4, _NB_SEEN, _NB_BLOCK))
+@example(_nb_case(3, [2], 3, _NB_WARM, _NB_TAILS))
+@example(_nb_case(3, [2], 3, [], _NB_TAILS))
+# tails of infinities: once the mean is inf, a step on inf makes it nan
+@example(_nb_case(1, [], 2, [], [([math.inf], (), 0), ([math.inf], (), 0),
+                                 ([1.0], (), 1), ([-math.inf], (), 1),
+                                 ([-math.inf], (), 1)]))
 @example(_nb_case(0, [2, 3, 1], 4,
                   [([], (c[0], c[1], 0), k) for _, c, k in _NB_SEEN],
                   [([], (c[0], c[1], 0), k) for _, c, k in _NB_BLOCK]))

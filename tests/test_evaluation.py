@@ -429,7 +429,7 @@ def test_prequential_prefix_trace_is_the_full_trace_prefix(kdd_slice, algo):
         if m == 777 and algo in ("ht", "ozaboost"):
             # the run ends between folds: some leaf still holds rows
             trees = model.members if algo == "ozaboost" else [model]
-            assert any(leaf.held for tree in trees
+            assert any(leaf.n_held for tree in trees
                        for leaf in _ht_leaves(tree.root))
 
 

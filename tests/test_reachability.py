@@ -11,7 +11,8 @@ run in `src/nidsbench`:
   the root and whose traces hold two drift episodes;
 - small files made for one path each: a stream of one repeated line (a
   pure Hoeffding leaf, a trace without drift), a short stream of one
-  repeated feature row under two labels (no split candidate), a J48 file
+  repeated feature row under two labels (no split candidate), a stream
+  whose only candidate has a gain of 0.0, a J48 file
   with a nominal split, a zero-gain nominal column, a symbol no training
   row at the node holds and a cut between adjacent doubles, and an SVM file
   with two equal rows under both labels;
@@ -299,6 +300,13 @@ def sweep(tmp_path, monkeypatch) -> None:
              file_with("alike.txt", rows=[record("normal"),
                                           record("neptune")] * 125), *out],
             EXIT_OK)
+    # 200 rows of two balanced classes whose protocols are mixed alike: the
+    # split attempt searches (the class entropy, 1, exceeds the bound) and
+    # finds no candidate with a positive gain
+    mixed = [record(label, {1: proto}) for proto in ("tcp", "udp")
+             for label in ("normal", "neptune")] * 50
+    _expect(["stream", "--algo", "ht", "--data",
+             file_with("nogain.txt", rows=mixed), *out], EXIT_OK)
     # J48, one instance per fold. The protocol splits the classes. The fold
     # that tests the icmp row trains without one, on two rows of each class
     # and flag, so the flag column has no gain there. Duration splits the

@@ -1,6 +1,7 @@
 """Stream learner behavior: bounds, Hoeffding tree, windowed k-NN, boosting."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import nidsbench.stream_learners as stream_learners
 from nidsbench.batch_learners import KNN, NaiveBayes, entropy_rows
+from nidsbench.cli import RunConfig, load, prepare
 from nidsbench.dataset import Attribute, AttributeSchema, Dataset
 from nidsbench.evaluation import prequential_run
 from nidsbench.nbcore import VARIANCE_FLOOR, ClassConditionalStats
@@ -198,29 +200,40 @@ def _fold_schema(n_num):
 @example([(0, 1.0, 0.0, 0, 0)] * 6 + [(1, 0.0, 0.0, 1, 1), (0, 1.0, 0.0, 0, 2),
                                       (2, -0.0, 0.0, 1, 0), (1, 0.5, 0.0, 0, 0)],
          9, 1)
+# constant columns over several folds, so that a fold starts from warm stats
+# whose mean already equals its tail value (1.5, 0.0 and -0.0)
+@example([(y, 1.5, (0.0, -0.0)[i % 2], i % 2, i % 3)
+          for i, y in enumerate([0, 1, 0, 0, 2, 0, 1, 0, 0, 1, 0, 0])], 3, 2)
+# constant tails after varied values: x0 ends in a run of 0.3 that takes
+# steps to reach the mean, x1 in a run of signed zeros
+@example([(0, x0, x1, 0, 0) for x0, x1 in [(1.0, 4.0), (0.3, -1.0), (0.3, 0.0),
+                                            (0.3, -0.0), (0.3, 0.0)]]
+         + [(1, 2.0, 5.0, 1, 1), (0, 0.3, -0.0, 1, 2), (0, 0.3, 0.0, 0, 1)],
+         4, 2)
 def test_ht_leaf_fold_equals_one_update_per_row(rows, grace, n_num):
     schema = _fold_schema(n_num)
-    leaf = stream_learners._HTLeaf(schema)
     want = ClassConditionalStats(schema)
     vmin, vmax = np.full(n_num, np.inf), np.full(n_num, -np.inf)
     # +-1e300 sums overflow to inf, then nan
     with pytest.MonkeyPatch.context() as monkeypatch, np.errstate(all="ignore"):
         monkeypatch.setattr(stream_learners, "HT_GRACE_PERIOD", grace)
+        leaf = stream_learners._HTLeaf(schema)
         for y, x0, x1, s0, s1 in rows:
             num = np.array([x0, x1][:n_num])
             nom = np.array([s0, s1], dtype=np.int32)
             if leaf.learn(num, nom, y):
                 leaf.fold()
-            assert len(leaf.held) < grace
+            assert leaf.n_held < grace
             want.update(num, nom, y)
             np.minimum(vmin, num, out=vmin)
             np.maximum(vmax, num, out=vmax)
-    if leaf.held:
+            assert leaf.majority == int(want.class_counts.argmax())
+    if leaf.n_held:
         leaf.fold()
     got = leaf.stats
     assert type(got.total) is int and got.total == want.total == len(rows)
     for a, b in [(got.class_counts, want.class_counts),
-                 (leaf.class_counts, want.class_counts),
+                 (np.array(leaf.class_counts), want.class_counts),
                  (got.mean, want.mean), (got.m2, want.m2), (leaf.vmin, vmin),
                  (leaf.vmax, vmax), *zip(got.nominal_counts,
                                          want.nominal_counts)]:
@@ -260,7 +273,8 @@ def test_ht_child_total_counts_only_its_routed_rows():
         if model.n_splits:
             break
     children = model.root.children
-    assert all(leaf.stats.total == 0 and not leaf.held for leaf in children)
+    assert all(leaf.stats.total == 0 and leaf.n_held == 0
+               for leaf in children)
     routed = [0, 0]
 
     def learn_next():
@@ -273,9 +287,9 @@ def test_ht_child_total_counts_only_its_routed_rows():
     assert model.n_splits == 1
     for leaf, n in zip(children, routed):
         # each routed row is held until the grace period is full
-        assert len(leaf.held) + leaf.stats.total == n
+        assert leaf.n_held + leaf.stats.total == n
         assert leaf.stats.total == int(leaf.stats.class_counts.sum())
-        assert leaf.class_counts.sum() > n  # the startup mass on top
+        assert sum(leaf.class_counts) > n  # the startup mass on top
     assert any(not float(c).is_integer()
                for leaf in children for c in leaf.class_counts)
     # on this stream a child splits at its first attempt, which comes with
@@ -369,6 +383,24 @@ def test_ht_unsplit_majority_leaf_predicts_running_majority(
     assert ht.n_splits == 0
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from((0.0, 0.5, 1.0, 1.5)), min_size=2, max_size=5)
+       .flatmap(lambda startup: st.tuples(
+           st.just(startup),
+           st.lists(st.integers(0, len(startup) - 1), max_size=30))))
+def test_ht_leaf_majority_is_the_first_maximum(case):
+    # fractional, often tied startup masses, as a split hands its children
+    startup, labels = case
+    schema = AttributeSchema((Attribute("x", "numeric"),),
+                             tuple(f"c{k}" for k in range(len(startup))))
+    leaf = stream_learners._HTLeaf(schema, np.array(startup))
+    assert leaf.majority == int(np.argmax(startup))
+    num, nom = np.zeros(1), np.zeros(0, dtype=np.int32)
+    for y in labels:
+        leaf.learn(num, nom, y)
+        assert leaf.majority == int(np.argmax(leaf.class_counts))
+
+
 # --- Hoeffding-tree numeric split search ---------------------------------------
 
 
@@ -431,10 +463,10 @@ def _leaf_state(counts, mean, m2, vmin, vmax):
         tuple(Attribute(f"x{j}", "numeric") for j in range(n_num)),
         tuple(f"c{k}" for k in range(n_classes)))
     tree = HoeffdingTree(schema)
-    leaf = tree.root
+    tree.root = leaf = stream_learners._HTLeaf(schema,
+                                               np.array(counts, dtype=float))
     leaf.stats.class_counts[:] = counts
     leaf.stats.total = int(sum(counts))
-    leaf.class_counts[:] = counts
     leaf.stats.mean[:] = mean
     leaf.stats.m2[:] = m2
     leaf.vmin[:] = vmin
@@ -553,7 +585,8 @@ def _tree_shape(node):
         return (node.kind, node.col, np.float64(node.threshold).tobytes()
                 if node.threshold is not None else None,
                 tuple(_tree_shape(child) for child in node.children))
-    return node.class_counts.tobytes()
+    assert node.majority == int(np.argmax(node.class_counts))
+    return np.array(node.class_counts).tobytes()
 
 
 def _threshold_stream(seed, n):
@@ -584,6 +617,63 @@ def test_ht_with_the_scalar_search_grows_the_same_tree(monkeypatch):
         slow.learn_row(num, nom, y)
     assert fast.n_splits == slow.n_splits >= 3
     assert _tree_shape(fast.root) == _tree_shape(slow.root)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_MIXED_STREAMS)
+def test_ht_candidate_gains_are_at_most_the_class_entropy(
+        seed, n, n_classes, n_num, domain_sizes):
+    # what makes the skip exact: no gain the search computes, nominal or
+    # numeric, exceeds the entropy of the leaf's class counts
+    ds = _mixed_stream(seed, n, n_classes, n_num, domain_sizes)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(stream_learners, "HT_GRACE_PERIOD", n)
+        tree = HoeffdingTree(ds.schema)
+    leaf = tree.root
+    assert [leaf.learn(*row) for row in _stream_rows(ds)][-1]
+    leaf.fold()
+    h = entropy_rows(leaf.stats.class_counts[None])[0]
+    for gain, _ in (tree._nominal_candidates(leaf)
+                    + tree._numeric_candidates(leaf)):
+        assert gain <= h
+
+
+KDD_SLICE = Path(__file__).resolve().parent / "data" / "kdd99_s1_head5000.data.gz"
+
+
+@pytest.mark.parametrize("stream", ["threshold", "kdd99"])
+@pytest.mark.parametrize("algo", ["ht", "ozaboost"])
+def test_ht_without_the_skip_grows_the_same_tree(monkeypatch, algo, stream):
+    # the skip returns only where the search and the split test would
+    # return: with it turned off the same trees grow, and the same traces
+    if stream == "threshold":
+        ds = _threshold_stream(1, 6_000)
+        monkeypatch.setattr(stream_learners, "HT_GRACE_PERIOD", 50)
+    else:
+        ds = prepare(load(KDD_SLICE)[0],
+                     RunConfig(data=str(KDD_SLICE), variant="v2", algo="ht"))
+    skip = stream_learners._cannot_split
+    skipped = []
+
+    def counted(counts, eps):
+        skipped.append(skip(counts, eps))
+        return skipped[-1]
+
+    def run():
+        model = HoeffdingTree(ds.schema) if algo == "ht" \
+            else OzaBoost(ds.schema, 1)
+        trace = prequential_run(ds, model, 0.95)
+        trees = [model] if algo == "ht" else model.members
+        return ([trace.correct.tobytes(), trace.faded.tobytes()],
+                [(t.n_splits, _tree_shape(t.root)) for t in trees])
+
+    monkeypatch.setattr(stream_learners, "_cannot_split", counted)
+    with_skip = run()
+    monkeypatch.setattr(stream_learners, "_cannot_split", lambda c, e: False)
+    assert run() == with_skip
+    # the streams exercise the skip, and splits too
+    assert any(skipped) and not all(skipped)
+    assert sum(n for n, _ in with_skip[1]) >= 2
 
 
 # --- windowed k-NN --------------------------------------------------------------
