@@ -11,7 +11,9 @@ It has 13 of the 23 raw labels, so v3 trees see more than eight classes.
 15,000-row KDD99-10-shaped corpus for seed 1 (`corpus("kdd99", 1, 15000,
 dir)`), written with `gzip -n -9`. It pins the Hoeffding-tree paths the NSL
 slice never reaches: `ht` v2 splits twice, `ht` v3 `--attrs all` makes a
-nominal split and `ozaboost` v2 splits 11 times.
+nominal split and `ozaboost` v2 splits 11 times. Its runs of records that
+repeat exactly also fill the windowed k-NN's window with many copies of few
+distinct rows, under v1, v2, v3 and v3 `--attrs all`.
 
 `golden_outputs.json` holds, per slice, learner and run, the SHA-256 of
 each file the run writes (confusion CSV; for stream runs also the trace CSV
@@ -63,7 +65,10 @@ KDD_RUNS = [
     ("ozaboost", "v1", "selected", ()),
     ("ozaboost", "v2", "selected", ()),
     ("snb", "v2", "selected", ()),
+    ("wknn", "v1", "selected", ()),
     ("wknn", "v2", "selected", ()),
+    ("wknn", "v3", "selected", ()),
+    ("wknn", "v3", "all", ()),
 ]
 SLICE_RUNS = {NSL_SLICE: [("j48", v, a, ()) for v, a in J48_RUNS] + RUNS,
               KDD_SLICE: KDD_RUNS}
