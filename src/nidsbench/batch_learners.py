@@ -463,43 +463,54 @@ class DecisionTree(BatchModel):
 # ---------------------------------------------------------------------------
 # k nearest neighbors
 
-def mixed_distances(q_num, q_nom, t_cols, t_nom) -> np.ndarray:
+def mixed_distances(q_num, q_nom, t_cols, t_nom, out, buf) -> np.ndarray:
     """Distances from one query row to every training row: the euclidean
     distance over the numeric attributes plus the nominal mismatch count.
 
     The training rows come column-major: `t_cols` is (n_num, n_train) and
-    `t_nom` is (n_nom, n_train). The squared differences are added column
-    after column, in column order, with elementwise IEEE operations only, so
-    a distance does not depend on the BLAS, the SIMD path or where its row
-    sits, a self-distance is exactly 0 and equal rows get bit-equal
-    distances. (With a single training row numpy adds that row's squares
-    pairwise instead; one row has no tie to break.)
+    `t_nom` is (n_nom, n_train). The caller owns the two float64 buffers of
+    length n_train: the distances are written to `out` and returned, and
+    `buf` takes one column's squared differences at a time, so a query
+    needs no (n_num, n_train) temporary. The squared columns are
+    added to `out` one after another, in column order, with elementwise
+    IEEE operations only, so a distance does not depend on the BLAS, the
+    SIMD path, the number of training rows or where its row sits: a
+    self-distance is exactly 0 and equal rows get bit-equal distances.
     """
-    diff = t_cols - q_num[:, None]
-    diff *= diff
-    dist = np.sqrt(np.add.reduce(diff, axis=0))
-    for j in range(len(q_nom)):
-        dist += t_nom[j] != q_nom[j]
-    return dist
+    out.fill(0.0)
+    for t_col, q in zip(t_cols, q_num):
+        np.subtract(t_col, q, out=buf)
+        np.multiply(buf, buf, out=buf)
+        out += buf
+    np.sqrt(out, out=out)
+    for t_col, q in zip(t_nom, q_nom):
+        out += t_col != q
+    return out
+
+
+def neighbor_vote(neighbors) -> int:
+    """The class code winning the majority vote of (distance, class code)
+    pairs given nearest first.
+
+    Equal vote counts go to the class with the smaller summed neighbor
+    distance, each sum added in neighbor order from 0.0, then to the lower
+    class index.
+    """
+    votes: dict[int, int] = {}
+    sums: dict[int, float] = {}
+    for d, c in neighbors:
+        votes[c] = votes.get(c, 0) + 1
+        sums[c] = sums.get(c, 0.0) + d
+    return min(votes, key=lambda c: (-votes[c], sums[c], c))
 
 
 def knn_vote(dist: np.ndarray, labels: np.ndarray, k: int) -> int:
-    """The class code winning the majority vote among the k nearest of one
-    query.
-
-    Among equal distances the lower index wins; equal vote counts go to the
-    class with the smaller summed neighbor distance, then the lower class
-    index.
-    """
+    """The class code winning `neighbor_vote` among the k nearest of one
+    query; among equal distances the lower index is nearer."""
     kth = np.partition(dist, k - 1)[k - 1]
     cand = np.flatnonzero(dist <= kth)
     nb = cand[np.argsort(dist[cand], kind="stable")[:k]]
-    votes = np.bincount(labels[nb])
-    tied = np.flatnonzero(votes == votes.max())
-    if len(tied) > 1:
-        sums = np.bincount(labels[nb], weights=dist[nb])
-        tied = tied[sums[tied] == sums[tied].min()]
-    return int(tied[0])
+    return neighbor_vote(zip(dist[nb].tolist(), labels[nb].tolist()))
 
 
 class KNN(BatchModel):
@@ -525,8 +536,10 @@ class KNN(BatchModel):
         self.t_labels = train.labels.astype(np.int64)
 
     def _predict_codes(self, num, nom):
+        out, buf = np.empty((2, len(self.t_labels)))
         return np.array([
-            knn_vote(mixed_distances(q_num, q_nom, self.t_cols, self.t_nom),
+            knn_vote(mixed_distances(q_num, q_nom, self.t_cols, self.t_nom,
+                                     out, buf),
                      self.t_labels, self.k)
             for q_num, q_nom in zip(num, nom)], dtype=np.int64)
 

@@ -11,11 +11,13 @@ predict class index 0.
 from __future__ import annotations
 
 import math
+from collections import deque
+from itertools import islice
 
 import numpy as np
 
 from .dataset import AttributeSchema
-from .batch_learners import entropy_rows, knn_vote, mixed_distances
+from .batch_learners import entropy_rows, mixed_distances, neighbor_vote
 from .nbcore import VARIANCE_FLOOR, ClassConditionalStats
 
 _erf = np.frompyfunc(math.erf, 1, 1)  # elementwise math.erf, bit for bit
@@ -357,12 +359,21 @@ WKNN_WINDOW = 5000
 class WindowKNN(StreamModel):
     """k-NN over a FIFO window of the most recent labeled instances.
 
-    Distance and tie rules match the batch k-NN. The window is stored
-    column-major in a ring of twice its length: the instance at ring
-    position i is written to slots i and i + WKNN_WINDOW, so the live window
-    is always the contiguous slice `[start, start + size)`, oldest first,
-    and the lower index that wins a distance tie is the older instance. An
-    empty window predicts class index 0.
+    Distance and tie rules match the batch k-NN, with the older instance in
+    place of the earlier training row. Streams repeat rows exactly, so the
+    window stores each distinct row once: a column-major table of its D
+    distinct rows (numeric and nominal), a dict from a row's bytes (numeric,
+    then nominal) to its table entry, each entry's arrival numbers oldest
+    first, and the labels in a ring indexed by arrival. When the last
+    instance of a row leaves the window, the table's last entry moves into
+    its place.
+
+    A query is scored against the D entries only; equal rows get bit-equal
+    distances, so an entry's distance is each of its instances'. At least k
+    instances lie at or below the k-th smallest entry distance, so the
+    entries there hold the k nearest instances, among their k oldest each,
+    and one sort on (distance, arrival) ranks those. An empty window
+    predicts class index 0.
     """
 
     def __init__(self, schema: AttributeSchema, k: int):
@@ -370,34 +381,70 @@ class WindowKNN(StreamModel):
         w = WKNN_WINDOW  # the CLI checks WKNN_WINDOW >= k >= 1
         self.k = k
         self.window = w
-        self._num = np.zeros((len(schema.numeric_positions), 2 * w))
-        self._nom = np.zeros((len(schema.nominal_positions), 2 * w),
+        self._num = np.zeros((len(schema.numeric_positions), w))
+        self._nom = np.zeros((len(schema.nominal_positions), w),
                              dtype=np.int32)
-        self._labels = np.zeros(2 * w, dtype=np.int64)
+        self._dist, self._buf = np.empty((2, w))
+        self._entry: dict[bytes, int] = {}  # row bytes -> table entry
+        self._arrivals: list[deque] = []  # table entry -> arrivals
+        # each instance's row bytes and label, at its arrival number mod w
+        self._ring_keys = [b""] * w
+        self._ring_labels = [0] * w
         self.size = 0
-        self._write = 0
-
-    def _live(self) -> slice:
-        """The ring slots of the window's instances, oldest first."""
-        start = (self._write - self.size) % self.window
-        return slice(start, start + self.size)
+        self._arrived = 0
 
     def predict_code(self, num_row, nom_row):
-        m = self.size
-        if m == 0:
+        d = len(self._arrivals)
+        if d == 0:
             return 0
-        live = self._live()
-        dist = mixed_distances(num_row, nom_row, self._num[:, live],
-                               self._nom[:, live])
-        return knn_vote(dist, self._labels[live], min(self.k, m))
+        dist = mixed_distances(num_row, nom_row, self._num[:, :d],
+                               self._nom[:, :d], self._dist[:d],
+                               self._buf[:d])
+        k = self.k
+        i = min(k, d) - 1
+        cand = np.flatnonzero(dist <= np.partition(dist, i)[i])
+        arrivals = self._arrivals
+        nearest = sorted((x, a) for e, x in zip(cand.tolist(),
+                                                dist[cand].tolist())
+                         for a in islice(arrivals[e], k))[:k]
+        labels, w = self._ring_labels, self.window
+        return neighbor_vote((x, labels[a % w]) for x, a in nearest)
 
     def learn_row(self, num_row, nom_row, label_code):
-        i, w = self._write, self.window
-        self._num[:, i] = self._num[:, i + w] = num_row
-        self._nom[:, i] = self._nom[:, i + w] = nom_row
-        self._labels[i] = self._labels[i + w] = label_code
-        self._write = (i + 1) % w
-        self.size = min(self.size + 1, w)
+        n, w = self._arrived, self.window
+        slot = n % w
+        if n >= w:
+            self._evict(self._ring_keys[slot])
+        key = num_row.tobytes() + nom_row.tobytes()
+        e = self._entry.get(key)
+        if e is None:
+            e = self._entry[key] = len(self._arrivals)
+            self._num[:, e] = num_row
+            self._nom[:, e] = nom_row
+            self._arrivals.append(deque())
+        self._arrivals[e].append(n)
+        self._ring_keys[slot] = key
+        self._ring_labels[slot] = label_code
+        self._arrived = n + 1
+        self.size = min(n + 1, w)
+
+    def _evict(self, key):
+        """Drop the oldest instance, of the row `key`; an entry left without
+        instances takes the table's last entry in its place."""
+        e = self._entry[key]
+        arrivals = self._arrivals[e]
+        arrivals.popleft()
+        if arrivals:
+            return
+        del self._entry[key]
+        last = len(self._arrivals) - 1
+        if e != last:
+            self._num[:, e] = self._num[:, last]
+            self._nom[:, e] = self._nom[:, last]
+            moved = self._arrivals[e] = self._arrivals[last]
+            # the ring slot of an instance in the window holds its row bytes
+            self._entry[self._ring_keys[moved[0] % self.window]] = e
+        self._arrivals.pop()
 
 
 # ---------------------------------------------------------------------------

@@ -571,10 +571,36 @@ def test_mixed_distance_of_a_copy_is_exactly_zero():
     nom = rng.integers(0, 3, (200, 2)).astype(np.int32)
     t_cols = np.ascontiguousarray(np.hstack([rows.T, rows.T]))
     t_nom = np.ascontiguousarray(np.hstack([nom.T, nom.T]))
+    out, buf = np.empty((2, 400))
     for i in range(200):
-        dist = mixed_distances(rows[i], nom[i], t_cols, t_nom)
+        dist = mixed_distances(rows[i], nom[i], t_cols, t_nom, out, buf)
         assert dist[i] == 0.0 and dist[200 + i] == 0.0
         assert np.array_equal(dist[:200], dist[200:])
+
+
+def test_mixed_distance_does_not_depend_on_the_training_rows_beside_it():
+    # 12 wide-range columns: numpy's pairwise sum of one row's 12 squares
+    # groups them differently from the column-by-column sum, and differs
+    # from it in the last bits for some of these rows
+    rng = np.random.default_rng(2)
+    n, n_num = 300, 12
+    rows = rng.random((n, n_num)) * 10.0 ** rng.integers(-3, 5, n_num)
+    nom = rng.integers(0, 3, (n, 1)).astype(np.int32)
+    t_cols, t_nom = np.ascontiguousarray(rows.T), np.ascontiguousarray(nom.T)
+    query = rng.random(n_num) * 10.0 ** rng.integers(-3, 5, n_num)
+    together = mixed_distances(query, nom[0], t_cols, t_nom,
+                               *np.empty((2, n)))
+    alone = [mixed_distances(query, nom[0], t_cols[:, i:i + 1],
+                             t_nom[:, i:i + 1], *np.empty((2, 1)))[0]
+             for i in range(n)]
+    assert together.tobytes() == np.array(alone).tobytes()
+
+
+def test_mixed_distance_without_numeric_columns_counts_mismatches():
+    t_nom = np.array([[0, 1, 2], [1, 1, 0]], dtype=np.int32)
+    dist = mixed_distances(np.zeros(0), np.array([1, 1], dtype=np.int32),
+                           np.zeros((0, 3)), t_nom, *np.empty((2, 3)))
+    assert dist.tolist() == [1.0, 0.0, 2.0]
 
 
 def test_knn_duplicated_wide_range_rows_tie_to_the_earlier_row():
@@ -868,7 +894,9 @@ def test_nb_predictions_do_not_depend_on_column_order(seed):
 
 
 def _sorted_distances(model, query):
-    return np.sort([mixed_distances(q_num, q_nom, model.t_cols, model.t_nom)
+    n = len(model.t_labels)
+    return np.sort([mixed_distances(q_num, q_nom, model.t_cols, model.t_nom,
+                                    *np.empty((2, n)))
                     for q_num, q_nom in zip(query.numeric, query.nominal)],
                    axis=1)
 

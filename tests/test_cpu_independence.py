@@ -47,8 +47,10 @@ def knn_digest() -> str:
     digest = hashlib.sha256()
     t_cols = np.ascontiguousarray(ds.numeric.T)
     t_nom = np.ascontiguousarray(ds.nominal.T)
+    out, buf = np.empty((2, n))
     for q_num, q_nom in zip(ds.numeric[:100], ds.nominal[:100]):
-        digest.update(mixed_distances(q_num, q_nom, t_cols, t_nom).tobytes())
+        digest.update(mixed_distances(q_num, q_nom, t_cols, t_nom, out,
+                                      buf).tobytes())
     knn = KNN(3).fit(ds.subset(np.arange(300)))
     digest.update(knn.predict_dataset(ds.subset(np.arange(300, n))).tobytes())
     saved = stream_learners.WKNN_WINDOW

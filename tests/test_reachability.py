@@ -12,7 +12,8 @@ run in `src/nidsbench`:
 - small files made for one path each: a stream of one repeated line (a
   pure Hoeffding leaf, a trace without drift), a short stream of one
   repeated feature row under two labels (no split candidate), a stream
-  whose only candidate has a gain of 0.0, a J48 file
+  whose only candidate has a gain of 0.0, a windowed k-NN stream through a
+  window of 4 that evicts rows and ties at the k-th distance, a J48 file
   with a nominal split, a zero-gain nominal column, a symbol no training
   row at the node holds and a cut between adjacent doubles, and an SVM file
   with two equal rows under both labels;
@@ -53,6 +54,7 @@ from typing import NamedTuple
 
 import pytest
 
+import nidsbench.stream_learners as stream_learners
 from nidsbench.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, run_command
 
 from conftest import run_script
@@ -307,6 +309,19 @@ def sweep(tmp_path, monkeypatch) -> None:
              for label in ("normal", "neptune")] * 50
     _expect(["stream", "--algo", "ht", "--data",
              file_with("nogain.txt", rows=mixed), *out], EXIT_OK)
+    # windowed k-NN (k = 3) through a window of 4, on rows that differ in
+    # their duration alone: a row twice under two labels (fewer distinct
+    # rows than k), the query between two rows at equal distance (a tie at
+    # the k-th distance), then copies of the first row that evict the other
+    # rows, the older with the table's last entry moved into its place, the
+    # newer as the last entry itself
+    wknn = [record(label, {0: duration}) for label, duration in
+            [("normal", "1"), ("neptune", "1"), ("normal", "0"),
+             ("neptune", "2")] + [("normal", "1")] * 4]
+    with pytest.MonkeyPatch.context() as window:
+        window.setattr(stream_learners, "WKNN_WINDOW", 4)
+        _expect(["stream", "--algo", "wknn", "--data",
+                 file_with("window.txt", rows=wknn), *out], EXIT_OK)
     # J48, one instance per fold. The protocol splits the classes. The fold
     # that tests the icmp row trains without one, on two rows of each class
     # and flag, so the flag column has no gain there. Duration splits the

@@ -717,23 +717,33 @@ def test_wknn_state_never_exceeds_window(monkeypatch):
         assert model.size <= 5
 
 
-def test_wknn_live_slice_is_the_last_rows_oldest_first(monkeypatch):
-    rng = np.random.default_rng(3)
-    num = rng.random((10, 2)) * 1000.0
-    nom = rng.integers(0, 4, (10, 1)).astype(np.int32)
-    labels = rng.integers(0, 2, 10)
-    schema = AttributeSchema((Attribute("x", "numeric"),
-                              Attribute("y", "numeric"),
-                              Attribute("c", "nominal", ("0", "1", "2", "3"))),
-                             ("a", "b"))
+def test_wknn_evicts_the_oldest_instance_of_a_repeated_row(monkeypatch):
+    # a window of 3 on four rows, one of them repeated under new labels;
+    # with k = 1 a query reads the label of its nearest instance, the older
+    # one of equal distances. After each learn, the predictions for the
+    # queries 0, 10 and 30 show which instances are still in the window.
+    schema = AttributeSchema((Attribute("x", "numeric"),), tuple("abcdefg"))
+    no_nom = np.zeros(0, dtype=np.int32)
     monkeypatch.setattr(stream_learners, "WKNN_WINDOW", 3)
     model = WindowKNN(schema, 1)
-    for i in range(10):
-        model.learn_row(num[i], nom[i], int(labels[i]))
-    live = model._live()
-    assert np.array_equal(model._num[:, live], num[-3:].T)
-    assert np.array_equal(model._nom[:, live], nom[-3:].T)
-    assert np.array_equal(model._labels[live], labels[-3:])
+    stream = [0.0, 10.0, 0.0, 20.0, 0.0, 30.0, 30.0]
+    expected = [
+        "aaa",  # 0/a
+        "abb",  # 0/a 10/b
+        "abb",  # 0/a 10/b 0/c
+        "cbd",  # 10/b 0/c 20/d: the older copy of 0 went first
+        "ccd",  # 0/c 20/d 0/e: 10 is gone, its equals tie to the oldest
+        "edf",  # 20/d 0/e 30/f
+        "eef",  # 0/e 30/f 30/g
+    ]
+    got = []
+    for label, x in enumerate(stream):
+        model.learn_row(np.array([x]), no_nom, label)
+        got.append("".join(
+            schema.class_labels[model.predict_code(np.array([q]), no_nom)]
+            for q in (0.0, 10.0, 30.0)))
+        assert model.size == min(label + 1, 3)
+    assert got == expected
 
 
 def test_wknn_duplicated_rows_tie_to_the_older_instance(monkeypatch):
@@ -780,6 +790,48 @@ def test_wknn_holding_every_row_predicts_like_batch_knn(seed):
     assert [window.predict_code(num, nom)
             for num, nom in zip(queries.numeric, queries.nominal)] \
         == batch.predict_dataset(queries).tolist()
+
+
+# few values, so that rows repeat, under conflicting labels too; 0.0 and
+# -0.0 are rows with different bytes at distance 0
+_WINDOW_VALUES = st.sampled_from([0.0, -0.0, 1.0, 2.5])
+_WINDOW_ROWS = st.lists(st.tuples(_WINDOW_VALUES, _WINDOW_VALUES,
+                                  st.integers(0, 1), st.integers(0, 2)),
+                        min_size=1, max_size=40)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([1, 3, 5]), st.integers(1, 8), _WINDOW_ROWS)
+# evictions of copies under conflicting labels
+@example(3, 4, [(1.0, 0.0, 0, 0), (1.0, 0.0, 0, 1)] * 3
+         + [(2.5, 0.0, 1, 2)] * 3)
+# 0.0 and -0.0: two rows, two entries, the same distances
+@example(1, 3, [(0.0, 1.0, 0, 1), (-0.0, 1.0, 0, 0), (0.0, 1.0, 0, 2),
+                (-0.0, 1.0, 0, 0), (0.0, 2.5, 1, 1)])
+# a full window of two distinct rows against k = 5
+@example(5, 6, [(0.0, 0.0, 0, 0), (2.5, 1.0, 1, 1), (0.0, 0.0, 0, 2)] * 4)
+def test_wknn_predicts_like_batch_knn_fitted_on_its_window(k, window, rows):
+    # at every step, the window predicts what a batch k-NN fitted on the
+    # live window, oldest first, predicts; with fewer instances than k,
+    # every instance is a neighbor
+    stream = Dataset(
+        AttributeSchema((Attribute("x", "numeric"), Attribute("y", "numeric"),
+                         Attribute("c", "nominal", ("u", "v"))),
+                        ("c0", "c1", "c2")),
+        np.array([r[:2] for r in rows], dtype=np.float64),
+        np.array([r[2:3] for r in rows], dtype=np.int32),
+        np.array([r[3] for r in rows], dtype=np.int32))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stream_learners, "WKNN_WINDOW", window)
+        model = WindowKNN(stream.schema, k)
+    for i, (num, nom, y) in enumerate(zip(stream.numeric, stream.nominal,
+                                          stream.labels)):
+        live = np.arange(max(0, i - window), i)
+        expected = 0 if i == 0 else int(
+            KNN(min(k, len(live))).fit(stream.subset(live))
+            .predict_dataset(stream.subset([i]))[0])
+        assert model.predict_code(num, nom) == expected, i
+        model.learn_row(num, nom, int(y))
 
 
 # --- OzaBoost --------------------------------------------------------------------
