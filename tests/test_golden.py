@@ -11,9 +11,11 @@ It has 13 of the 23 raw labels, so v3 trees see more than eight classes.
 15,000-row KDD99-10-shaped corpus for seed 1 (`corpus("kdd99", 1, 15000,
 dir)`), written with `gzip -n -9`. It pins the Hoeffding-tree paths the NSL
 slice never reaches: `ht` v2 splits twice, `ht` v3 `--attrs all` makes a
-nominal split and `ozaboost` v2 splits 11 times. Its runs of records that
-repeat exactly also fill the windowed k-NN's window with many copies of few
-distinct rows, under v1, v2, v3 and v3 `--attrs all`.
+nominal split, `ozaboost` v2 splits 11 times and every member of
+`ozaboost` v3 `--attrs all` (10 classes) makes one or two nominal splits.
+Its runs of records that repeat exactly also fill the windowed k-NN's window
+with many copies of few distinct rows, under v1, v2, v3 and v3 `--attrs
+all`.
 
 `golden_outputs.json` holds, per slice, learner and run, the SHA-256 of
 each file the run writes (confusion CSV; for stream runs also the trace CSV
@@ -64,7 +66,11 @@ KDD_RUNS = [
     ("ht", "v3", "all", ()),
     ("ozaboost", "v1", "selected", ()),
     ("ozaboost", "v2", "selected", ()),
+    ("ozaboost", "v3", "selected", ()),
+    ("ozaboost", "v3", "all", ()),
+    ("snb", "v1", "selected", ()),
     ("snb", "v2", "selected", ()),
+    ("snb", "v3", "selected", ()),
     ("wknn", "v1", "selected", ()),
     ("wknn", "v2", "selected", ()),
     ("wknn", "v3", "selected", ()),
