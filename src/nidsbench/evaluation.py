@@ -149,7 +149,8 @@ class PrequentialTrace:
 
 
 def prequential_run(stream: Dataset, model, alpha: float) -> PrequentialTrace:
-    """Predict, then train on every instance in stream order.
+    """Predict, then train on every instance in stream order, by the
+    model's `prequential_codes`.
 
     The stream must be coded against the model's schema; any other schema
     raises ValueError, as does a predicted code that is no integer in
@@ -163,14 +164,9 @@ def prequential_run(stream: Dataset, model, alpha: float) -> PrequentialTrace:
     if stream.schema != model.schema:
         raise ValueError("stream schema differs from the model's schema")
     n = len(stream)
-    num, nom, labels = stream.numeric, stream.nominal, stream.labels
-    predict, learn = model.predict_code, model.learn_row
-    codes = []
-    for i, y in enumerate(labels.tolist()):
-        x, z = num[i], nom[i]
-        codes.append(predict(x, z))
-        learn(x, z, y)
-    preds = np.array(codes)
+    labels = stream.labels
+    preds = np.array(model.prequential_codes(stream.numeric, stream.nominal,
+                                             labels))
     cm = confusion_matrix(stream, preds)
     correct = (preds == labels).astype(np.uint8)
     cumulative = np.cumsum(correct, dtype=np.int64) / np.arange(1, n + 1)

@@ -3,16 +3,19 @@
 All four learners share the StreamModel contract on coded rows (a numeric
 row and a nominal code row, coded against the schema the model was built
 for): `predict_code` returns a class code and never mutates state,
-`learn_row` folds one labeled row into the model, and predictions break
-score ties toward the lowest class index. Cold starts (no evidence at all)
-predict class index 0.
+`learn_row` folds one labeled row into the model, and
+`prequential_codes` runs both over a whole stream, row by row, and returns
+the predicted codes. Predictions break score ties toward the lowest class
+index. Cold starts (no evidence at all) predict class index 0.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from functools import partial
 from itertools import islice
+from typing import Callable
 
 import numpy as np
 
@@ -43,10 +46,23 @@ def hoeffding_bound(value_range: float, delta: float, n: int) -> float:
 
 # the largest count poisson_knuth returns
 POISSON_CAP = 20
+# uniforms `uniform_draws` takes from its generator at a time
+UNIFORM_BLOCK = 4096
 
 
-def poisson_knuth(lam: float, rng: np.random.Generator) -> int:
-    """Inverse-transform Poisson draw, capped at POISSON_CAP.
+def uniform_draws(rng: np.random.Generator) -> Callable[[], float]:
+    """A function that returns the doubles of successive `rng.random()`
+    calls, drawn UNIFORM_BLOCK at a time: `rng.random(n)` gives the same
+    doubles as n calls of `rng.random()`."""
+    def blocks():
+        while True:
+            yield from rng.random(UNIFORM_BLOCK).tolist()
+    return partial(next, blocks())
+
+
+def poisson_knuth(lam: float, uniform: Callable[[], float]) -> int:
+    """Inverse-transform Poisson draw from uniform() doubles, capped at
+    POISSON_CAP.
 
     `OzaBoost` passes lam > 0: lambda starts at 1 and each member at most
     halves it. For lambdas large enough that exp(-lam) underflows the loop
@@ -57,7 +73,7 @@ def poisson_knuth(lam: float, rng: np.random.Generator) -> int:
     p = 1.0
     while True:
         k += 1
-        p *= rng.random()
+        p *= uniform()
         if p <= limit:
             return k - 1
         if k > POISSON_CAP:
@@ -66,11 +82,25 @@ def poisson_knuth(lam: float, rng: np.random.Generator) -> int:
 
 class StreamModel:
     """predict-then-train contract over a fixed schema (see the module
-    docstring): subclasses implement `predict_code` and `learn_row`."""
+    docstring): subclasses implement `predict_code` and `learn_row`, and may
+    override `prequential_codes` with a faster loop of the same result."""
 
     def __init__(self, schema: AttributeSchema):
         self.schema = schema
         self.n_classes = len(schema.class_labels)
+
+    def prequential_codes(self, num: np.ndarray, nom: np.ndarray,
+                          labels: np.ndarray) -> list[int]:
+        """Row by row, the code `predict_code` gives row i of num and nom,
+        then `learn_row` of the row and labels[i]. The caller does not
+        change the arrays during the call."""
+        predict, learn = self.predict_code, self.learn_row
+        codes = []
+        for i, y in enumerate(labels.tolist()):
+            x, z = num[i], nom[i]
+            codes.append(predict(x, z))
+            learn(x, z, y)
+        return codes
 
 
 class StreamingNaiveBayes(StreamModel):
@@ -117,14 +147,20 @@ class _HTLeaf:
     possibly fractional startup distribution carried over from the parent
     split, and `majority` is its first maximum, the class the leaf
     predicts. `learn` keeps both current per row. `stats`, `vmin` and
-    `vmax` hold only the leaf's own rows, and only as of the last fold:
-    `learn` writes each row into a block of HT_GRACE_PERIOD rows (a copy,
-    since a caller may refill its row arrays), and `fold` adds the block to
-    them before each split attempt.
+    `vmax` hold only the leaf's own rows, and only as of the last fold.
+
+    The rows learned since the last fold are pending. Within one
+    `HoeffdingTree.prequential_codes` call the leaf keeps the numbers of the
+    call's rows it learned in `pending`. When the call returns, `hold`
+    gathers those rows into `held_num`, `held_nom` and `held_labels`, after
+    the rows held from earlier calls, so that no leaf refers to a caller's
+    arrays between calls. `fold` gathers the held rows and then the pending
+    ones, the rows in the order the leaf learned them, and adds them to the
+    statistics before each split attempt.
     """
 
     __slots__ = ("stats", "class_counts", "majority", "vmin", "vmax",
-                 "held_num", "held_nom", "held_labels", "n_held")
+                 "held_num", "held_nom", "held_labels", "pending")
 
     def __init__(self, schema: AttributeSchema,
                  startup: np.ndarray | None = None):
@@ -138,35 +174,44 @@ class _HTLeaf:
         n_num = len(schema.numeric_positions)
         self.vmin = np.full(n_num, np.inf)
         self.vmax = np.full(n_num, -np.inf)
-        # the rows learned since the last fold: held_*[:n_held]
-        self.held_num = np.empty((HT_GRACE_PERIOD, n_num))
-        self.held_nom = np.empty((HT_GRACE_PERIOD,
-                                  len(schema.nominal_positions)),
+        self.held_num = np.empty((0, n_num))
+        self.held_nom = np.empty((0, len(schema.nominal_positions)),
                                  dtype=np.int32)
-        self.held_labels = np.empty(HT_GRACE_PERIOD, dtype=np.intp)
-        self.n_held = 0
+        self.held_labels = np.empty(0, dtype=np.intp)
+        self.pending: list[int] = []
 
-    def learn(self, num_row, nom_row, y) -> bool:
-        """Count the row and hold a copy of it for the next fold; whether a
-        grace period of rows is now held."""
+    def learn(self, i: int, y: int) -> bool:
+        """Count row i of the current call, of class y, and keep it
+        pending; whether a grace period of rows is now pending."""
         counts = self.class_counts
         counts[y] += 1.0
         top = self.majority
         if counts[y] > counts[top] or (counts[y] == counts[top] and y < top):
             self.majority = y
-        i = self.n_held
-        self.held_num[i] = num_row
-        self.held_nom[i] = nom_row
-        self.held_labels[i] = y
-        self.n_held = i + 1
-        return self.n_held == len(self.held_labels)
+        pending = self.pending
+        pending.append(i)
+        return len(pending) + len(self.held_labels) == HT_GRACE_PERIOD
 
-    def fold(self):
-        """Fold the held rows into stats, vmin and vmax, bit-equal to one
-        `update`, np.minimum and np.maximum per row in arrival order."""
-        n, self.n_held = self.n_held, 0
-        num = self.held_num[:n]
-        self.stats.add_rows(num, self.held_nom[:n], self.held_labels[:n])
+    def _gather(self, num, nom, labels):
+        """The held rows, then the pending rows of the call's arrays."""
+        idx, self.pending = self.pending, []
+        return (np.concatenate((self.held_num, num[idx])),
+                np.concatenate((self.held_nom, nom[idx])),
+                np.concatenate((self.held_labels, labels[idx])))
+
+    def hold(self, num, nom, labels):
+        """Hold the pending rows of the call's arrays after the held ones."""
+        self.held_num, self.held_nom, self.held_labels = self._gather(
+            num, nom, labels)
+
+    def fold(self, num, nom, labels):
+        """Fold the held and pending rows into stats, vmin and vmax,
+        bit-equal to one `update`, np.minimum and np.maximum per row in the
+        order the leaf learned them."""
+        num, nom, labels = self._gather(num, nom, labels)
+        self.held_num, self.held_nom, self.held_labels = \
+            num[:0].copy(), nom[:0].copy(), labels[:0].copy()
+        self.stats.add_rows(num, nom, labels)
         # accumulate rather than min/max: of a tie between 0.0 and -0.0 the
         # later row wins, as it does row by row, while numpy's vectorized
         # reduction may keep either
@@ -210,13 +255,17 @@ class HoeffdingTree(StreamModel):
     instances a leaf compares the two best information gains and splits
     when their gap exceeds the Hoeffding bound at confidence HT_DELTA (or
     the bound has shrunk below HT_TIE_THRESHOLD). Only that search reads
-    the statistics and ranges, so a leaf holds its rows in one block for a
-    grace period and folds the block in with one
+    the statistics and ranges, so a leaf keeps the numbers of its rows for
+    a grace period and folds the rows in with one
     `ClassConditionalStats.add_rows` before each split attempt: the same
     bits as one `update` per row. A leaf that a split replaces drops its
-    statistics, held rows included. An attempt whose class entropy is
+    statistics, pending rows included. An attempt whose class entropy is
     already within a bound of at least HT_TIE_THRESHOLD scores no
     candidate, since no gap can exceed that bound (`_cannot_split`).
+
+    `prequential_codes` routes each row once: the leaf it reaches gives the
+    prediction and then learns the row, since nothing changes the tree in
+    between. `learn_row` is a one-row `prequential_codes`.
 
     Numeric candidate thresholds are HT_NUMERIC_BINS equal-width cuts
     between the observed min and max, with left/right class mass estimated
@@ -235,47 +284,68 @@ class HoeffdingTree(StreamModel):
         self.root: _HTLeaf | _HTSplit = _HTLeaf(schema)
         self.n_splits = 0
 
-    def _route(self, num_row, nom_row):
-        """(leaf, parent split, slot in the parent) the row reaches."""
+    def _route(self, num, nom, i):
+        """(leaf, parent split, slot in the parent) row i of num and nom
+        reaches."""
         node, parent, slot = self.root, None, None
         while type(node) is _HTSplit:
             if node.kind == "num":
-                branch = 0 if num_row[node.col] <= node.threshold else 1
+                branch = 0 if num.item(i, node.col) <= node.threshold else 1
             else:
-                branch = int(nom_row[node.col])
+                branch = nom.item(i, node.col)
             parent, slot = node, branch
             node = node.children[branch]
         return node, parent, slot
 
     def predict_code(self, num_row, nom_row):
-        return self._route(num_row, nom_row)[0].majority
+        return self._route(num_row[None], nom_row[None], 0)[0].majority
 
     def learn_row(self, num_row, nom_row, label_code):
-        leaf, parent, slot = self._route(num_row, nom_row)
-        if leaf.learn(num_row, nom_row, label_code):
-            leaf.fold()
-            self._attempt_split(leaf, parent, slot)
+        self.prequential_codes(num_row[None], nom_row[None],
+                               np.array([label_code]))
 
-    def _attempt_split(self, leaf, parent, slot):
+    def prequential_codes(self, num, nom, labels):
+        codes = []
+        for i, y in enumerate(labels.tolist()):
+            leaf, parent, slot = self._route(num, nom, i)
+            codes.append(leaf.majority)
+            if leaf.learn(i, y):
+                leaf.fold(num, nom, labels)
+                self._attempt_split(leaf, parent, slot)
+        self._hold(num, nom, labels)
+        return codes
+
+    def _hold(self, num, nom, labels):
+        """Have each leaf hold its pending rows of the call's arrays."""
+        nodes = [self.root]
+        while nodes:
+            node = nodes.pop()
+            if type(node) is _HTSplit:
+                nodes += node.children
+            elif node.pending:
+                node.hold(num, nom, labels)
+
+    def _attempt_split(self, leaf, parent, slot) -> bool:
+        """Split the folded leaf if the split test holds; whether it split."""
         if sum(c > 0.0 for c in leaf.class_counts) <= 1:
-            return
+            return False
         # the purity return above leaves at least two classes: log2 >= 1
         eps = hoeffding_bound(math.log2(self.n_classes), HT_DELTA,
                               leaf.stats.total)
         if _cannot_split(leaf.stats.class_counts, eps):
-            return
+            return False
         candidates = self._nominal_candidates(leaf) \
             + self._numeric_candidates(leaf)
         if not candidates:
-            return
+            return False
         candidates.sort(key=lambda t: -t[0])
         best_gain = candidates[0][0]
         second = candidates[1][0] if len(candidates) > 1 else 0.0
         second = max(second, 0.0)  # the no-split option
         if best_gain <= 0.0:
-            return
+            return False
         if not (best_gain - second > eps or eps < HT_TIE_THRESHOLD):
-            return
+            return False
         kind, col, threshold, dists = candidates[0][1]
         children = [_HTLeaf(self.schema, d) for d in dists]
         split = _HTSplit(kind, col, threshold, children)
@@ -284,6 +354,7 @@ class HoeffdingTree(StreamModel):
         else:
             parent.children[slot] = split
         self.n_splits += 1
+        return True
 
     def _nominal_candidates(self, leaf):
         """Each nominal column's (gain, split) candidate, in column order: a
@@ -463,7 +534,14 @@ class OzaBoost(StreamModel):
     if the member now classifies the instance correctly and up otherwise,
     using the member's accumulated correct/incorrect weight masses. Voting
     weight per member is log((1 - e)/e) of its clamped error estimate;
-    before the first instance every member votes with weight 0.
+    before the first instance every member votes with weight 0. The Poisson
+    draws take their uniforms from one `uniform_draws` of the seeded
+    generator.
+
+    `prequential_codes` routes each member once per row, for the vote. The
+    member's learns of the row reach the leaf the vote read, and the member
+    routes again only after a learn that split it; the leaf the learns end
+    on is the member's prediction for the lambda update.
     """
 
     def __init__(self, schema: AttributeSchema, seed: int):
@@ -471,8 +549,8 @@ class OzaBoost(StreamModel):
         self.members = [HoeffdingTree(schema) for _ in range(BOOST_MEMBERS)]
         self.lam_sc = np.zeros(len(self.members))
         self.lam_sw = np.zeros(len(self.members))
-        self._rng = np.random.default_rng(seed)
-        # member_weights() as Python floats; only learn_row changes them
+        self._uniform = uniform_draws(np.random.default_rng(seed))
+        # member_weights() as Python floats; only learning changes them
         self._weights = [0.0] * len(self.members)
 
     def member_weights(self) -> np.ndarray:
@@ -482,17 +560,22 @@ class OzaBoost(StreamModel):
                       1.0 - 1e-10)
         return np.log((1.0 - eps) / eps)
 
+    def _vote(self, codes) -> int:
+        """The class of the highest summed weight over the members' codes,
+        the first of equal sums."""
+        votes = [0.0] * self.n_classes
+        for code, wt in zip(codes, self._weights):
+            votes[code] += wt
+        return max(range(self.n_classes), key=votes.__getitem__)
+
     def predict_code(self, num_row, nom_row):
-        votes = np.zeros(self.n_classes)
-        for m, wt in zip(self.members, self._weights):
-            if wt != 0.0:
-                votes[m.predict_code(num_row, nom_row)] += wt
-        return int(votes.argmax())
+        return self._vote([m.predict_code(num_row, nom_row)
+                           for m in self.members])
 
     def learn_row(self, num_row, nom_row, label_code):
         lam = 1.0
         for i, member in enumerate(self.members):
-            kappa = poisson_knuth(lam, self._rng)
+            kappa = poisson_knuth(lam, self._uniform)
             for _ in range(kappa):
                 member.learn_row(num_row, nom_row, label_code)
             if member.predict_code(num_row, nom_row) == label_code:
@@ -502,3 +585,32 @@ class OzaBoost(StreamModel):
                 self.lam_sw[i] += lam
                 lam *= (self.lam_sc[i] + self.lam_sw[i]) / (2.0 * self.lam_sw[i])
         self._weights = self.member_weights().tolist()
+
+    def prequential_codes(self, num, nom, labels):
+        members, uniform = self.members, self._uniform
+        # the masses as Python floats: the same doubles as lam_sc and lam_sw
+        sc, sw = self.lam_sc.tolist(), self.lam_sw.tolist()
+        codes = []
+        for i, y in enumerate(labels.tolist()):
+            routes = [m._route(num, nom, i) for m in members]
+            codes.append(self._vote([leaf.majority for leaf, _, _ in routes]))
+            lam = 1.0
+            for k, (member, route) in enumerate(zip(members, routes)):
+                leaf, parent, slot = route
+                for _ in range(poisson_knuth(lam, uniform)):
+                    if leaf.learn(i, y):
+                        leaf.fold(num, nom, labels)
+                        if member._attempt_split(leaf, parent, slot):
+                            leaf, parent, slot = member._route(num, nom, i)
+                if leaf.majority == y:
+                    sc[k] += lam
+                    lam *= (sc[k] + sw[k]) / (2.0 * sc[k])
+                else:
+                    sw[k] += lam
+                    lam *= (sc[k] + sw[k]) / (2.0 * sw[k])
+            self.lam_sc[:] = sc
+            self.lam_sw[:] = sw
+            self._weights = self.member_weights().tolist()
+        for member in members:
+            member._hold(num, nom, labels)
+        return codes

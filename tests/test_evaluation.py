@@ -427,10 +427,12 @@ def test_prequential_prefix_trace_is_the_full_trace_prefix(kdd_slice, algo):
             assert getattr(part, name).tobytes() \
                 == getattr(full, name)[:m].tobytes(), (m, name)
         if m == 777 and algo in ("ht", "ozaboost"):
-            # the run ends between folds: some leaf still holds rows
+            # the run ends between folds: some leaf still holds rows, and
+            # none refers to the stream's arrays
             trees = model.members if algo == "ozaboost" else [model]
-            assert any(leaf.n_held for tree in trees
-                       for leaf in _ht_leaves(tree.root))
+            leaves = [leaf for tree in trees for leaf in _ht_leaves(tree.root)]
+            assert any(len(leaf.held_labels) for leaf in leaves)
+            assert not any(leaf.pending for leaf in leaves)
 
 
 @pytest.mark.parametrize("code, message", [

@@ -8,7 +8,10 @@ run in `src/nidsbench`:
   fetched copy, `--help`, no command at all, and both reproduce scripts, on
   the first 600 rows of the golden NSL slice;
 - `ht` and `ozaboost` v2 on the golden KDD99 slice, whose trees split below
-  the root and whose traces hold two drift episodes;
+  the root and whose traces hold two drift episodes. There OzaBoost members
+  split during their Poisson-weighted learns of a row and route it again,
+  their Poisson draws use up several blocks of uniforms, and each run ends
+  with leaves that hold their pending rows for a later call;
 - small files made for one path each: a stream of one repeated line (a
   pure Hoeffding leaf, a trace without drift), a short stream of one
   repeated feature row under two labels (no split candidate), a stream
@@ -74,6 +77,9 @@ SMALL_ROWS = 10
 _SCHEMA_FAULT = ("a model or normalizer fitted on one schema given data of "
                  "another; every command fits and predicts on subsets of one "
                  "prepared dataset")
+_PER_ROW = ("the per-row contract, which tests check the learner's own "
+            "prequential loop against and perfbench/child.py wraps by name; "
+            "every command runs that loop")
 ALLOWED = {
     "cli.main": "the console entry point; the sweep calls run_command, "
                 "which is all it wraps",
@@ -81,6 +87,10 @@ ALLOWED = {
         "exit 3 for a program fault, which no input brings about",
     "evaluation.metrics": "per-class precision and recall; ROADMAP item 3 "
                           "decides whether summaries report them",
+    "stream_learners.HoeffdingTree.predict_code": _PER_ROW,
+    "stream_learners.HoeffdingTree.learn_row": _PER_ROW,
+    "stream_learners.OzaBoost.predict_code": _PER_ROW,
+    "stream_learners.OzaBoost.learn_row": _PER_ROW,
     "batch_learners.DecisionTree.n_leaves": "perfbench/child.py reads it; "
                                             "ROADMAP item 3 decides on it",
     "batch_learners.DecisionTree.depth": "perfbench/child.py reads it; "

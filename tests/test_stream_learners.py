@@ -214,22 +214,24 @@ def test_ht_leaf_fold_equals_one_update_per_row(rows, grace, n_num):
     schema = _fold_schema(n_num)
     want = ClassConditionalStats(schema)
     vmin, vmax = np.full(n_num, np.inf), np.full(n_num, -np.inf)
+    num = np.array([[x0, x1][:n_num] for _, x0, x1, _, _ in rows]).reshape(
+        len(rows), n_num)
+    nom = np.array([[s0, s1] for *_, s0, s1 in rows], dtype=np.int32)
+    labels = np.array([y for y, *_ in rows])
     # +-1e300 sums overflow to inf, then nan
     with pytest.MonkeyPatch.context() as monkeypatch, np.errstate(all="ignore"):
         monkeypatch.setattr(stream_learners, "HT_GRACE_PERIOD", grace)
         leaf = stream_learners._HTLeaf(schema)
-        for y, x0, x1, s0, s1 in rows:
-            num = np.array([x0, x1][:n_num])
-            nom = np.array([s0, s1], dtype=np.int32)
-            if leaf.learn(num, nom, y):
-                leaf.fold()
-            assert leaf.n_held < grace
-            want.update(num, nom, y)
-            np.minimum(vmin, num, out=vmin)
-            np.maximum(vmax, num, out=vmax)
+        for i, y in enumerate(labels.tolist()):
+            if leaf.learn(i, y):
+                leaf.fold(num, nom, labels)
+            assert len(leaf.pending) < grace
+            want.update(num[i], nom[i], y)
+            np.minimum(vmin, num[i], out=vmin)
+            np.maximum(vmax, num[i], out=vmax)
             assert leaf.majority == int(want.class_counts.argmax())
-    if leaf.n_held:
-        leaf.fold()
+        if leaf.pending:
+            leaf.fold(num, nom, labels)
     got = leaf.stats
     assert type(got.total) is int and got.total == want.total == len(rows)
     for a, b in [(got.class_counts, want.class_counts),
@@ -273,13 +275,13 @@ def test_ht_child_total_counts_only_its_routed_rows():
         if model.n_splits:
             break
     children = model.root.children
-    assert all(leaf.stats.total == 0 and leaf.n_held == 0
-               for leaf in children)
+    assert all(leaf.stats.total == 0 and len(leaf.held_labels) == 0
+               and not leaf.pending for leaf in children)
     routed = [0, 0]
 
     def learn_next():
         num, y = next(rows)
-        routed[children.index(model._route(num, nom)[0])] += 1
+        routed[children.index(model._route(num[None], nom[None], 0)[0])] += 1
         model.learn_row(num, nom, y)
 
     for _ in range(150):
@@ -287,7 +289,7 @@ def test_ht_child_total_counts_only_its_routed_rows():
     assert model.n_splits == 1
     for leaf, n in zip(children, routed):
         # each routed row is held until the grace period is full
-        assert leaf.n_held + leaf.stats.total == n
+        assert len(leaf.held_labels) + leaf.stats.total == n
         assert leaf.stats.total == int(leaf.stats.class_counts.sum())
         assert sum(leaf.class_counts) > n  # the startup mass on top
     assert any(not float(c).is_integer()
@@ -395,9 +397,8 @@ def test_ht_leaf_majority_is_the_first_maximum(case):
                              tuple(f"c{k}" for k in range(len(startup))))
     leaf = stream_learners._HTLeaf(schema, np.array(startup))
     assert leaf.majority == int(np.argmax(startup))
-    num, nom = np.zeros(1), np.zeros(0, dtype=np.int32)
     for y in labels:
-        leaf.learn(num, nom, y)
+        leaf.learn(0, y)
         assert leaf.majority == int(np.argmax(leaf.class_counts))
 
 
@@ -626,12 +627,12 @@ def test_ht_candidate_gains_are_at_most_the_class_entropy(
     # what makes the skip exact: no gain the search computes, nominal or
     # numeric, exceeds the entropy of the leaf's class counts
     ds = _mixed_stream(seed, n, n_classes, n_num, domain_sizes)
+    tree = HoeffdingTree(ds.schema)
+    leaf = tree.root
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(stream_learners, "HT_GRACE_PERIOD", n)
-        tree = HoeffdingTree(ds.schema)
-    leaf = tree.root
-    assert [leaf.learn(*row) for row in _stream_rows(ds)][-1]
-    leaf.fold()
+        assert [leaf.learn(i, y) for i, y in enumerate(ds.labels.tolist())][-1]
+    leaf.fold(ds.numeric, ds.nominal, ds.labels)
     h = entropy_rows(leaf.stats.class_counts[None])[0]
     for gain, _ in (tree._nominal_candidates(leaf)
                     + tree._numeric_candidates(leaf)):
@@ -992,24 +993,165 @@ def test_ozaboost_on_stationary_concept_beats_cold_start():
     assert trace.correct[-1_000:].mean() > 0.98
 
 
+# --- the learners' own prequential loops -----------------------------------------
+
+
+def _split_stream(seed, n):
+    """Four classes: the nominal attribute gives classes 0 and 1 outright,
+    and under its third value a cut of x0 tells 2 from 3 (5 % label noise),
+    so trees split on both kinds of attribute."""
+    rng = np.random.default_rng(seed)
+    x = rng.random((n, 2)).round(2)
+    s = rng.integers(0, 3, n)
+    labels = np.where(s < 2, s, 2 + (x[:, 0] > 0.5))
+    noise = rng.random(n) < 0.05
+    labels[noise] = rng.integers(0, 4, noise.sum())
+    schema = AttributeSchema(
+        (Attribute("x0", "numeric"), Attribute("x1", "numeric"),
+         Attribute("s", "nominal", ("a", "b", "c"))), tuple("abcd"))
+    return Dataset(schema, x, s.reshape(-1, 1).astype(np.int32),
+                   labels.astype(np.int32), "split stream")
+
+
+def _ht_state(tree):
+    """A Hoeffding tree bit for bit: its splits, and each leaf's counts,
+    majority, statistics, ranges and pending and held rows."""
+    def state(node):
+        if isinstance(node, _HTSplit):
+            return (node.kind, node.col, np.float64(node.threshold).tobytes(),
+                    tuple(state(child) for child in node.children))
+        stats = node.stats
+        arrays = [np.array(node.class_counts), stats.class_counts,
+                  stats.mean, stats.m2, *stats.nominal_counts, node.vmin,
+                  node.vmax, node.held_num, node.held_nom, node.held_labels]
+        return (node.majority, stats.total, tuple(node.pending),
+                tuple((a.dtype.str, a.shape, a.tobytes()) for a in arrays))
+    return tree.n_splits, state(tree.root)
+
+
+def _model_state(model):
+    if isinstance(model, OzaBoost):
+        return ([_ht_state(m) for m in model.members], model.lam_sc.tobytes(),
+                model.lam_sw.tobytes(), model._weights)
+    return _ht_state(model)
+
+
+def _ht_leaves(node):
+    if isinstance(node, _HTSplit):
+        for child in node.children:
+            yield from _ht_leaves(child)
+    else:
+        yield node
+
+
+def _new_model(algo, schema, seed):
+    return HoeffdingTree(schema) if algo == "ht" else OzaBoost(schema, seed)
+
+
+def _kinds(tree):
+    """The kinds of a tree's splits."""
+    nodes, kinds = [tree.root], []
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, _HTSplit):
+            kinds.append(node.kind)
+            nodes += node.children
+    return kinds
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("algo", ["ht", "ozaboost"])
+def test_own_loop_equals_the_per_row_loop(monkeypatch, algo, seed):
+    ds = _split_stream(seed, 2_500)
+    monkeypatch.setattr(stream_learners, "HT_GRACE_PERIOD", 50)
+    args = ds.numeric, ds.nominal, ds.labels
+    per_row = _new_model(algo, ds.schema, seed)
+    want = StreamModel.prequential_codes(per_row, *args)
+    own = _new_model(algo, ds.schema, seed)
+    assert own.prequential_codes(*args) == want
+    assert _model_state(own) == _model_state(per_row)
+    # the streams split on both kinds of attribute
+    trees = own.members if algo == "ozaboost" else [own]
+    assert {"num", "nom"} <= {k for tree in trees for k in _kinds(tree)}
+
+
+@pytest.mark.parametrize("m", [1, 777, 1_234])
+@pytest.mark.parametrize("algo", ["ht", "ozaboost"])
+def test_own_loop_on_two_halves_equals_one_call(monkeypatch, algo, m):
+    ds = _split_stream(4, 2_000)
+    monkeypatch.setattr(stream_learners, "HT_GRACE_PERIOD", 50)
+    num, nom, labels = ds.numeric, ds.nominal, ds.labels
+    whole = _new_model(algo, ds.schema, 4)
+    want = whole.prequential_codes(num, nom, labels)
+    halves = _new_model(algo, ds.schema, 4)
+    codes = halves.prequential_codes(num[:m].copy(), nom[:m].copy(),
+                                     labels[:m].copy())
+    # the first call ends mid-grace-period: some leaf holds rows
+    trees = halves.members if algo == "ozaboost" else [halves]
+    assert any(len(leaf.held_labels) for tree in trees
+               for leaf in _ht_leaves(tree.root))
+    codes += halves.prequential_codes(num[m:], nom[m:], labels[m:])
+    assert codes == want
+    assert _model_state(halves) == _model_state(whole)
+
+
+def test_ozaboost_member_learns_on_after_a_split(monkeypatch):
+    # a member whose leaf splits part way through its Poisson-weighted
+    # learns of a row learns the rest of them in the child the row reaches
+    ds = _split_stream(5, 2_500)
+    monkeypatch.setattr(stream_learners, "HT_GRACE_PERIOD", 50)
+    args = ds.numeric, ds.nominal, ds.labels
+    per_row = OzaBoost(ds.schema, 5)
+    want = StreamModel.prequential_codes(per_row, *args)
+    learn, attempt = stream_learners._HTLeaf.learn, HoeffdingTree._attempt_split
+    events = []
+
+    def logged_learn(leaf, i, y):
+        events.append(("learn", leaf, i))
+        return learn(leaf, i, y)
+
+    def logged_attempt(tree, leaf, parent, slot):
+        split = attempt(tree, leaf, parent, slot)
+        if split:
+            node = tree.root if parent is None else parent.children[slot]
+            events.append(("split", node.children, events[-1][2]))
+        return split
+
+    monkeypatch.setattr(stream_learners._HTLeaf, "learn", logged_learn)
+    monkeypatch.setattr(HoeffdingTree, "_attempt_split", logged_attempt)
+    own = OzaBoost(ds.schema, 5)
+    assert own.prequential_codes(*args) == want
+    assert _model_state(own) == _model_state(per_row)
+    assert any(kind == "split" and after == "learn" and leaf in children
+               and i == j for (kind, children, i), (after, leaf, j)
+               in zip(events, events[1:]))
+
+
 # --- poisson sampler -------------------------------------------------------------
+
+
+def test_uniform_draws_are_the_generators_doubles_in_order():
+    draw = stream_learners.uniform_draws(np.random.default_rng(3))
+    rng = np.random.default_rng(3)
+    n = 2 * stream_learners.UNIFORM_BLOCK + 5
+    assert [draw() for _ in range(n)] == [rng.random() for _ in range(n)]
 
 
 def test_poisson_knuth_cap_and_zero():
     rng = np.random.default_rng(0)
-    assert poisson_knuth(0.0, rng) == 0
-    assert poisson_knuth(-1.0, rng) == 0
-    draws = [poisson_knuth(1e9, rng) for _ in range(50)]
+    assert poisson_knuth(0.0, rng.random) == 0
+    assert poisson_knuth(-1.0, rng.random) == 0
+    draws = [poisson_knuth(1e9, rng.random) for _ in range(50)]
     assert set(draws) == {stream_learners.POISSON_CAP}
 
 
 def test_poisson_knuth_mean_and_determinism():
     rng = np.random.default_rng(42)
-    draws = [poisson_knuth(2.0, rng) for _ in range(20_000)]
+    draws = [poisson_knuth(2.0, rng.random) for _ in range(20_000)]
     assert np.mean(draws) == pytest.approx(2.0, abs=0.05)
     rng_a = np.random.default_rng(7)
     rng_b = np.random.default_rng(7)
-    a = [poisson_knuth(1.5, rng_a) for _ in range(100)]
-    b = [poisson_knuth(1.5, rng_b) for _ in range(100)]
+    a = [poisson_knuth(1.5, rng_a.random) for _ in range(100)]
+    b = [poisson_knuth(1.5, rng_b.random) for _ in range(100)]
     assert a == b
 
