@@ -595,8 +595,8 @@ class OzaBoost(StreamModel):
             routes = [m._route(num, nom, i) for m in members]
             codes.append(self._vote([leaf.majority for leaf, _, _ in routes]))
             lam = 1.0
-            for k, (member, route) in enumerate(zip(members, routes)):
-                leaf, parent, slot = route
+            for k, (member, (leaf, parent, slot)) in enumerate(
+                    zip(members, routes)):
                 for _ in range(poisson_knuth(lam, uniform)):
                     if leaf.learn(i, y):
                         leaf.fold(num, nom, labels)
