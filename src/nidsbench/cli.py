@@ -14,6 +14,8 @@ reproduce identical outputs.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -21,6 +23,7 @@ import time
 import urllib.error
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -319,7 +322,7 @@ def emit_svg_series(named_series: list[tuple[str, np.ndarray]],
         parts.append(f'<line x1="{ml + w + 10}" y1="{ly}" x2="{ml + w + 34}" '
                      f'y2="{ly}" stroke="{color}" stroke-width="2"/>')
         parts.append(f'<text x="{ml + w + 40}" y="{ly + 4}" font-size="12">'
-                     f'{name}</text>')
+                     f'{escape(name)}</text>')
     parts.append("</svg>")
     path = Path(path)
     path.write_text("\n".join(parts) + "\n")
@@ -370,9 +373,12 @@ def emit_report(out_dir: str | Path) -> list[Path]:
         # copied from the files again, not held from the check: a full-size
         # stream trace has 494,021 lines
         for (name, _), f in zip(series, trace_files):
+            field = io.StringIO()
+            csv.writer(field, lineterminator=",").writerow([name])
+            prefix = field.getvalue()
             with open(f) as fh:
                 next(fh, None)  # header
-                out.writelines(f"{name},{line}" for line in fh)
+                out.writelines(prefix + line for line in fh)
     svg = emit_svg_series(series, out_dir / "comparison.svg")
     return [combined, svg]
 

@@ -8,13 +8,14 @@ attribute's domain.
 
 The streaming naive Bayes feeds one row at a time through `update`. Batch
 naive Bayes folds a whole training fold in with `add_rows`, and a
-Hoeffding-tree leaf (OzaBoost's members included) folds in the rows it held
-for a grace period, once before each split attempt. The two forms leave
-bit-identical statistics: the counts are whole numbers in float64, exact in
-any grouping, and `add_rows` runs the same Welford operations on each value
-in the same order as `update`, only column by column on Python floats
-instead of row by row on numpy arrays. So several `add_rows` calls leave
-what one call over all their rows leaves.
+Hoeffding-tree leaf (OzaBoost's members included) folds in the rows it
+learned since its last fold, before each split attempt and when a
+prequential call returns. The two forms leave bit-identical statistics:
+the counts are whole numbers in float64, exact in any grouping, and
+`add_rows` runs the same Welford operations on each value in the same
+order as `update`, only column by column on Python floats instead of row
+by row on numpy arrays. So several `add_rows` calls leave what one call
+over all their rows leaves.
 
 The one step `add_rows` leaves out is a no-op. A value x equal to the
 running mean gives delta = x - mean = +-0.0, so `mean += delta / n` and

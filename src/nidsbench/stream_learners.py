@@ -149,18 +149,16 @@ class _HTLeaf:
     predicts. `learn` keeps both current per row. `stats`, `vmin` and
     `vmax` hold only the leaf's own rows, and only as of the last fold.
 
-    The rows learned since the last fold are pending. Within one
-    `HoeffdingTree.prequential_codes` call the leaf keeps the numbers of the
-    call's rows it learned in `pending`. When the call returns, `hold`
-    gathers those rows into `held_num`, `held_nom` and `held_labels`, after
-    the rows held from earlier calls, so that no leaf refers to a caller's
-    arrays between calls. `fold` gathers the held rows and then the pending
-    ones, the rows in the order the leaf learned them, and adds them to the
-    statistics before each split attempt.
+    The rows learned since the last fold are pending: the leaf keeps their
+    numbers in the current `HoeffdingTree.prequential_codes` call's arrays
+    in `pending`. `fold` gathers those rows, in the order the leaf learned
+    them, and adds them to the statistics, before each split attempt and
+    when the call returns. So a split attempt falls due whenever the
+    folded and pending rows together make a multiple of HT_GRACE_PERIOD.
     """
 
     __slots__ = ("stats", "class_counts", "majority", "vmin", "vmax",
-                 "held_num", "held_nom", "held_labels", "pending")
+                 "pending")
 
     def __init__(self, schema: AttributeSchema,
                  startup: np.ndarray | None = None):
@@ -174,15 +172,11 @@ class _HTLeaf:
         n_num = len(schema.numeric_positions)
         self.vmin = np.full(n_num, np.inf)
         self.vmax = np.full(n_num, -np.inf)
-        self.held_num = np.empty((0, n_num))
-        self.held_nom = np.empty((0, len(schema.nominal_positions)),
-                                 dtype=np.int32)
-        self.held_labels = np.empty(0, dtype=np.intp)
         self.pending: list[int] = []
 
     def learn(self, i: int, y: int) -> bool:
         """Count row i of the current call, of class y, and keep it
-        pending; whether a grace period of rows is now pending."""
+        pending; whether a split attempt is now due."""
         counts = self.class_counts
         counts[y] += 1.0
         top = self.majority
@@ -190,28 +184,15 @@ class _HTLeaf:
             self.majority = y
         pending = self.pending
         pending.append(i)
-        return len(pending) + len(self.held_labels) == HT_GRACE_PERIOD
-
-    def _gather(self, num, nom, labels):
-        """The held rows, then the pending rows of the call's arrays."""
-        idx, self.pending = self.pending, []
-        return (np.concatenate((self.held_num, num[idx])),
-                np.concatenate((self.held_nom, nom[idx])),
-                np.concatenate((self.held_labels, labels[idx])))
-
-    def hold(self, num, nom, labels):
-        """Hold the pending rows of the call's arrays after the held ones."""
-        self.held_num, self.held_nom, self.held_labels = self._gather(
-            num, nom, labels)
+        return (self.stats.total + len(pending)) % HT_GRACE_PERIOD == 0
 
     def fold(self, num, nom, labels):
-        """Fold the held and pending rows into stats, vmin and vmax,
-        bit-equal to one `update`, np.minimum and np.maximum per row in the
-        order the leaf learned them."""
-        num, nom, labels = self._gather(num, nom, labels)
-        self.held_num, self.held_nom, self.held_labels = \
-            num[:0].copy(), nom[:0].copy(), labels[:0].copy()
-        self.stats.add_rows(num, nom, labels)
+        """Fold the pending rows of the call's arrays into stats, vmin and
+        vmax, bit-equal to one `update`, np.minimum and np.maximum per row
+        in the order the leaf learned them."""
+        idx, self.pending = self.pending, []
+        num = num[idx]
+        self.stats.add_rows(num, nom[idx], labels[idx])
         # accumulate rather than min/max: of a tie between 0.0 and -0.0 the
         # later row wins, as it does row by row, while numpy's vectorized
         # reduction may keep either
@@ -259,13 +240,17 @@ class HoeffdingTree(StreamModel):
     a grace period and folds the rows in with one
     `ClassConditionalStats.add_rows` before each split attempt: the same
     bits as one `update` per row. A leaf that a split replaces drops its
-    statistics, pending rows included. An attempt whose class entropy is
-    already within a bound of at least HT_TIE_THRESHOLD scores no
-    candidate, since no gap can exceed that bound (`_cannot_split`).
+    statistics. An attempt whose class entropy is already within a bound
+    of at least HT_TIE_THRESHOLD scores no candidate, since no gap can
+    exceed that bound (`_cannot_split`).
 
     `prequential_codes` routes each row once: the leaf it reaches gives the
-    prediction and then learns the row, since nothing changes the tree in
-    between. `learn_row` is a one-row `prequential_codes`.
+    prediction and then learns the row (`_learn`), since nothing changes
+    the tree in between. Before it returns, every leaf folds its pending
+    rows, so no leaf refers to a caller's arrays between calls: folds split
+    at a call boundary give the bits of one fold, and two calls on the
+    halves of a stream leave the state one call on the whole stream
+    leaves. `learn_row` is a one-row `prequential_codes`.
 
     Numeric candidate thresholds are HT_NUMERIC_BINS equal-width cuts
     between the observed min and max, with left/right class mass estimated
@@ -307,23 +292,33 @@ class HoeffdingTree(StreamModel):
     def prequential_codes(self, num, nom, labels):
         codes = []
         for i, y in enumerate(labels.tolist()):
-            leaf, parent, slot = self._route(num, nom, i)
-            codes.append(leaf.majority)
-            if leaf.learn(i, y):
-                leaf.fold(num, nom, labels)
-                self._attempt_split(leaf, parent, slot)
-        self._hold(num, nom, labels)
+            route = self._route(num, nom, i)
+            codes.append(route[0].majority)
+            self._learn(route, num, nom, labels, i, y)
+        self._fold_pending(num, nom, labels)
         return codes
 
-    def _hold(self, num, nom, labels):
-        """Have each leaf hold its pending rows of the call's arrays."""
+    def _learn(self, route, num, nom, labels, i, y):
+        """Have the leaf of `route` (the leaf, parent split and slot that
+        row i of the call's arrays reaches) learn the row, of class y, and
+        fold and attempt a split when one is due; the route of row i
+        after that."""
+        leaf, parent, slot = route
+        if leaf.learn(i, y):
+            leaf.fold(num, nom, labels)
+            if self._attempt_split(leaf, parent, slot):
+                return self._route(num, nom, i)
+        return route
+
+    def _fold_pending(self, num, nom, labels):
+        """Fold each leaf's pending rows of the call's arrays."""
         nodes = [self.root]
         while nodes:
             node = nodes.pop()
             if type(node) is _HTSplit:
                 nodes += node.children
             elif node.pending:
-                node.hold(num, nom, labels)
+                node.fold(num, nom, labels)
 
     def _attempt_split(self, leaf, parent, slot) -> bool:
         """Split the folded leaf if the split test holds; whether it split."""
@@ -538,10 +533,11 @@ class OzaBoost(StreamModel):
     draws take their uniforms from one `uniform_draws` of the seeded
     generator.
 
-    `prequential_codes` routes each member once per row, for the vote. The
-    member's learns of the row reach the leaf the vote read, and the member
-    routes again only after a learn that split it; the leaf the learns end
-    on is the member's prediction for the lambda update.
+    `prequential_codes` routes each member once per row, for the vote. Each
+    of the member's learns of the row is one `HoeffdingTree._learn`, from
+    the leaf the vote read, which routes the row again only after a learn
+    that split that leaf; the leaf the learns end on is the member's
+    prediction for the lambda update.
     """
 
     def __init__(self, schema: AttributeSchema, seed: int):
@@ -595,14 +591,10 @@ class OzaBoost(StreamModel):
             routes = [m._route(num, nom, i) for m in members]
             codes.append(self._vote([leaf.majority for leaf, _, _ in routes]))
             lam = 1.0
-            for k, (member, (leaf, parent, slot)) in enumerate(
-                    zip(members, routes)):
+            for k, (member, route) in enumerate(zip(members, routes)):
                 for _ in range(poisson_knuth(lam, uniform)):
-                    if leaf.learn(i, y):
-                        leaf.fold(num, nom, labels)
-                        if member._attempt_split(leaf, parent, slot):
-                            leaf, parent, slot = member._route(num, nom, i)
-                if leaf.majority == y:
+                    route = member._learn(route, num, nom, labels, i, y)
+                if route[0].majority == y:
                     sc[k] += lam
                     lam *= (sc[k] + sw[k]) / (2.0 * sc[k])
                 else:
@@ -612,5 +604,5 @@ class OzaBoost(StreamModel):
             self.lam_sw[:] = sw
             self._weights = self.member_weights().tolist()
         for member in members:
-            member._hold(num, nom, labels)
+            member._fold_pending(num, nom, labels)
         return codes

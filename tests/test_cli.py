@@ -1,11 +1,13 @@
 """CLI subcommands, exit codes, artifact emission and determinism."""
 
+import csv
 import gzip
 import hashlib
 import http.server
 import json
 import threading
 import weakref
+import xml.dom.minidom
 
 import numpy as np
 import pytest
@@ -415,18 +417,30 @@ def test_a_run_frees_the_raw_data_before_it_evaluates(
 
 def test_report_combines_traces(mini_kdd, tmp_path, capsys):
     out = tmp_path / "out"
-    for algo in ("snb", "ht"):
-        assert run_command(["stream", "--algo", algo, "--data", str(mini_kdd),
+    # run names come from data file names, which may hold XML and CSV
+    # metacharacters
+    odd = [tmp_path / "a&b<c.data", tmp_path / "a,b.data"]
+    for path in odd:
+        path.write_bytes(mini_kdd.read_bytes())
+    for algo, data in [("snb", mini_kdd), ("ht", mini_kdd), ("ht", odd[0]),
+                       ("ht", odd[1])]:
+        assert run_command(["stream", "--algo", algo, "--data", str(data),
                             "--variant", "v2", "--out", str(out)]) == EXIT_OK
     assert run_command(["report", "--out", str(out)]) == EXIT_OK
-    combined = (out / "combined_traces.csv").read_text().splitlines()
+    with open(out / "combined_traces.csv", newline="") as fh:
+        combined = list(csv.reader(fh))
     assert combined[0] == \
-        "algorithm,index,correct,faded_accuracy,cumulative_accuracy"
-    algos = {line.split(",")[0] for line in combined[1:]}
-    assert len(algos) == 2
+        "algorithm,index,correct,faded_accuracy,cumulative_accuracy".split(",")
+    assert all(len(row) == 5 for row in combined)
+    algos = {row[0] for row in combined[1:]}
+    assert algos == {"mini_kdd_v2_snb_s1", "mini_kdd_v2_ht_s1",
+                     "a&b<c_v2_ht_s1", "a,b_v2_ht_s1"}
     svg = (out / "comparison.svg").read_text()
     assert svg.startswith("<svg")
-    assert svg.count("<polyline") == 2
+    assert svg.count("<polyline") == 4
+    legend = [node.firstChild.data for node in xml.dom.minidom.parseString(
+        svg).getElementsByTagName("text")][-4:]
+    assert sorted(legend) == sorted(algos)
 
 
 def test_report_without_traces_is_data_error(tmp_path):

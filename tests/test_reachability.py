@@ -11,7 +11,7 @@ run in `src/nidsbench`:
   the root and whose traces hold two drift episodes. There OzaBoost members
   split during their Poisson-weighted learns of a row and route it again,
   their Poisson draws use up several blocks of uniforms, and each run ends
-  with leaves that hold their pending rows for a later call;
+  with leaves that fold their pending rows mid-grace-period;
 - small files made for one path each: a stream of one repeated line (a
   pure Hoeffding leaf, a trace without drift), a short stream of one
   repeated feature row under two labels (no split candidate), a stream

@@ -245,7 +245,9 @@ def test_ht_leaf_fold_equals_one_update_per_row(rows, grace, n_num):
 
 def test_ht_fed_through_one_refilled_row_buffer_equals_fresh_rows(
         monkeypatch):
-    # a leaf holds its rows until the next fold, so it must hold copies
+    # a leaf refers to a call's arrays only during the call: each learn_row
+    # folds its row before it returns, so refilling the buffer changes
+    # nothing the tree keeps
     ds = _threshold_stream(2, 3_000)
     monkeypatch.setattr(stream_learners, "HT_GRACE_PERIOD", 50)
     fresh, refilled = HoeffdingTree(ds.schema), HoeffdingTree(ds.schema)
@@ -275,8 +277,8 @@ def test_ht_child_total_counts_only_its_routed_rows():
         if model.n_splits:
             break
     children = model.root.children
-    assert all(leaf.stats.total == 0 and len(leaf.held_labels) == 0
-               and not leaf.pending for leaf in children)
+    assert all(leaf.stats.total == 0 and not leaf.pending
+               for leaf in children)
     routed = [0, 0]
 
     def learn_next():
@@ -288,8 +290,8 @@ def test_ht_child_total_counts_only_its_routed_rows():
         learn_next()
     assert model.n_splits == 1
     for leaf, n in zip(children, routed):
-        # each routed row is held until the grace period is full
-        assert len(leaf.held_labels) + leaf.stats.total == n
+        # each learn_row folds its row before it returns
+        assert leaf.stats.total == n and not leaf.pending
         assert leaf.stats.total == int(leaf.stats.class_counts.sum())
         assert sum(leaf.class_counts) > n  # the startup mass on top
     assert any(not float(c).is_integer()
@@ -1015,7 +1017,7 @@ def _split_stream(seed, n):
 
 def _ht_state(tree):
     """A Hoeffding tree bit for bit: its splits, and each leaf's counts,
-    majority, statistics, ranges and pending and held rows."""
+    majority, statistics, ranges and pending rows."""
     def state(node):
         if isinstance(node, _HTSplit):
             return (node.kind, node.col, np.float64(node.threshold).tobytes(),
@@ -1023,7 +1025,7 @@ def _ht_state(tree):
         stats = node.stats
         arrays = [np.array(node.class_counts), stats.class_counts,
                   stats.mean, stats.m2, *stats.nominal_counts, node.vmin,
-                  node.vmax, node.held_num, node.held_nom, node.held_labels]
+                  node.vmax]
         return (node.majority, stats.total, tuple(node.pending),
                 tuple((a.dtype.str, a.shape, a.tobytes()) for a in arrays))
     return tree.n_splits, state(tree.root)
@@ -1084,12 +1086,19 @@ def test_own_loop_on_two_halves_equals_one_call(monkeypatch, algo, m):
     whole = _new_model(algo, ds.schema, 4)
     want = whole.prequential_codes(num, nom, labels)
     halves = _new_model(algo, ds.schema, 4)
-    codes = halves.prequential_codes(num[:m].copy(), nom[:m].copy(),
-                                     labels[:m].copy())
-    # the first call ends mid-grace-period: some leaf holds rows
+    first = num[:m].copy(), nom[:m].copy(), labels[:m].copy()
+    codes = halves.prequential_codes(*first)
+    # the first call ends mid-grace-period: some leaf has folded rows short
+    # of a split attempt, and none keeps pending rows
     trees = halves.members if algo == "ozaboost" else [halves]
-    assert any(len(leaf.held_labels) for tree in trees
-               for leaf in _ht_leaves(tree.root))
+    leaves = [leaf for tree in trees for leaf in _ht_leaves(tree.root)]
+    assert any(leaf.stats.total % stream_learners.HT_GRACE_PERIOD
+               for leaf in leaves)
+    assert not any(leaf.pending for leaf in leaves)
+    # no model refers to the first call's arrays after it returns
+    first[0][:] = np.nan
+    first[1][:] = 0
+    first[2][:] = 0
     codes += halves.prequential_codes(num[m:], nom[m:], labels[m:])
     assert codes == want
     assert _model_state(halves) == _model_state(whole)
