@@ -81,6 +81,8 @@ class NaiveBayes(BatchModel):
 
 # C4.5's default confidence factor CF for pessimistic pruning (Quinlan 1993)
 PRUNING_CONFIDENCE = 0.25
+# the standard normal quantile of 1 - PRUNING_CONFIDENCE
+_PRUNING_Z = NormalDist().inv_cdf(1.0 - PRUNING_CONFIDENCE)
 # instances a split must leave in at least two branches (C4.5's and Weka
 # J48's -M 2)
 TREE_MIN_LEAF = 2
@@ -159,7 +161,7 @@ def _pessimistic_extra_errors(n: float, e: float) -> float:
     and e <= n - 1 errors (its majority class holds at least one)."""
     if e == 0:
         return n * (1.0 - PRUNING_CONFIDENCE ** (1.0 / n))
-    z = NormalDist().inv_cdf(1.0 - PRUNING_CONFIDENCE)
+    z = _PRUNING_Z
     f = (e + 0.5) / n
     r = (f + z * z / (2 * n)
          + z * math.sqrt(f / n - f * f / n + z * z / (4 * n * n))) / (1 + z * z / n)

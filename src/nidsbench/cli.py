@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 import time
 import urllib.error
@@ -89,6 +90,11 @@ DEFAULT_URLS = {
 STREAM_NORMALIZE_WARMUP = 1000
 
 SVG_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+# characters XML 1.0 cannot carry, even escaped: C0 controls other than tab,
+# LF and CR, lone surrogates (a file name's undecodable bytes), U+FFFE and
+# U+FFFF
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f"
+                      "\ud800-\udfff\ufffe\uffff]")
 # an SVG polyline takes every SVG_EVERY-th point of a series, and its last
 SVG_EVERY = 100
 
@@ -315,6 +321,7 @@ def emit_svg_series(named_series: list[tuple[str, np.ndarray]],
                  f'transform="rotate(-90 14 {mt + h / 2:.2f})" '
                  f'text-anchor="middle">faded accuracy</text>')
     for i, (name, series) in enumerate(named_series):
+        name = escape(_NOT_XML.sub("\ufffd", name))
         color = SVG_PALETTE[i % len(SVG_PALETTE)]
         parts.append(_svg_polyline(np.asarray(series, dtype=float), color,
                                    ml, mt, w, h, n_max))
@@ -322,7 +329,7 @@ def emit_svg_series(named_series: list[tuple[str, np.ndarray]],
         parts.append(f'<line x1="{ml + w + 10}" y1="{ly}" x2="{ml + w + 34}" '
                      f'y2="{ly}" stroke="{color}" stroke-width="2"/>')
         parts.append(f'<text x="{ml + w + 40}" y="{ly + 4}" font-size="12">'
-                     f'{escape(name)}</text>')
+                     f'{name}</text>')
     parts.append("</svg>")
     path = Path(path)
     path.write_text("\n".join(parts) + "\n")

@@ -137,6 +137,9 @@ HT_TIE_THRESHOLD = 0.05
 HT_GRACE_PERIOD = 200
 # equal-width candidate cuts per numeric attribute in a split attempt
 HT_NUMERIC_BINS = 10
+# rows a Hoeffding tree's loop routes at a time; a block holds one route
+# per row (per member in OzaBoost) and its routing arrays
+ROUTE_BLOCK = 4096
 
 
 class _HTLeaf:
@@ -149,12 +152,14 @@ class _HTLeaf:
     predicts. `learn` keeps both current per row. `stats`, `vmin` and
     `vmax` hold only the leaf's own rows, and only as of the last fold.
 
-    The rows learned since the last fold are pending: the leaf keeps their
-    numbers in the current `HoeffdingTree.prequential_codes` call's arrays
-    in `pending`. `fold` gathers those rows, in the order the leaf learned
-    them, and adds them to the statistics, before each split attempt and
-    when the call returns. So a split attempt falls due whenever the
-    folded and pending rows together make a multiple of HT_GRACE_PERIOD.
+    The tree routes rows to its leaves a block at a time, and a leaf learns
+    the rows that reach it one at a time, in stream order. The rows learned
+    since the last fold are pending: the leaf keeps their numbers in the
+    current `HoeffdingTree.prequential_codes` call's arrays in `pending`.
+    `fold` gathers those rows, in the order the leaf learned them, and adds
+    them to the statistics, before each split attempt and when the call
+    returns. So a split attempt falls due whenever the folded and pending
+    rows together make a multiple of HT_GRACE_PERIOD.
     """
 
     __slots__ = ("stats", "class_counts", "majority", "vmin", "vmax",
@@ -244,13 +249,16 @@ class HoeffdingTree(StreamModel):
     of at least HT_TIE_THRESHOLD scores no candidate, since no gap can
     exceed that bound (`_cannot_split`).
 
-    `prequential_codes` routes each row once: the leaf it reaches gives the
-    prediction and then learns the row (`_learn`), since nothing changes
-    the tree in between. Before it returns, every leaf folds its pending
+    Only a split changes the leaf a row reaches, so `prequential_codes`
+    routes the rows ROUTE_BLOCK at a time with numpy (`_route`). Row by
+    row, the leaf a row reaches gives the prediction and then learns the
+    row (`_learn`); when that learn splits the leaf, the block's later rows
+    are routed again. Before it returns, every leaf folds its pending
     rows, so no leaf refers to a caller's arrays between calls: folds split
     at a call boundary give the bits of one fold, and two calls on the
     halves of a stream leave the state one call on the whole stream
-    leaves. `learn_row` is a one-row `prequential_codes`.
+    leaves. `learn_row` is a one-row `prequential_codes`, and
+    `predict_code` routes one row.
 
     Numeric candidate thresholds are HT_NUMERIC_BINS equal-width cuts
     between the observed min and max, with left/right class mass estimated
@@ -269,21 +277,39 @@ class HoeffdingTree(StreamModel):
         self.root: _HTLeaf | _HTSplit = _HTLeaf(schema)
         self.n_splits = 0
 
-    def _route(self, num, nom, i):
-        """(leaf, parent split, slot in the parent) row i of num and nom
-        reaches."""
-        node, parent, slot = self.root, None, None
-        while type(node) is _HTSplit:
-            if node.kind == "num":
-                branch = 0 if num.item(i, node.col) <= node.threshold else 1
+    def _route(self, num, nom, rows):
+        """The (leaf, parent split, slot in the parent) that each of `rows`
+        (an index array into num and nom) reaches, in the order of `rows`.
+
+        The rows go down the tree together. A numeric split sends to child
+        0 the rows whose num[row, col] <= threshold holds, the IEEE
+        comparison a Python float makes, so ties, signed zeros and NaN go
+        the way one row alone would; a nominal split sends each code present
+        among its rows to that code's child."""
+        found = []  # the routes reached
+        which = np.empty(len(rows), np.intp)  # each row's route in `found`
+        stack = [(self.root, None, None, np.arange(len(rows)))]
+        while stack:
+            node, parent, slot, pos = stack.pop()
+            if type(node) is _HTLeaf:
+                which[pos] = len(found)
+                found.append((node, parent, slot))
+            elif node.kind == "num":
+                left = num[rows[pos], node.col] <= node.threshold
+                for branch, part in enumerate((pos[left], pos[~left])):
+                    if part.size:
+                        stack.append((node.children[branch], node, branch,
+                                      part))
             else:
-                branch = nom.item(i, node.col)
-            parent, slot = node, branch
-            node = node.children[branch]
-        return node, parent, slot
+                codes = nom[rows[pos], node.col]
+                for code in np.unique(codes).tolist():
+                    stack.append((node.children[code], node, code,
+                                  pos[codes == code]))
+        return [found[w] for w in which.tolist()]
 
     def predict_code(self, num_row, nom_row):
-        return self._route(num_row[None], nom_row[None], 0)[0].majority
+        return self._route(num_row[None], nom_row[None],
+                           np.zeros(1, np.intp))[0][0].majority
 
     def learn_row(self, num_row, nom_row, label_code):
         self.prequential_codes(num_row[None], nom_row[None],
@@ -291,10 +317,18 @@ class HoeffdingTree(StreamModel):
 
     def prequential_codes(self, num, nom, labels):
         codes = []
-        for i, y in enumerate(labels.tolist()):
-            route = self._route(num, nom, i)
-            codes.append(route[0].majority)
-            self._learn(route, num, nom, labels, i, y)
+        ys = labels.tolist()
+        for start in range(0, len(ys), ROUTE_BLOCK):
+            stop = min(start + ROUTE_BLOCK, len(ys))
+            routes = self._route(num, nom, np.arange(start, stop))
+            for p, y in enumerate(ys[start:stop]):
+                i = start + p
+                route = routes[p]
+                codes.append(route[0].majority)
+                if self._learn(route, num, nom, labels, i, y) is not route:
+                    # the leaf split: route the block's later rows again
+                    routes[p + 1:] = self._route(num, nom,
+                                                 np.arange(i + 1, stop))
         self._fold_pending(num, nom, labels)
         return codes
 
@@ -302,12 +336,12 @@ class HoeffdingTree(StreamModel):
         """Have the leaf of `route` (the leaf, parent split and slot that
         row i of the call's arrays reaches) learn the row, of class y, and
         fold and attempt a split when one is due; the route of row i
-        after that."""
+        after that, a new one if the leaf split."""
         leaf, parent, slot = route
         if leaf.learn(i, y):
             leaf.fold(num, nom, labels)
             if self._attempt_split(leaf, parent, slot):
-                return self._route(num, nom, i)
+                return self._route(num, nom, np.array([i]))[0]
         return route
 
     def _fold_pending(self, num, nom, labels):
@@ -533,11 +567,13 @@ class OzaBoost(StreamModel):
     draws take their uniforms from one `uniform_draws` of the seeded
     generator.
 
-    `prequential_codes` routes each member once per row, for the vote. Each
-    of the member's learns of the row is one `HoeffdingTree._learn`, from
-    the leaf the vote read, which routes the row again only after a learn
-    that split that leaf; the leaf the learns end on is the member's
-    prediction for the lambda update.
+    `prequential_codes` routes ROUTE_BLOCK rows at a time for each member
+    (`HoeffdingTree._route`), and the members' leaves of a row give the
+    vote. Each of a member's learns of the row is one
+    `HoeffdingTree._learn`, from the leaf the vote read, which routes the
+    row again only after a learn that split that leaf; the member then
+    routes its later rows of the block again. The leaf the learns end on is
+    the member's prediction for the lambda update.
     """
 
     def __init__(self, schema: AttributeSchema, seed: int):
@@ -552,8 +588,8 @@ class OzaBoost(StreamModel):
     def member_weights(self) -> np.ndarray:
         """Each member's voting weight; every row adds lambda > 0 to each
         member's mass, so after the first row no mass is 0."""
-        eps = np.clip(self.lam_sw / (self.lam_sc + self.lam_sw), 1e-10,
-                      1.0 - 1e-10)
+        eps = np.minimum(np.maximum(self.lam_sw / (self.lam_sc + self.lam_sw),
+                                    1e-10), 1.0 - 1e-10)
         return np.log((1.0 - eps) / eps)
 
     def _vote(self, codes) -> int:
@@ -587,22 +623,33 @@ class OzaBoost(StreamModel):
         # the masses as Python floats: the same doubles as lam_sc and lam_sw
         sc, sw = self.lam_sc.tolist(), self.lam_sw.tolist()
         codes = []
-        for i, y in enumerate(labels.tolist()):
-            routes = [m._route(num, nom, i) for m in members]
-            codes.append(self._vote([leaf.majority for leaf, _, _ in routes]))
-            lam = 1.0
-            for k, (member, route) in enumerate(zip(members, routes)):
-                for _ in range(poisson_knuth(lam, uniform)):
-                    route = member._learn(route, num, nom, labels, i, y)
-                if route[0].majority == y:
-                    sc[k] += lam
-                    lam *= (sc[k] + sw[k]) / (2.0 * sc[k])
-                else:
-                    sw[k] += lam
-                    lam *= (sc[k] + sw[k]) / (2.0 * sw[k])
-            self.lam_sc[:] = sc
-            self.lam_sw[:] = sw
-            self._weights = self.member_weights().tolist()
+        ys = labels.tolist()
+        for start in range(0, len(ys), ROUTE_BLOCK):
+            stop = min(start + ROUTE_BLOCK, len(ys))
+            block = [m._route(num, nom, np.arange(start, stop))
+                     for m in members]
+            for p, y in enumerate(ys[start:stop]):
+                i = start + p
+                codes.append(self._vote([routes[p][0].majority
+                                         for routes in block]))
+                lam = 1.0
+                for k, (member, routes) in enumerate(zip(members, block)):
+                    route = routes[p]
+                    for _ in range(poisson_knuth(lam, uniform)):
+                        route = member._learn(route, num, nom, labels, i, y)
+                    if route is not routes[p]:
+                        # the member split: route its later rows again
+                        routes[p + 1:] = member._route(num, nom,
+                                                       np.arange(i + 1, stop))
+                    if route[0].majority == y:
+                        sc[k] += lam
+                        lam *= (sc[k] + sw[k]) / (2.0 * sc[k])
+                    else:
+                        sw[k] += lam
+                        lam *= (sc[k] + sw[k]) / (2.0 * sw[k])
+                self.lam_sc[:] = sc
+                self.lam_sw[:] = sw
+                self._weights = self.member_weights().tolist()
         for member in members:
             member._fold_pending(num, nom, labels)
         return codes

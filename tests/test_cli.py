@@ -418,12 +418,13 @@ def test_a_run_frees_the_raw_data_before_it_evaluates(
 def test_report_combines_traces(mini_kdd, tmp_path, capsys):
     out = tmp_path / "out"
     # run names come from data file names, which may hold XML and CSV
-    # metacharacters
-    odd = [tmp_path / "a&b<c.data", tmp_path / "a,b.data"]
+    # metacharacters, and characters XML cannot carry even escaped
+    odd = [tmp_path / "a&b<c.data", tmp_path / "a,b.data",
+           tmp_path / "a\x01b.data"]
     for path in odd:
         path.write_bytes(mini_kdd.read_bytes())
     for algo, data in [("snb", mini_kdd), ("ht", mini_kdd), ("ht", odd[0]),
-                       ("ht", odd[1])]:
+                       ("ht", odd[1]), ("ht", odd[2])]:
         assert run_command(["stream", "--algo", algo, "--data", str(data),
                             "--variant", "v2", "--out", str(out)]) == EXIT_OK
     assert run_command(["report", "--out", str(out)]) == EXIT_OK
@@ -434,13 +435,15 @@ def test_report_combines_traces(mini_kdd, tmp_path, capsys):
     assert all(len(row) == 5 for row in combined)
     algos = {row[0] for row in combined[1:]}
     assert algos == {"mini_kdd_v2_snb_s1", "mini_kdd_v2_ht_s1",
-                     "a&b<c_v2_ht_s1", "a,b_v2_ht_s1"}
+                     "a&b<c_v2_ht_s1", "a,b_v2_ht_s1", "a\x01b_v2_ht_s1"}
     svg = (out / "comparison.svg").read_text()
     assert svg.startswith("<svg")
-    assert svg.count("<polyline") == 4
+    assert svg.count("<polyline") == 5
     legend = [node.firstChild.data for node in xml.dom.minidom.parseString(
-        svg).getElementsByTagName("text")][-4:]
-    assert sorted(legend) == sorted(algos)
+        svg).getElementsByTagName("text")][-5:]
+    # the legend shows U+FFFD for what XML cannot carry
+    assert sorted(legend) == sorted(name.replace("\x01", "\ufffd")
+                                    for name in algos)
 
 
 def test_report_without_traces_is_data_error(tmp_path):

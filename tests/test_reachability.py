@@ -8,10 +8,12 @@ run in `src/nidsbench`:
   fetched copy, `--help`, no command at all, and both reproduce scripts, on
   the first 600 rows of the golden NSL slice;
 - `ht` and `ozaboost` v2 on the golden KDD99 slice, whose trees split below
-  the root and whose traces hold two drift episodes. There OzaBoost members
-  split during their Poisson-weighted learns of a row and route it again,
-  their Poisson draws use up several blocks of uniforms, and each run ends
-  with leaves that fold their pending rows mid-grace-period;
+  the root and whose traces hold two drift episodes. Its 5,000 rows make
+  two routing blocks. There OzaBoost members split during their
+  Poisson-weighted learns of a row and route it, and their later rows of
+  the block, again, their Poisson draws use up several blocks of uniforms,
+  and each run ends with leaves that fold their pending rows
+  mid-grace-period;
 - small files made for one path each: a stream of one repeated line (a
   pure Hoeffding leaf, a trace without drift), a short stream of one
   repeated feature row under two labels (no split candidate), a stream

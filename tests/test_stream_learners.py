@@ -283,7 +283,7 @@ def test_ht_child_total_counts_only_its_routed_rows():
 
     def learn_next():
         num, y = next(rows)
-        routed[children.index(model._route(num[None], nom[None], 0)[0])] += 1
+        routed[children.index(_walk(model, num, nom)[0])] += 1
         model.learn_row(num, nom, y)
 
     for _ in range(150):
@@ -1038,6 +1038,18 @@ def _model_state(model):
     return _ht_state(model)
 
 
+def _walk(tree, num_row, nom_row):
+    """The (leaf, parent split, slot) one row reaches, walked node by node
+    with Python floats and ints."""
+    x, s = num_row.tolist(), nom_row.tolist()
+    node, parent, slot = tree.root, None, None
+    while isinstance(node, _HTSplit):
+        branch = (0 if x[node.col] <= node.threshold else 1) \
+            if node.kind == "num" else s[node.col]
+        node, parent, slot = node.children[branch], node, branch
+    return node, parent, slot
+
+
 def _ht_leaves(node):
     if isinstance(node, _HTSplit):
         for child in node.children:
@@ -1077,10 +1089,15 @@ def test_own_loop_equals_the_per_row_loop(monkeypatch, algo, seed):
     assert {"num", "nom"} <= {k for tree in trees for k in _kinds(tree)}
 
 
-@pytest.mark.parametrize("m", [1, 777, 1_234])
+_BLOCK = stream_learners.ROUTE_BLOCK
+
+
+@pytest.mark.parametrize("m", [1, 777, 1_234, _BLOCK - 1, _BLOCK, _BLOCK + 1])
 @pytest.mark.parametrize("algo", ["ht", "ozaboost"])
 def test_own_loop_on_two_halves_equals_one_call(monkeypatch, algo, m):
-    ds = _split_stream(4, 2_000)
+    # a cut at the routing block's bound, or next to it, splits a block
+    # across the calls or starts the second call on a block's bound
+    ds = _split_stream(4, max(2_000, m + 500))
     monkeypatch.setattr(stream_learners, "HT_GRACE_PERIOD", 50)
     num, nom, labels = ds.numeric, ds.nominal, ds.labels
     whole = _new_model(algo, ds.schema, 4)
@@ -1134,6 +1151,77 @@ def test_ozaboost_member_learns_on_after_a_split(monkeypatch):
     assert any(kind == "split" and after == "learn" and leaf in children
                and i == j for (kind, children, i), (after, leaf, j)
                in zip(events, events[1:]))
+
+
+# x0 and x1 values: the cuts of [0, 1] a root split takes (its equal-width
+# cuts k / 11), the doubles next to them, signed zeros and NaN
+_ROUTE_VALUES = tuple(v for k in range(12)
+                      for v in (k / 11, math.nextafter(k / 11, -math.inf),
+                                math.nextafter(k / 11, math.inf))) \
+    + (-0.0, math.nan)
+# (x0, x1, s): s takes codes 0-2 of a 4-value domain
+_ROUTE_ROWS = st.lists(st.tuples(st.sampled_from(_ROUTE_VALUES),
+                                 st.sampled_from(_ROUTE_VALUES),
+                                 st.integers(0, 2)), min_size=60,
+                       max_size=300)
+
+
+def _route_stream(rows):
+    """Class s for s = 0 and s = 1; under s = 2, class 1 when x0 > 0.5, so
+    trees split on both kinds of attribute."""
+    x = np.array([[x0, x1] for x0, x1, _ in rows])
+    s = np.array([[code] for *_, code in rows], dtype=np.int32)
+    labels = np.where(s[:, 0] < 2, s[:, 0], x[:, 0] > 0.5)
+    return x, s, labels.astype(np.int32)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ROUTE_ROWS, st.sampled_from(["ht", "ozaboost"]), st.integers(5, 20),
+       st.integers(1, 12))
+def test_block_routes_equal_a_walk_row_by_row(rows, algo, grace, block):
+    schema = AttributeSchema(
+        (Attribute("x0", "numeric"), Attribute("x1", "numeric"),
+         Attribute("s", "nominal", ("a", "b", "c", "d"))), ("no", "yes"))
+    route = HoeffdingTree._route
+
+    def checked_route(tree, num, nom, routed):
+        # every routing, of a block, of the rows after a split in it, of a
+        # row after a split or of predict_code's row, reaches the leaves,
+        # parents and slots a walk row by row reaches
+        got = route(tree, num, nom, routed)
+        assert got == [_walk(tree, num[i], nom[i]) for i in routed.tolist()]
+        return got
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(stream_learners, "HT_GRACE_PERIOD", grace)
+        monkeypatch.setattr(stream_learners, "ROUTE_BLOCK", block)
+        monkeypatch.setattr(HoeffdingTree, "_route", checked_route)
+        model = _new_model(algo, schema, 1)
+        model.prequential_codes(*_route_stream(rows))
+        # a second call over rows at, just below and just above each
+        # threshold of the trees, signed zeros and NaN, with every code,
+        # the one no row had so far included
+        trees = model.members if algo == "ozaboost" else [model]
+        values = [0.0, -0.0, math.nan]
+        for tree in trees:
+            nodes = [tree.root]
+            while nodes:
+                node = nodes.pop()
+                if isinstance(node, _HTSplit):
+                    nodes += node.children
+                    if node.kind == "num":
+                        t = node.threshold
+                        values += [t, math.nextafter(t, -math.inf),
+                                   math.nextafter(t, math.inf)]
+        # each value in each column, with each code
+        probes = [(x0, x1, code) for x0, x1 in zip(values, values[::-1])
+                  for code in range(4)]
+        x, s, labels = _route_stream(probes)
+        model.prequential_codes(x, s, labels)
+        for tree in trees:
+            for num_row, nom_row in zip(x, s):
+                assert tree.predict_code(num_row, nom_row) \
+                    == _walk(tree, num_row, nom_row)[0].majority
 
 
 # --- poisson sampler -------------------------------------------------------------
