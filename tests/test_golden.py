@@ -17,6 +17,12 @@ Its runs of records that repeat exactly also fill the windowed k-NN's window
 with many copies of few distinct rows, under v1, v2, v3 and v3 `--attrs
 all`.
 
+`kdd99_s1_head5000_zeros.data` is not checked in: `write_zeros_slice`
+builds it from the KDD99 slice, with the `duration` field `-0` on some rows
+and `1e-300` on others after the normalizer's warm-up. Min-max
+normalization keeps them as -0.0 and a tiny nonzero value, so `wknn` v2
+(k = 3 and k = 1) there sees rows whose bytes differ at distance 0.
+
 `golden_outputs.json` holds, per slice, learner and run, the SHA-256 of
 each file the run writes (confusion CSV; for stream runs also the trace CSV
 and SVG curve) and of its summary JSON without `runtime_seconds`. Numpy's
@@ -29,6 +35,7 @@ why.
 """
 
 import contextlib
+import gzip
 import hashlib
 import io
 import json
@@ -76,8 +83,36 @@ KDD_RUNS = [
     ("wknn", "v3", "selected", ()),
     ("wknn", "v3", "all", ()),
 ]
+ZEROS_SLICE = "kdd99_s1_head5000_zeros.data"
+ZEROS_RUNS = [
+    ("wknn", "v2", "selected", ()),
+    ("wknn", "v2", "selected", ("--k", "1")),
+]
 SLICE_RUNS = {NSL_SLICE: [("j48", v, a, ()) for v, a in J48_RUNS] + RUNS,
-              KDD_SLICE: KDD_RUNS}
+              KDD_SLICE: KDD_RUNS, ZEROS_SLICE: ZEROS_RUNS}
+
+
+def write_zeros_slice(directory: Path) -> None:
+    """Write ZEROS_SLICE into `directory`: the KDD99 slice, with a duration
+    of 0 written as `-0` on every 3rd line and as `1e-300` on every 7th
+    (the 21st stays `-0`) from line 1,001 on, after the wknn normalizer's
+    warm-up, whose minimum stays +0.0."""
+    with gzip.open(DATA_DIR / KDD_SLICE, "rt") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    for i in range(1000, len(lines)):
+        duration, rest = lines[i].split(",", 1)
+        if duration == "0" and (i % 3 == 0 or i % 7 == 0):
+            lines[i] = ("-0," if i % 3 == 0 else "1e-300,") + rest
+    (directory / ZEROS_SLICE).write_text("".join(lines))
+
+
+def slice_dir(data: str, tmp: Path) -> Path:
+    """The directory a slice's runs run from: the checked-in slices', or
+    `tmp` with ZEROS_SLICE written into it."""
+    if data != ZEROS_SLICE:
+        return DATA_DIR
+    write_zeros_slice(tmp)
+    return tmp
 
 
 def run_key(variant: str, attrs: str, extra: tuple) -> str:
@@ -120,12 +155,12 @@ def run_digests(data: str, algo: str, variant: str, attrs: str, extra: tuple,
     return got
 
 
-def check(data, algo, variant, attrs, extra, out, monkeypatch):
-    # run from the slices' directory, so the summary's `dataset` is the
+def check(data, algo, variant, attrs, extra, tmp_path, monkeypatch):
+    # run from the slice's directory, so the summary's `dataset` is the
     # file name wherever the checkout lives
-    monkeypatch.chdir(DATA_DIR)
+    monkeypatch.chdir(slice_dir(data, tmp_path))
     golden = json.loads(GOLDEN.read_text())
-    got = run_digests(data, algo, variant, attrs, extra, out)
+    got = run_digests(data, algo, variant, attrs, extra, tmp_path / "out")
     assert got == golden[data][algo][run_key(variant, attrs, extra)], (
         f"recorded with {golden['environment']}, run with {environment()}")
 
@@ -153,6 +188,14 @@ def test_kdd99_slice_outputs_match_the_golden_digests(algo, variant, attrs,
     check(KDD_SLICE, algo, variant, attrs, extra, tmp_path, monkeypatch)
 
 
+@pytest.mark.parametrize(
+    "algo,variant,attrs,extra", ZEROS_RUNS,
+    ids=[f"{a}-{run_key(v, s, e)}" for a, v, s, e in ZEROS_RUNS])
+def test_signed_and_tiny_zero_outputs_match_the_golden_digests(
+        algo, variant, attrs, extra, tmp_path, monkeypatch):
+    check(ZEROS_SLICE, algo, variant, attrs, extra, tmp_path, monkeypatch)
+
+
 def entries(golden: dict) -> dict:
     """(slice, algorithm, run) -> digests of a golden file's runs."""
     return {(data, algo, key): digests
@@ -164,16 +207,16 @@ def entries(golden: dict) -> dict:
 def record() -> None:
     """Re-record every run's digests and print the entries that changed."""
     old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
-    os.chdir(DATA_DIR)
     runs: dict = {}
     with tempfile.TemporaryDirectory() as tmp, \
             contextlib.redirect_stdout(io.StringIO()):
         for data, slice_runs in SLICE_RUNS.items():
+            os.chdir(slice_dir(data, Path(tmp)))
             for i, (algo, variant, attrs, extra) in enumerate(slice_runs):
                 runs.setdefault(data, {}).setdefault(algo, {})[
                     run_key(variant, attrs, extra)] = run_digests(
                         data, algo, variant, attrs, extra,
-                        Path(tmp) / data / str(i))
+                        Path(tmp) / "runs" / data / str(i))
     now, before = entries(runs), entries(old)
     changes = []
     for entry in sorted(now.keys() | before.keys()):
