@@ -99,6 +99,14 @@ _NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f"
 SVG_EVERY = 100
 
 
+def shown_name(name: str) -> str:
+    """A run name as the report's CSV and SVG show it: each character XML
+    1.0 cannot carry, even escaped, replaced by U+FFFD. A run name is the
+    data file's stem, whose undecodable bytes are lone surrogates, which no
+    UTF-8 file can hold either."""
+    return _NOT_XML.sub("\ufffd", name)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything that determines a batch/stream run (which of the two by
@@ -321,7 +329,7 @@ def emit_svg_series(named_series: list[tuple[str, np.ndarray]],
                  f'transform="rotate(-90 14 {mt + h / 2:.2f})" '
                  f'text-anchor="middle">faded accuracy</text>')
     for i, (name, series) in enumerate(named_series):
-        name = escape(_NOT_XML.sub("\ufffd", name))
+        name = escape(shown_name(name))
         color = SVG_PALETTE[i % len(SVG_PALETTE)]
         parts.append(_svg_polyline(np.asarray(series, dtype=float), color,
                                    ml, mt, w, h, n_max))
@@ -366,8 +374,10 @@ def _faded_column(trace_file: Path) -> np.ndarray:
 
 def emit_report(out_dir: str | Path) -> list[Path]:
     """Combine every *_trace.csv under out_dir: one long CSV with an
-    `algorithm` column plus an overlay SVG. Every trace is checked before
-    either file is written."""
+    `algorithm` column (the `shown_name` of each run) plus an overlay SVG.
+    Every trace is checked before either file is written, and the CSV is
+    written under a temporary name, so a failed report leaves no partial
+    file."""
     out_dir = Path(out_dir)
     trace_files = sorted(out_dir.glob("*_trace.csv"))
     if not trace_files:
@@ -375,17 +385,24 @@ def emit_report(out_dir: str | Path) -> list[Path]:
     series = [(f.name[: -len("_trace.csv")], _faded_column(f))
               for f in trace_files]
     combined = out_dir / "combined_traces.csv"
-    with open(combined, "w") as out:
-        out.write("algorithm,index,correct,faded_accuracy,cumulative_accuracy\n")
-        # copied from the files again, not held from the check: a full-size
-        # stream trace has 494,021 lines
-        for (name, _), f in zip(series, trace_files):
-            field = io.StringIO()
-            csv.writer(field, lineterminator=",").writerow([name])
-            prefix = field.getvalue()
-            with open(f) as fh:
-                next(fh, None)  # header
-                out.writelines(prefix + line for line in fh)
+    part = out_dir / "combined_traces.csv.part"
+    try:
+        with open(part, "w") as out:
+            out.write("algorithm,index,correct,faded_accuracy,"
+                      "cumulative_accuracy\n")
+            # copied from the files again, not held from the check: a
+            # full-size stream trace has 494,021 lines
+            for (name, _), f in zip(series, trace_files):
+                field = io.StringIO()
+                csv.writer(field, lineterminator=",").writerow(
+                    [shown_name(name)])
+                prefix = field.getvalue()
+                with open(f) as fh:
+                    next(fh, None)  # header
+                    out.writelines(prefix + line for line in fh)
+        part.replace(combined)
+    finally:
+        part.unlink(missing_ok=True)
     svg = emit_svg_series(series, out_dir / "comparison.svg")
     return [combined, svg]
 

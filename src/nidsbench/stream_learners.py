@@ -7,6 +7,11 @@ for): `predict_code` returns a class code and never mutates state,
 `prequential_codes` runs both over a whole stream, row by row, and returns
 the predicted codes. Predictions break score ties toward the lowest class
 index. Cold starts (no evidence at all) predict class index 0.
+
+`WindowKNN` answers a query whose own row has at least k instances in its
+window from those instances, without scoring the window, while every row
+it has learned `is_regular`: then a distance is exactly 0.0 if and only if
+the two rows' bytes are equal, so the answer is the one scoring gives.
 """
 
 from __future__ import annotations
@@ -454,6 +459,22 @@ class HoeffdingTree(StreamModel):
 
 # the most recent labeled instances WindowKNN keeps
 WKNN_WINDOW = 5000
+# the smallest nonzero magnitude of a regular value (see `is_regular`)
+_REGULAR_MIN = 2.0 ** -485
+
+
+def is_regular(row: np.ndarray) -> bool:
+    """Whether every value of `row` is regular: finite, not -0.0, and 0.0 or
+    at least 2**-485 in magnitude.
+
+    Two regular values that differ lie at least 2**-537 apart (the spacing
+    of doubles at 2**-485), so their squared difference is at least
+    2**-1074, the smallest positive double: a mixed distance between regular
+    rows is exactly 0.0 if and only if their bytes are equal. -0.0 against
+    0.0, or 1e-170 against 0.0, would give 0.0 for rows that differ.
+    """
+    return all(v == 0.0 and math.copysign(1.0, v) > 0.0
+               or _REGULAR_MIN <= abs(v) < math.inf for v in row.tolist())
 
 
 class WindowKNN(StreamModel):
@@ -474,6 +495,16 @@ class WindowKNN(StreamModel):
     entries there hold the k nearest instances, among their k oldest each,
     and one sort on (distance, arrival) ranks those. An empty window
     predicts class index 0.
+
+    A query whose own row has at least k instances in the window is not
+    scored while every row the model has learned `is_regular`: each of
+    those instances lies at distance exactly 0.0 and every other entry
+    above it, so the k nearest are the entry's k oldest instances, and the
+    vote sums the same 0.0s that scoring would. The guard is sticky: each
+    new entry is tested until one fails, and from then on every query is
+    scored, because rows whose bytes differ may lie at distance 0.0 (-0.0
+    against 0.0, a tiny value against 0.0), and a row holding an infinity
+    or a NaN is not at distance 0.0 from itself.
     """
 
     def __init__(self, schema: AttributeSchema, k: int):
@@ -492,22 +523,27 @@ class WindowKNN(StreamModel):
         self._ring_labels = [0] * w
         self.size = 0
         self._arrived = 0
+        self._regular = True  # every row learned so far is_regular
 
     def predict_code(self, num_row, nom_row):
         d = len(self._arrivals)
         if d == 0:
             return 0
+        k, arrivals = self.k, self._arrivals
+        labels, w = self._ring_labels, self.window
+        if self._regular:
+            e = self._entry.get(num_row.tobytes() + nom_row.tobytes())
+            if e is not None and len(arrivals[e]) >= k:
+                return neighbor_vote((0.0, labels[a % w])
+                                     for a in islice(arrivals[e], k))
         dist = mixed_distances(num_row, nom_row, self._num[:, :d],
                                self._nom[:, :d], self._dist[:d],
                                self._buf[:d])
-        k = self.k
         i = min(k, d) - 1
         cand = np.flatnonzero(dist <= np.partition(dist, i)[i])
-        arrivals = self._arrivals
         nearest = sorted((x, a) for e, x in zip(cand.tolist(),
                                                 dist[cand].tolist())
                          for a in islice(arrivals[e], k))[:k]
-        labels, w = self._ring_labels, self.window
         return neighbor_vote((x, labels[a % w]) for x, a in nearest)
 
     def learn_row(self, num_row, nom_row, label_code):
@@ -518,6 +554,8 @@ class WindowKNN(StreamModel):
         key = num_row.tobytes() + nom_row.tobytes()
         e = self._entry.get(key)
         if e is None:
+            if self._regular:
+                self._regular = is_regular(num_row)
             e = self._entry[key] = len(self._arrivals)
             self._num[:, e] = num_row
             self._nom[:, e] = nom_row

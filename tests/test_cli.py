@@ -5,6 +5,7 @@ import gzip
 import hashlib
 import http.server
 import json
+import os
 import threading
 import weakref
 import xml.dom.minidom
@@ -418,7 +419,8 @@ def test_a_run_frees_the_raw_data_before_it_evaluates(
 def test_report_combines_traces(mini_kdd, tmp_path, capsys):
     out = tmp_path / "out"
     # run names come from data file names, which may hold XML and CSV
-    # metacharacters, and characters XML cannot carry even escaped
+    # metacharacters, characters XML cannot carry even escaped, and bytes
+    # that are not UTF-8
     odd = [tmp_path / "a&b<c.data", tmp_path / "a,b.data",
            tmp_path / "a\x01b.data"]
     for path in odd:
@@ -427,6 +429,10 @@ def test_report_combines_traces(mini_kdd, tmp_path, capsys):
                        ("ht", odd[1]), ("ht", odd[2])]:
         assert run_command(["stream", "--algo", algo, "--data", str(data),
                             "--variant", "v2", "--out", str(out)]) == EXIT_OK
+    # the run's own summary line would not print under the test's captured
+    # output, so its trace is copied in under the name it would have
+    (out / os.fsdecode(b"c\xffd_v2_ht_s1_trace.csv")).write_bytes(
+        (out / "mini_kdd_v2_ht_s1_trace.csv").read_bytes())
     assert run_command(["report", "--out", str(out)]) == EXIT_OK
     with open(out / "combined_traces.csv", newline="") as fh:
         combined = list(csv.reader(fh))
@@ -434,16 +440,36 @@ def test_report_combines_traces(mini_kdd, tmp_path, capsys):
         "algorithm,index,correct,faded_accuracy,cumulative_accuracy".split(",")
     assert all(len(row) == 5 for row in combined)
     algos = {row[0] for row in combined[1:]}
+    # both files show U+FFFD for what XML or UTF-8 cannot carry
     assert algos == {"mini_kdd_v2_snb_s1", "mini_kdd_v2_ht_s1",
-                     "a&b<c_v2_ht_s1", "a,b_v2_ht_s1", "a\x01b_v2_ht_s1"}
+                     "a&b<c_v2_ht_s1", "a,b_v2_ht_s1", "a\ufffdb_v2_ht_s1",
+                     "c\ufffdd_v2_ht_s1"}
     svg = (out / "comparison.svg").read_text()
     assert svg.startswith("<svg")
-    assert svg.count("<polyline") == 5
+    assert svg.count("<polyline") == 6
     legend = [node.firstChild.data for node in xml.dom.minidom.parseString(
-        svg).getElementsByTagName("text")][-5:]
-    # the legend shows U+FFFD for what XML cannot carry
-    assert sorted(legend) == sorted(name.replace("\x01", "\ufffd")
-                                    for name in algos)
+        svg).getElementsByTagName("text")][-6:]
+    assert sorted(legend) == sorted(algos)
+
+
+def test_report_leaves_no_partial_file_when_a_copy_fails(tmp_path, capsys,
+                                                         monkeypatch):
+    # b's trace goes away after its check, so copying it fails after a's
+    # rows are written
+    header = "index,correct,faded_accuracy,cumulative_accuracy\n"
+    for name in ("a", "b"):
+        (tmp_path / f"{name}_trace.csv").write_text(header + "1,1,1.0,1.0\n")
+
+    def check_then_remove(path, _check=cli._faded_column):
+        faded = _check(path)
+        if path.name == "b_trace.csv":
+            path.unlink()
+        return faded
+
+    monkeypatch.setattr(cli, "_faded_column", check_then_remove)
+    assert run_command(["report", "--out", str(tmp_path)]) == EXIT_RUNTIME
+    assert "b_trace.csv" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["a_trace.csv"]
 
 
 def test_report_without_traces_is_data_error(tmp_path):

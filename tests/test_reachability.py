@@ -18,7 +18,9 @@ run in `src/nidsbench`:
   pure Hoeffding leaf, a trace without drift), a short stream of one
   repeated feature row under two labels (no split candidate), a stream
   whose only candidate has a gain of 0.0, a windowed k-NN stream through a
-  window of 4 that evicts rows and ties at the k-th distance, a J48 file
+  window of 4 that evicts rows, ties at the k-th distance, answers a query
+  from k copies of its row and, once it has learned a row that is not
+  regular, scores such a query instead, a J48 file
   with a nominal split, a zero-gain nominal column, a symbol no training
   row at the node holds and a cut between adjacent doubles, and an SVM file
   with two equal rows under both labels;
@@ -326,10 +328,14 @@ def sweep(tmp_path, monkeypatch) -> None:
     # rows than k), the query between two rows at equal distance (a tie at
     # the k-th distance), then copies of the first row that evict the other
     # rows, the older with the table's last entry moved into its place, the
-    # newer as the last entry itself
+    # newer as the last entry itself; the last copy's query finds three in
+    # the window and is answered without scoring. Then a duration of
+    # 1e-300, which normalizes to a value that is not regular, so that the
+    # next query of a row with three copies is scored.
     wknn = [record(label, {0: duration}) for label, duration in
             [("normal", "1"), ("neptune", "1"), ("normal", "0"),
-             ("neptune", "2")] + [("normal", "1")] * 4]
+             ("neptune", "2")] + [("normal", "1")] * 4
+            + [("normal", "1e-300"), ("normal", "1")]]
     with pytest.MonkeyPatch.context() as window:
         window.setattr(stream_learners, "WKNN_WINDOW", 4)
         _expect(["stream", "--algo", "wknn", "--data",
