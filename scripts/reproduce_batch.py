@@ -13,7 +13,7 @@ import time
 
 from nidsbench.cli import BATCH_ALGOS, VARIANTS, ArgParser, RunConfig, \
     ascii_int, evaluate_batch, folds_arg, int_arg, list_arg, load, \
-    run_guarded, seed_arg
+    run_guarded, say, seed_arg
 
 
 def _algo_ok(algo: str) -> bool:
@@ -43,7 +43,7 @@ def main() -> int:
 
 def _run(args) -> None:
     raw, path = load(args.data)
-    print(f"loaded {args.data}: {len(raw)} instances from {path}")
+    say(f"loaded {args.data}: {len(raw)} instances from {path}")
 
     variants = args.variants
     print(f"\n{'algorithm':<10}" + "".join(f"{v:>10}" for v in variants))

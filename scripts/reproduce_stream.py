@@ -11,8 +11,8 @@ import time
 from pathlib import Path
 
 from nidsbench.cli import STREAM_ALGOS, ArgParser, RunConfig, alpha_arg, \
-    emit_svg_curve, evaluate_stream, list_arg, load, run_guarded, seed_arg, \
-    write_trace_csv
+    emit_svg_curve, evaluate_stream, list_arg, load, run_guarded, say, \
+    seed_arg, write_trace_csv
 
 
 def main() -> int:
@@ -30,7 +30,7 @@ def main() -> int:
 
 def _run(args) -> None:
     raw, path = load(args.data)
-    print(f"loaded {args.data}: {len(raw)} instances from {path}")
+    say(f"loaded {args.data}: {len(raw)} instances from {path}")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -47,7 +47,7 @@ def _run(args) -> None:
         print(f"{algo:<10}{trace.final_cumulative_accuracy * 100:11.2f}%"
               f"{trace.faded_mean * 100:11.2f}%{dt:7.0f}s  {drifts}")
     svg = emit_svg_curve(traces, out / "comparison.svg")
-    print(f"\nwrote {svg}")
+    say(f"\nwrote {svg}")
 
 
 if __name__ == "__main__":

@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import math
 from statistics import NormalDist
+from typing import Iterable
 
 import numpy as np
 
 from .dataset import AttributeSchema, DataError, Dataset
-from .nbcore import ClassConditionalStats
+from .nbcore import ClassConditionalStats, fold_statistics
 from .preprocess import (
     apply_normalizer,
     fit_normalizer,
@@ -49,6 +50,18 @@ class BatchModel:
         self._fit(train)
         return self
 
+    @classmethod
+    def fit_folds(cls, models: Iterable["BatchModel"], ds: Dataset,
+                  assignment: np.ndarray) -> Iterable["BatchModel"]:
+        """Cross-validation's fit: yield `models`, one per fold in fold
+        order, each fitted on the rows of ds outside its fold (`assignment`
+        holds each row's fold). Each is taken from `models` and fitted when
+        the caller asks for it, so a caller that drops the last one before
+        asking for the next holds one fitted model at a time."""
+        for fold, model in enumerate(models):
+            yield model.fit(ds.subset(np.flatnonzero(assignment != fold),
+                                      note=f"train fold {fold}"))
+
     def predict_dataset(self, ds: Dataset) -> np.ndarray:
         if ds.schema != self.schema:
             raise ValueError("dataset schema differs from the fitted schema")
@@ -60,16 +73,29 @@ class NaiveBayes(BatchModel):
 
     Nominal likelihoods use add-one smoothing, numeric likelihoods are
     Gaussian per (class, attribute) with the variance floored, and scores
-    are log prior + sum of log likelihoods. The training set is folded in
-    with one `ClassConditionalStats.add_rows`, which leaves the statistics
-    bit-identical to the streaming variant's one `update` per row
-    (`test_nb_batch_statistics_equal_streaming_updates`).
+    are log prior + sum of log likelihoods. `fit` folds the training set
+    in with one `ClassConditionalStats.add_rows`, and cross-validation
+    takes every fold's statistics from one `fold_statistics` pass; both
+    leave the statistics bit-identical to the streaming variant's one
+    `update` per row (`test_nb_batch_statistics_equal_streaming_updates`,
+    `test_nb_fold_statistics_equal_add_rows_and_updates`).
     """
 
     def _fit(self, train: Dataset) -> None:
         stats = ClassConditionalStats(train.schema)
         stats.add_rows(train.numeric, train.nominal, train.labels)
         self.stats = stats
+
+    @classmethod
+    def fit_folds(cls, models, ds, assignment):
+        """Every fold's model at once, its statistics from one
+        `fold_statistics` pass."""
+        models = list(models)
+        folds = fold_statistics(ds.schema, ds.numeric, ds.nominal, ds.labels,
+                                assignment, len(models))
+        for model, stats in zip(models, folds):
+            model.schema, model.stats = ds.schema, stats
+        return models
 
     def _predict_codes(self, num, nom):
         return np.argmax(self.stats.log_scores(num, nom), axis=1)

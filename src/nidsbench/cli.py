@@ -107,6 +107,15 @@ def shown_name(name: str) -> str:
     return _NOT_XML.sub("\ufffd", name)
 
 
+def say(line: str) -> None:
+    """Print a line that may hold a path or a run name to standard output,
+    each character its encoding cannot carry escaped with a backslash: a
+    file name's undecodable bytes are lone surrogates, which no encoding
+    carries, and a finished run must not fail on its summary line."""
+    encoding = sys.stdout.encoding or "utf-8"
+    print(line.encode(encoding, "backslashreplace").decode(encoding))
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything that determines a batch/stream run (which of the two by
@@ -590,7 +599,7 @@ def _dispatch(argv: list[str]) -> None:
         if url is None:
             parser.error(f"no default URL for {args.data!r}; pass --url")
         path = fetch_dataset(args.data, url, args.sha256, default_cache_dir())
-        print(f"fetched {args.data} -> {path}")
+        say(f"fetched {args.data} -> {path}")
     elif args.command == "preprocess":
         cfg = _config_from_args(args)
         ds = prepare(load(cfg.data)[0], cfg)
@@ -603,7 +612,7 @@ def _dispatch(argv: list[str]) -> None:
         write_dataset(ds, csv_path)
         sidecar = out_dir / f"{stem}.provenance.txt"
         sidecar.write_text(ds.provenance + "\n")
-        print(f"wrote {csv_path} ({len(ds)} instances) and {sidecar}")
+        say(f"wrote {csv_path} ({len(ds)} instances) and {sidecar}")
     elif args.command == "rank":
         cfg = _config_from_args(args)
         ds = prepare(load(cfg.data)[0], cfg)
@@ -616,12 +625,12 @@ def _dispatch(argv: list[str]) -> None:
             parser.error("--sample applies to --algo knn only")
         if args.algo == "svm" and args.variant != "v2":
             parser.error("--algo svm applies to --variant v2 only")
-        print(run_batch(_config_from_args(args)))
+        say(run_batch(_config_from_args(args)))
     elif args.command == "stream":
-        print(run_stream(_config_from_args(args)))
+        say(run_stream(_config_from_args(args)))
     elif args.command == "report":
         for p in emit_report(args.out):
-            print(f"wrote {p}")
+            say(f"wrote {p}")
 
 
 def main() -> None:

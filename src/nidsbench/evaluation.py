@@ -6,6 +6,7 @@ models, plus metrics, drift annotation and the trace and confusion CSVs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -98,17 +99,24 @@ def cross_validate(ds: Dataset, model_factory: Callable[[], object],
                    n_folds: int, seed: int) -> ConfusionMatrix:
     """Evaluate a fresh model per fold; return the summed confusion matrix.
 
-    The factory is invoked exactly once per fold and each model is fitted on
-    the training folds only, so any preprocessing the model performs inside
-    fit (see batch_learners.Pipeline) never sees test-fold data.
+    The factory is invoked exactly once per fold. The models go to their
+    class's `BatchModel.fit_folds`, which fits each on the training folds
+    only, so any preprocessing a model performs inside fit (see
+    batch_learners.Pipeline) never sees test-fold data; naive Bayes fits
+    every fold's statistics in one pass there. Each fitted model then
+    predicts its test fold and is dropped before the next is fitted.
     """
     assignment = assign_stratified_folds(ds.labels, n_folds, seed)
+    models = (model_factory() for _ in range(n_folds))
+    head = next(models)
+    fitted = head.fit_folds(chain([head], models), ds, assignment)
+    del head
     codes = []
-    for fold in range(n_folds):
-        test_mask = assignment == fold
-        train = ds.subset(np.flatnonzero(~test_mask), note=f"train fold {fold}")
-        test = ds.subset(np.flatnonzero(test_mask), note=f"test fold {fold}")
-        codes.append(model_factory().fit(train).predict_dataset(test))
+    for fold, model in enumerate(fitted):
+        test = ds.subset(np.flatnonzero(assignment == fold),
+                         note=f"test fold {fold}")
+        codes.append(model.predict_dataset(test))
+        del model
     codes = np.concatenate(codes)  # fold after fold, each in row order
     predicted = np.empty_like(codes)
     predicted[np.argsort(assignment, kind="stable")] = codes

@@ -6,16 +6,29 @@ smoothing at scoring time. Rows arrive as coded arrays against the schema
 the statistics were built for, so every nominal code lies inside its
 attribute's domain.
 
-The streaming naive Bayes feeds one row at a time through `update`. Batch
-naive Bayes folds a whole training fold in with `add_rows`, and a
+The streaming naive Bayes feeds one row at a time through `update`. A
 Hoeffding-tree leaf (OzaBoost's members included) folds in the rows it
-learned since its last fold, before each split attempt and when a
-prequential call returns. The two forms leave bit-identical statistics:
-the counts are whole numbers in float64, exact in any grouping, and
-`add_rows` runs the same Welford operations on each value in the same
-order as `update`, only column by column on Python floats instead of row
-by row on numpy arrays. So several `add_rows` calls leave what one call
-over all their rows leaves.
+learned since its last fold with `add_rows`, before each split attempt and
+when a prequential call returns, as does `NaiveBayes.fit` with a whole
+training set. The two forms leave bit-identical statistics: the counts
+are whole numbers in float64, exact in any grouping, and `add_rows` runs
+the same Welford operations on each value in the same order as `update`,
+only column by column on Python floats instead of row by row on numpy
+arrays. So several `add_rows` calls leave what one call over all their
+rows leaves.
+
+Batch naive Bayes under cross-validation takes every fold's statistics
+from one `fold_statistics` pass. Each (fold, class, numeric column) series
+is a lane, and step t of the pass makes `update`'s elementwise numpy calls
+(subtract, divide by n = t + 1, add, subtract, multiply, add) once over
+every lane that is still running, so each lane takes the operations
+`update` would, in the same order: elementwise IEEE arithmetic rounds each
+value alone, whatever the SIMD width, and M2 is never summed across lanes.
+A pairwise merge of partial results (Chan, Golub and LeVeque) would change
+the bits. At Hoeffding-leaf sizes, a few dozen series of a few hundred
+steps, the per-step numpy calls cost more than `add_rows`' Python loop, so
+the leaves keep it. `test_nb_fold_statistics_equal_add_rows_and_updates`
+pins the pass.
 
 The one step `add_rows` leaves out is a no-op. A value x equal to the
 running mean gives delta = x - mean = +-0.0, so `mean += delta / n` and
@@ -45,6 +58,10 @@ import numpy as np
 from .dataset import AttributeSchema
 
 VARIANCE_FLOOR = 1e-9
+# values `fold_statistics`' lane pass gathers at once (512 KiB of float64):
+# as many steps as fit, at least one, so that its memory stays flat in the
+# number of rows and of folds
+LANE_BLOCK = 1 << 16
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
@@ -155,3 +172,101 @@ class ClassConditionalStats:
         scores[:, ~seen] = -np.inf
         return scores
 
+
+def fold_statistics(schema: AttributeSchema, num: np.ndarray, nom: np.ndarray,
+                    labels: np.ndarray, assignment: np.ndarray,
+                    n_folds: int) -> list[ClassConditionalStats]:
+    """Every cross-validation fold's training statistics: item f holds what
+    one `update` per row outside fold f (`assignment` holds each row's
+    fold), in row order, leaves, bit for bit.
+
+    Counts and nominal tables are the whole set's bincounts less each
+    fold's. The Welford recurrence runs once over all lanes, a lane being
+    one (fold, class, numeric column) series; see the module docstring."""
+    c = len(schema.class_labels)
+    assignment = assignment.astype(np.int64)  # the keys below pass 2**31
+    held = np.bincount(assignment * c + labels,
+                       minlength=n_folds * c).reshape(n_folds, c)
+    counts = held.sum(axis=0) - held  # (fold, class) training rows
+    tables = []
+    for j, p in enumerate(schema.nominal_positions):
+        d = len(schema.attributes[p].domain)
+        in_fold = np.bincount((assignment * d + nom[:, j]) * c + labels,
+                              minlength=n_folds * d * c)
+        in_fold = in_fold.reshape(n_folds, d, c)
+        tables.append(in_fold.sum(axis=0) - in_fold)
+    mean, m2 = _lane_welford(num, labels, assignment, held)
+    folds = []
+    for f in range(n_folds):
+        stats = ClassConditionalStats(schema)
+        stats.class_counts[:] = counts[f]
+        stats.mean[:] = mean[f]
+        stats.m2[:] = m2[f]
+        for table, fold_tables in zip(stats.nominal_counts, tables):
+            table[:] = fold_tables[f]
+        stats.total = int(counts[f].sum())
+        folds.append(stats)
+    return folds
+
+
+def _lane_welford(num, labels, assignment, held):
+    """The means and M2s of the rows outside each fold, as one (2, fold,
+    class, column) array, by the Welford steps of `update`, one step for
+    all lanes at a time; `held` holds each fold's class counts.
+
+    A lane group is one (fold, class) pair, its numeric columns the lanes.
+    Groups are ordered longest first, so the ones still running at step t
+    are a prefix, and every running lane takes its (t + 1)-th value then:
+    each step makes the same elementwise calls as `update` over that
+    prefix. The values are gathered for as many steps at a time as keep
+    the gathered block within LANE_BLOCK values."""
+    n_folds, c = held.shape
+    n, n_num = num.shape
+    lengths = (held.sum(axis=0) - held).ravel()
+    order = np.argsort(-lengths, kind="stable")
+    # Group g = f * c + k reads class k's rows (a run of by_class, in row
+    # order) less those in fold f. Its skipped positions, each less the
+    # number skipped before it, plus g * wide, are g's keys, sorted with
+    # every other group's: the t-th row of g is then at position t + the
+    # number of g's keys <= g * wide + t.
+    by_class = np.argsort(labels, kind="stable")
+    sizes = np.bincount(labels, minlength=c)
+    class_start = np.cumsum(sizes) - sizes
+    group_start = np.cumsum(held.ravel()) - held.ravel()
+    wide = n + 1
+    klass = labels[by_class]
+    keys = np.sort((assignment[by_class] * c + klass) * wide
+                   + np.arange(n) - class_start[klass])
+    keys -= np.arange(n) - group_start[keys // wide]
+    # running[t]: the groups that take a step t, those longer than t; with
+    # no numeric column there are no lanes and no steps
+    steps = int(lengths.max()) if n_num else 0
+    running = np.searchsorted(-lengths[order], -np.arange(steps),
+                              side="left").tolist()
+    span = max(1, LANE_BLOCK // (len(order) * max(n_num, 1)))
+    state = np.zeros((2, len(order), n_num))  # mean and M2 by lane
+    mu, sq = state
+    delta, tmp = np.empty((2, len(order), n_num))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t0 in range(0, steps, span):
+            t1 = min(t0 + span, steps)
+            groups = order[:running[t0]]
+            # a group that ends inside the chunk repeats its last row,
+            # which no step reads
+            at = np.minimum(np.arange(t0, t1)[:, None], lengths[groups] - 1)
+            skipped = np.searchsorted(keys, groups * wide + at, side="right") \
+                - group_start[groups]
+            block = num[by_class[class_start[groups % c] + at + skipped]]
+            for t in range(t0, t1):  # block: (step, group, column)
+                live = running[t]
+                x, d, w = block[t - t0, :live], delta[:live], tmp[:live]
+                m, q = mu[:live], sq[:live]
+                np.subtract(x, m, out=d)
+                np.divide(d, float(t + 1), out=w)
+                m += w
+                np.subtract(x, m, out=w)
+                np.multiply(d, w, out=w)
+                q += w
+    out = np.empty_like(state)
+    out[:, order] = state
+    return out.reshape(2, n_folds, c, n_num)

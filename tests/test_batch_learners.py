@@ -4,6 +4,7 @@ import math
 import tracemalloc
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nidsbench.batch_learners as batch_learners
+import nidsbench.nbcore as nbcore
 from nidsbench.batch_learners import (
     KNN,
     MLP,
@@ -32,7 +34,8 @@ from nidsbench.dataset import (
     kdd99_schema,
     load_dataset,
 )
-from nidsbench.nbcore import ClassConditionalStats
+from nidsbench.evaluation import assign_stratified_folds
+from nidsbench.nbcore import ClassConditionalStats, fold_statistics
 from nidsbench.stream_learners import StreamingNaiveBayes
 
 from conftest import build_dataset, code_rows, mlp_loss, predict_labels
@@ -86,6 +89,18 @@ def test_nb_batch_statistics_equal_streaming_updates():
     for i in range(len(ds)):
         stream.learn_row(ds.numeric[i], ds.nominal[i], int(ds.labels[i]))
     assert _stats_bits(model.stats) == _stats_bits(stream.stats)
+
+
+def test_nb_fold_statistics_equal_add_rows_on_the_slice():
+    # 13 classes, 34 numeric and 7 nominal columns, 1,350 training rows a
+    # fold: gathers of 14 steps, lanes ending in many of them
+    ds = _golden_slice("v3", "all")
+    assignment = assign_stratified_folds(ds.labels, 10, seed=1)
+    folds = fold_statistics(ds.schema, ds.numeric, ds.nominal, ds.labels,
+                            assignment, 10)
+    for fold, stats in enumerate(folds):
+        train = ds.subset(np.flatnonzero(assignment != fold))
+        assert _stats_bits(stats) == _stats_bits(NaiveBayes().fit(train).stats)
 
 
 # numeric values spanning the float64 range: overflow to inf and nan,
@@ -172,6 +187,73 @@ def test_nb_add_rows_equals_one_update_per_row(case):
             by_row.update(num, nom, int(label))
         by_block.add_rows(*block)
     assert _stats_bits(by_block) == _stats_bits(by_row)
+
+
+# adds near the top of the float64 range, which overflow to inf and then
+# nan, beside the values above
+_FOLD_VALUES = st.one_of(_NB_VALUES, st.sampled_from(
+    [1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308]))
+
+
+@st.composite
+def _fold_cases(draw):
+    """A schema and rows as `_nb_cases` builds them, plus n_folds >= 2 and
+    each row's fold: any fold in [0, n_folds), so a fold may lose a class
+    from its training rows, keep one row of it, or hold no rows at all."""
+    n_num = draw(st.integers(0, 3))
+    domains = draw(st.lists(st.integers(1, 4), max_size=3))
+    n_classes = draw(st.integers(1, 4))
+    row = st.tuples(
+        st.lists(_FOLD_VALUES, min_size=n_num, max_size=n_num),
+        st.tuples(*(st.integers(0, d - 1) for d in domains)),
+        st.integers(0, n_classes - 1))
+    rows = draw(st.lists(row, min_size=2, max_size=30))
+    n_folds = draw(st.integers(2, len(rows)))
+    folds = draw(st.lists(st.integers(0, n_folds - 1), min_size=len(rows),
+                          max_size=len(rows)))
+    return _fold_case(n_num, domains, n_classes, rows, folds, n_folds)
+
+
+def _fold_case(n_num, domains, n_classes, rows, folds, n_folds):
+    schema, _, block = _nb_case(n_num, domains, n_classes, [], rows)
+    return schema, block, np.array(folds, np.int32), n_folds
+
+
+# one fold per row (leave-one-out), with classes of one row and extremes
+_FOLD_ROWS = [([1e308, -0.0], (1,), 0), ([1e308, 2.5], (0,), 0),
+              ([-0.0, 1e-300], (1,), 1), ([3.0, -1e308], (0,), 0),
+              ([0.0, -1e308], (1,), 2)]
+
+
+@given(_fold_cases())
+@example(_fold_case(2, [2], 4, _FOLD_ROWS, range(5), 5))
+@example(_fold_case(0, [2], 3, [([], c, k) for _, c, k in _FOLD_ROWS],
+                    range(5), 5))
+@example(_fold_case(1, [], 3, [([x[0]], (), k) for x, _, k in _FOLD_ROWS],
+                    [0, 0, 1, 1, 1], 2))
+@settings(max_examples=200, deadline=None)
+def test_nb_fold_statistics_equal_add_rows_and_updates(case):
+    schema, (num, nom, labels), assignment, n_folds = case
+    with np.errstate(all="ignore"):  # +-1e308 sums overflow to inf, then nan
+        folds = fold_statistics(schema, num, nom, labels, assignment,
+                                n_folds)
+        # the same in gathers of one step and of two, which end mid-lane
+        lanes = n_folds * len(schema.class_labels) * num.shape[1]
+        for block in (1, 2 * lanes):
+            with mock.patch.object(nbcore, "LANE_BLOCK", block):
+                assert [_stats_bits(s) for s in fold_statistics(
+                    schema, num, nom, labels, assignment, n_folds)] \
+                    == [_stats_bits(s) for s in folds]
+        assert len(folds) == n_folds
+        for fold, stats in enumerate(folds):
+            train = assignment != fold
+            by_block = ClassConditionalStats(schema)
+            by_block.add_rows(num[train], nom[train], labels[train])
+            by_row = ClassConditionalStats(schema)
+            for x, codes, label in zip(num[train], nom[train], labels[train]):
+                by_row.update(x, codes, int(label))
+            assert _stats_bits(stats) == _stats_bits(by_block)
+            assert _stats_bits(stats) == _stats_bits(by_row)
 
 
 def test_nb_variance_floor_handles_constant_attribute():

@@ -340,6 +340,24 @@ def test_stream_run_writes_trace_confusion_svg(mini_kdd, tmp_path, capsys):
     assert svg.startswith("<svg")
 
 
+@pytest.mark.parametrize("argv, suffix", [
+    (["batch", "--algo", "nb", "--folds", "3"], "v2_nb_s1_confusion.csv"),
+    (["stream", "--algo", "ht"], "v2_ht_s1_trace.csv")],
+    ids=["batch", "stream"])
+def test_a_data_name_that_is_not_utf8_prints_escaped(mini_kdd, tmp_path,
+                                                     capsys, argv, suffix):
+    # pytest's captured standard output encodes strictly, as do those of
+    # other locales than C and UTF-8, and no encoding carries the lone
+    # surrogate that stands for the undecodable byte
+    data = tmp_path / os.fsdecode(b"c\xffd.data")
+    data.write_bytes(mini_kdd.read_bytes())
+    out = tmp_path / "out"
+    assert run_command([*argv, "--data", str(data), "--variant", "v2",
+                        "--out", str(out)]) == EXIT_OK
+    assert "c\\udcffd.data" in capsys.readouterr().out
+    assert (out / os.fsdecode(b"c\xffd_" + suffix.encode())).is_file()
+
+
 def test_stream_runs_are_byte_identical(mini_kdd, tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     for out in (out_a, out_b):
@@ -422,17 +440,13 @@ def test_report_combines_traces(mini_kdd, tmp_path, capsys):
     # metacharacters, characters XML cannot carry even escaped, and bytes
     # that are not UTF-8
     odd = [tmp_path / "a&b<c.data", tmp_path / "a,b.data",
-           tmp_path / "a\x01b.data"]
+           tmp_path / "a\x01b.data", tmp_path / os.fsdecode(b"c\xffd.data")]
     for path in odd:
         path.write_bytes(mini_kdd.read_bytes())
     for algo, data in [("snb", mini_kdd), ("ht", mini_kdd), ("ht", odd[0]),
-                       ("ht", odd[1]), ("ht", odd[2])]:
+                       ("ht", odd[1]), ("ht", odd[2]), ("ht", odd[3])]:
         assert run_command(["stream", "--algo", algo, "--data", str(data),
                             "--variant", "v2", "--out", str(out)]) == EXIT_OK
-    # the run's own summary line would not print under the test's captured
-    # output, so its trace is copied in under the name it would have
-    (out / os.fsdecode(b"c\xffd_v2_ht_s1_trace.csv")).write_bytes(
-        (out / "mini_kdd_v2_ht_s1_trace.csv").read_bytes())
     assert run_command(["report", "--out", str(out)]) == EXIT_OK
     with open(out / "combined_traces.csv", newline="") as fh:
         combined = list(csv.reader(fh))

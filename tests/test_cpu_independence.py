@@ -1,9 +1,12 @@
-"""No k-NN result depends on the CPU.
+"""No k-NN result and no naive-Bayes fold statistic depends on the CPU.
 
 A subprocess runs with OpenBLAS forced to its SSE3 (Prescott) kernel and
 numpy's SIMD dispatch held to its baseline, and must hash the k-NN
-distances and the batch and windowed k-NN predictions to the same digest as
-this process. The variables are set for that subprocess only.
+distances and the batch and windowed k-NN predictions, and the statistics
+of `fold_statistics`' lane pass, to the same digests as this process. The
+lane pass runs the Welford steps as numpy's SIMD arithmetic where
+`add_rows` runs them on Python floats, so its bits must not follow the
+dispatch. The variables are set for that subprocess only.
 """
 
 import hashlib
@@ -17,6 +20,9 @@ import numpy as np
 
 import nidsbench.stream_learners as stream_learners
 from nidsbench.batch_learners import KNN, mixed_distances
+from nidsbench.dataset import NOMINAL, NUMERIC, Attribute, AttributeSchema
+from nidsbench.evaluation import assign_stratified_folds
+from nidsbench.nbcore import fold_statistics
 from nidsbench.stream_learners import WindowKNN
 
 from conftest import build_dataset
@@ -67,20 +73,54 @@ def knn_digest() -> str:
     return digest.hexdigest()
 
 
-def test_knn_results_do_not_depend_on_the_cpu():
+def fold_digest() -> str:
+    """SHA-256 of `fold_statistics` over 10 folds of seeded rows: 600 rows,
+    3 classes, 9 numeric columns scaled from 1e-3 to 1e4 and 3 near 1e307,
+    signed, with runs of repeated rows and zeros of both signs."""
+    rng = np.random.default_rng(11)
+    n, n_num = 600, 12
+    num = rng.random((n, n_num)) * 10.0 ** rng.integers(-3, 5, n_num)
+    num[:, 9:] = rng.choice([-8e307, 8e307, 1e307], (n, 3))
+    num *= rng.choice([-1.0, 1.0], (n, n_num))
+    num[100:160] = num[100]
+    num[300:340, :3] = -0.0
+    nom = rng.integers(0, 3, (n, 2)).astype(np.int32)
+    labels = rng.integers(0, 3, n).astype(np.int32)
+    attrs = [Attribute(f"x{j}", NUMERIC) for j in range(n_num)] \
+        + [Attribute(f"s{j}", NOMINAL, ("a", "b", "c")) for j in range(2)]
+    schema = AttributeSchema(tuple(attrs), ("c0", "c1", "c2"))
+    assignment = assign_stratified_folds(labels, 10, seed=3)
+    digest = hashlib.sha256()
+    for stats in fold_statistics(schema, num, nom, labels, assignment, 10):
+        for a in (stats.class_counts, stats.mean, stats.m2,
+                  *stats.nominal_counts):
+            digest.update(a.tobytes())
+    return digest.hexdigest()
+
+
+def _baseline_digest(name: str) -> str:
+    """`name`() computed in a subprocess held to the baseline kernels."""
     disable = [f for f in SIMD_FEATURES if f in umath.__cpu_dispatch__]
     env = dict(os.environ, OPENBLAS_CORETYPE="Prescott",
                NPY_DISABLE_CPU_FEATURES=" ".join(disable),
                PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
                                            str(ROOT / "tests")]))
     probe = ("import json\n"
-             "from test_cpu_independence import knn_digest, umath\n"
+             f"from test_cpu_independence import {name}, umath\n"
              "off = [f for f, on in umath.__cpu_features__.items() if not on]\n"
-             "print(json.dumps([knn_digest(), off]))\n")
+             f"print(json.dumps([{name}(), off]))\n")
     done = subprocess.run([sys.executable, "-c", probe], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     digest, off = json.loads(done.stdout)
     here = {f for f, on in umath.__cpu_features__.items() if on}
     print("disabled in the subprocess:", sorted(here & set(off)))
-    assert digest == knn_digest()
+    return digest
+
+
+def test_knn_results_do_not_depend_on_the_cpu():
+    assert _baseline_digest("knn_digest") == knn_digest()
+
+
+def test_nb_fold_statistics_do_not_depend_on_the_cpu():
+    assert _baseline_digest("fold_digest") == fold_digest()

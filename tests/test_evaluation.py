@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nidsbench.batch_learners import BatchModel
-from nidsbench.cli import RunConfig, load, make_stream_model, prepare
+from nidsbench.cli import RunConfig, load, make_batch_model, \
+    make_stream_model, prepare
 import nidsbench.stream_learners as stream_learners
 from nidsbench.dataset import Attribute, AttributeSchema, DataError, Dataset
 from nidsbench.evaluation import (
@@ -166,6 +167,27 @@ def test_cv_calls_factory_once_per_fold_and_keeps_test_out_of_fit():
         test_ids = set(ds.numeric[plan == fold, 0].tolist())
         assert not (train_ids & test_ids)
         assert train_ids | test_ids == set(ds.numeric[:, 0].tolist())
+
+
+@pytest.mark.parametrize("algo", ["nb", "j48", "knn", "mlp", "svm"])
+def test_cv_makes_one_model_a_fold_and_fits_it_once(mini_kdd, monkeypatch,
+                                                     algo):
+    # naive Bayes fits every fold in `NaiveBayes.fit_folds`, the others each
+    # model by `BatchModel.fit`; a Pipeline's inner model is fitted too
+    cfg = RunConfig(variant="v2", algo=algo)
+    ds = prepare(load(mini_kdd)[0], cfg)
+    made, fitted = [], []
+    fit = BatchModel.fit
+
+    def spy(self, train):
+        fitted.append(self)
+        return fit(self, train)
+    monkeypatch.setattr(BatchModel, "fit", spy)
+    cross_validate(ds, lambda: made.append(make_batch_model(cfg)) or made[-1],
+                   3, seed=1)
+    assert len(made) == 3
+    outer = [m for m in fitted if any(m is x for x in made)]
+    assert outer == ([] if algo == "nb" else made)
 
 
 @pytest.mark.parametrize("code, message", [
