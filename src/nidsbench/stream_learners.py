@@ -88,7 +88,9 @@ def poisson_knuth(lam: float, uniform: Callable[[], float]) -> int:
 class StreamModel:
     """predict-then-train contract over a fixed schema (see the module
     docstring): subclasses implement `predict_code` and `learn_row`, and may
-    override `prequential_codes` with a faster loop of the same result."""
+    override `prequential_codes` with a faster loop of the same result. A
+    learner with its own loop makes `learn_row` a one-row call of that
+    loop, so the loop holds its learning rule once."""
 
     def __init__(self, schema: AttributeSchema):
         self.schema = schema
@@ -611,7 +613,9 @@ class OzaBoost(StreamModel):
     `HoeffdingTree._learn`, from the leaf the vote read, which routes the
     row again only after a learn that split that leaf; the member then
     routes its later rows of the block again. The leaf the learns end on is
-    the member's prediction for the lambda update.
+    the member's prediction for the lambda update. `learn_row` is a
+    one-row `prequential_codes`, and `predict_code` votes the members'
+    `predict_code`.
     """
 
     def __init__(self, schema: AttributeSchema, seed: int):
@@ -643,18 +647,8 @@ class OzaBoost(StreamModel):
                            for m in self.members])
 
     def learn_row(self, num_row, nom_row, label_code):
-        lam = 1.0
-        for i, member in enumerate(self.members):
-            kappa = poisson_knuth(lam, self._uniform)
-            for _ in range(kappa):
-                member.learn_row(num_row, nom_row, label_code)
-            if member.predict_code(num_row, nom_row) == label_code:
-                self.lam_sc[i] += lam
-                lam *= (self.lam_sc[i] + self.lam_sw[i]) / (2.0 * self.lam_sc[i])
-            else:
-                self.lam_sw[i] += lam
-                lam *= (self.lam_sc[i] + self.lam_sw[i]) / (2.0 * self.lam_sw[i])
-        self._weights = self.member_weights().tolist()
+        self.prequential_codes(num_row[None], nom_row[None],
+                               np.array([label_code]))
 
     def prequential_codes(self, num, nom, labels):
         members, uniform = self.members, self._uniform

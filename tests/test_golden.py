@@ -12,7 +12,8 @@ It has 13 of the 23 raw labels, so v3 trees see more than eight classes.
 dir)`), written with `gzip -n -9`. It pins the Hoeffding-tree paths the NSL
 slice never reaches: `ht` v2 splits twice, `ht` v3 `--attrs all` makes a
 nominal split, `ozaboost` v2 splits 11 times and every member of
-`ozaboost` v3 `--attrs all` (10 classes) makes one or two nominal splits.
+`ozaboost` v3 `--attrs all` (10 classes) makes one or two nominal splits,
+and `snb` v3 `--attrs all` scores those 10 classes over 34 numeric columns.
 Its runs of records that repeat exactly also fill the windowed k-NN's window
 with many copies of few distinct rows, under v1, v2, v3 and v3 `--attrs
 all`.
@@ -78,6 +79,7 @@ KDD_RUNS = [
     ("snb", "v1", "selected", ()),
     ("snb", "v2", "selected", ()),
     ("snb", "v3", "selected", ()),
+    ("snb", "v3", "all", ()),
     ("wknn", "v1", "selected", ()),
     ("wknn", "v2", "selected", ()),
     ("wknn", "v3", "selected", ()),

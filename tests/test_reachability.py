@@ -81,9 +81,9 @@ SMALL_ROWS = 10
 _SCHEMA_FAULT = ("a model or normalizer fitted on one schema given data of "
                  "another; every command fits and predicts on subsets of one "
                  "prepared dataset")
-_PER_ROW = ("the per-row contract, which tests check the learner's own "
-            "prequential loop against and perfbench/child.py wraps by name; "
-            "every command runs that loop")
+_PER_ROW = ("a one-row form of the learner's own prequential loop, kept "
+            "for the StreamModel contract and for perfbench/child.py, which "
+            "wraps it by name; every command runs that loop")
 ALLOWED = {
     "cli.main": "the console entry point; the sweep calls run_command, "
                 "which is all it wraps",

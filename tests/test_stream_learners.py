@@ -854,19 +854,18 @@ def test_wknn_predicts_like_batch_knn_fitted_on_its_window(k, window, rows):
 # --- OzaBoost --------------------------------------------------------------------
 
 
-class _FixedModel(StreamModel):
-    """Spy member: predicts a fixed class, records learn calls."""
+class _FixedModel(HoeffdingTree):
+    """Spy member: a one-leaf tree that predicts a fixed class and counts
+    the learns the boosting loop asks of it, learning none of them."""
 
     def __init__(self, schema, fixed_code):
         super().__init__(schema)
-        self.fixed = fixed_code
+        self.root.majority = fixed_code
         self.learn_calls = 0
 
-    def predict_code(self, num_row, nom_row):
-        return self.fixed
-
-    def learn_row(self, num_row, nom_row, label_code):
+    def _learn(self, route, num, nom, labels, i, y):
         self.learn_calls += 1
+        return route
 
 
 def _two_class_schema():
@@ -913,10 +912,12 @@ def test_ozaboost_member_one_mass_equals_steps():
 
 
 def test_ozaboost_lambda_mass_conservation_against_replay():
-    """Each member's sc+sw must equal the lambda mass routed to it, replayed
-    by an independent simulation of the update rule."""
+    """Each member's sc+sw must equal the lambda mass routed to it, and its
+    learns the Poisson(lambda) draws of the seeded generator, replayed by an
+    independent simulation of the update rule."""
     schema = _two_class_schema()
-    boost = _boost(schema, 5, [_FixedModel(schema, m % 2) for m in range(3)])
+    spies = [_FixedModel(schema, m % 2) for m in range(3)]
+    boost = _boost(schema, 5, spies)
     rng = np.random.default_rng(10)
     n_steps = 200
     labels = rng.integers(0, 2, n_steps)
@@ -924,10 +925,13 @@ def test_ozaboost_lambda_mass_conservation_against_replay():
     exp_sc = [0.0, 0.0, 0.0]
     exp_sw = [0.0, 0.0, 0.0]
     routed = [0.0, 0.0, 0.0]
+    learns = [0, 0, 0]
+    uniform = stream_learners.uniform_draws(np.random.default_rng(5))
     for y in labels:
         lam = 1.0
         for m in range(3):
             routed[m] += lam
+            learns[m] += poisson_knuth(lam, uniform)
             correct = (m % 2) == y  # member m always predicts m % 2
             if correct:
                 exp_sc[m] += lam
@@ -944,6 +948,7 @@ def test_ozaboost_lambda_mass_conservation_against_replay():
         assert boost.lam_sw[m] == pytest.approx(exp_sw[m], rel=1e-12)
         assert boost.lam_sc[m] + boost.lam_sw[m] == pytest.approx(
             routed[m], rel=1e-12)
+    assert [spy.learn_calls for spy in spies] == learns
 
 
 def test_ozaboost_single_member_equals_member_vote():
@@ -1076,6 +1081,41 @@ def _new_model(algo, schema, seed):
     return HoeffdingTree(schema) if algo == "ht" else OzaBoost(schema, seed)
 
 
+def _oracle_learn_row(boost, num_row, nom_row, label_code):
+    """OzaBoost's boosting update of one row, member by member through the
+    members' `learn_row` and `predict_code` (Oza & Russell, AISTATS 2001):
+    the reference the boosting loop is checked against."""
+    sc, sw = boost.lam_sc, boost.lam_sw
+    lam = 1.0
+    for i, member in enumerate(boost.members):
+        for _ in range(poisson_knuth(lam, boost._uniform)):
+            member.learn_row(num_row, nom_row, label_code)
+        if member.predict_code(num_row, nom_row) == label_code:
+            sc[i] += lam
+            lam *= (sc[i] + sw[i]) / (2.0 * sc[i])
+        else:
+            sw[i] += lam
+            lam *= (sc[i] + sw[i]) / (2.0 * sw[i])
+    boost._weights = boost.member_weights().tolist()
+
+
+def _per_row_runs(algo, schema, seed, num, nom, labels):
+    """The codes and `_model_state` of a fresh model fed the stream row by
+    row: through `predict_code` and `learn_row`, one-row calls of its own
+    loop, and for OzaBoost also through `_oracle_learn_row`."""
+    model = _new_model(algo, schema, seed)
+    runs = [(StreamModel.prequential_codes(model, num, nom, labels),
+             _model_state(model))]
+    if algo == "ozaboost":
+        oracle = OzaBoost(schema, seed)
+        codes = []
+        for i, y in enumerate(labels.tolist()):
+            codes.append(oracle.predict_code(num[i], nom[i]))
+            _oracle_learn_row(oracle, num[i], nom[i], y)
+        runs.append((codes, _model_state(oracle)))
+    return runs
+
+
 def _kinds(tree):
     """The kinds of a tree's splits."""
     nodes, kinds = [tree.root], []
@@ -1093,11 +1133,10 @@ def test_own_loop_equals_the_per_row_loop(monkeypatch, algo, seed):
     ds = _split_stream(seed, 2_500)
     monkeypatch.setattr(stream_learners, "HT_GRACE_PERIOD", 50)
     args = ds.numeric, ds.nominal, ds.labels
-    per_row = _new_model(algo, ds.schema, seed)
-    want = StreamModel.prequential_codes(per_row, *args)
     own = _new_model(algo, ds.schema, seed)
-    assert own.prequential_codes(*args) == want
-    assert _model_state(own) == _model_state(per_row)
+    got = own.prequential_codes(*args), _model_state(own)
+    for run in _per_row_runs(algo, ds.schema, seed, *args):
+        assert run == got
     # the streams split on both kinds of attribute
     trees = own.members if algo == "ozaboost" else [own]
     assert {"num", "nom"} <= {k for tree in trees for k in _kinds(tree)}
@@ -1141,8 +1180,7 @@ def test_ozaboost_member_learns_on_after_a_split(monkeypatch):
     ds = _split_stream(5, 2_500)
     monkeypatch.setattr(stream_learners, "HT_GRACE_PERIOD", 50)
     args = ds.numeric, ds.nominal, ds.labels
-    per_row = OzaBoost(ds.schema, 5)
-    want = StreamModel.prequential_codes(per_row, *args)
+    runs = _per_row_runs("ozaboost", ds.schema, 5, *args)
     learn, attempt = stream_learners._HTLeaf.learn, HoeffdingTree._attempt_split
     events = []
 
@@ -1160,11 +1198,33 @@ def test_ozaboost_member_learns_on_after_a_split(monkeypatch):
     monkeypatch.setattr(stream_learners._HTLeaf, "learn", logged_learn)
     monkeypatch.setattr(HoeffdingTree, "_attempt_split", logged_attempt)
     own = OzaBoost(ds.schema, 5)
-    assert own.prequential_codes(*args) == want
-    assert _model_state(own) == _model_state(per_row)
+    got = own.prequential_codes(*args), _model_state(own)
+    for run in runs:
+        assert run == got
     assert any(kind == "split" and after == "learn" and leaf in children
                and i == j for (kind, children, i), (after, leaf, j)
                in zip(events, events[1:]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(grace=st.integers(2, 12), **_MIXED_STREAMS)
+# few drawn streams split a member; in these members split 3-5 times, on
+# numeric columns only, nominal ones only, a 4-class stream and both kinds
+@example(grace=5, seed=2, n=120, n_classes=2, n_num=3, domain_sizes=[])
+@example(grace=5, seed=2, n=120, n_classes=2, n_num=0, domain_sizes=[4, 4])
+@example(grace=2, seed=3, n=120, n_classes=4, n_num=1, domain_sizes=[])
+@example(grace=2, seed=2, n=120, n_classes=2, n_num=1, domain_sizes=[3])
+def test_ozaboost_loop_equals_its_per_row_forms(grace, seed, n, n_classes,
+                                                n_num, domain_sizes):
+    # numeric-only, nominal-only and attribute-free schemas, up to 4 classes
+    ds = _mixed_stream(seed, n, n_classes, n_num, domain_sizes)
+    args = ds.numeric, ds.nominal, ds.labels
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(stream_learners, "HT_GRACE_PERIOD", grace)
+        own = OzaBoost(ds.schema, seed)
+        got = own.prequential_codes(*args), _model_state(own)
+        for run in _per_row_runs("ozaboost", ds.schema, seed, *args):
+            assert run == got
 
 
 # x0 and x1 values: the cuts of [0, 1] a root split takes (its equal-width
